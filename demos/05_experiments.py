@@ -2,7 +2,8 @@
 
 two_stage conditions verification on the identified emotion; one_stage
 pools each speaker's emotions into a single model.  The alpha sweep
-rescores the fused pipeline at eleven fusion weights.  The corpus here
+scores the fused pipeline once and decides it at eleven fusion weights
+from those stream scores.  The corpus here
 makes emotions sit further apart than speakers in the acoustic stream
 (pooling them hurts) and gives the prosodic stream the stronger speaker
 separation, so both published orderings show up.

@@ -41,25 +41,17 @@ from .stage_b import (
 )
 from .synthetic import SyntheticSpec, generate_synthetic
 
-# Public mode vocabulary; hmm_only swaps the emotion identifier's scoring
-# and oracle substitutes the true label, both on the two-model-set path.
-CLI_MODES = ("two_stage", "one_stage", "hmm_only", "worst_case", "oracle")
-
-_TRIAL_MODE = {
-    "two_stage": "two_stage",
-    "one_stage": "one_stage",
-    "hmm_only": "two_stage",
-    "worst_case": "worst_case",
-    "oracle": "oracle_emotion",
+# Public mode vocabulary: CLI mode -> (trial mode, experiment kind).
+# hmm_only swaps the emotion identifier's scoring and oracle substitutes
+# the true label, both on the two-model-set path.
+_MODES = {
+    "two_stage": ("two_stage", "two_stage"),
+    "one_stage": ("one_stage", "one_stage"),
+    "hmm_only": ("two_stage", "hmm_only_stage_a"),
+    "worst_case": ("worst_case", "worst_case"),
+    "oracle": ("oracle_emotion", "oracle_emotion"),
 }
-
-_EVAL_KIND = {
-    "two_stage": "two_stage",
-    "one_stage": "one_stage",
-    "hmm_only": "hmm_only_stage_a",
-    "worst_case": "worst_case",
-    "oracle": "oracle_emotion",
-}
+CLI_MODES = tuple(_MODES)
 
 
 def _echo(pairs: dict) -> None:
@@ -119,13 +111,6 @@ def _load_pooled_models(models_dir, manifest: CorpusManifest) -> PooledSpeakerMo
     return PooledSpeakerModels(
         {sp: _load_either(models_dir, f"pooled_{sp}") for sp in manifest.claimants}
     )
-
-
-def _save_model(model, path: Path) -> None:
-    if path.suffix == ".emvs":
-        save_sphmm(model, path)
-    else:
-        save_hmm(model, path)
 
 
 def _train_config(args) -> TrainConfig:
@@ -236,11 +221,11 @@ def _cmd_train_speakers(args) -> int:
     )
     models_dir = Path(args.models_dir)
     models_dir.mkdir(parents=True, exist_ok=True)
-    suffix = "emvs" if args.fused else "emvh"
+    save, suffix = (save_sphmm, "emvs") if args.fused else (save_hmm, "emvh")
     for (speaker, emotion), model in speaker_models.models.items():
-        _save_model(model, models_dir / f"{_speaker_stem(speaker, emotion)}.{suffix}")
+        save(model, models_dir / f"{_speaker_stem(speaker, emotion)}.{suffix}")
     for speaker, model in pooled.models.items():
-        _save_model(model, models_dir / f"pooled_{speaker}.{suffix}")
+        save(model, models_dir / f"pooled_{speaker}.{suffix}")
     print(
         f"wrote {len(speaker_models.models)} speaker-emotion models "
         f"and {len(pooled.models)} pooled models"
@@ -283,9 +268,9 @@ def _cmd_trials(args) -> int:
         "imposters_per_utterance": cfg.imposters_per_utterance,
         "seed": cfg.seed,
     })
-    trial_mode = _TRIAL_MODE[args.mode]
+    trial_mode = _MODES[args.mode][0]
     emotion_models = None
-    if args.mode == "one_stage":
+    if trial_mode == "one_stage":
         models = _load_pooled_models(args.models_dir, manifest)
     else:
         models = _load_speaker_models(args.models_dir, manifest)
@@ -332,7 +317,7 @@ def _run_and_write(kind: str, args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    return _run_and_write(_EVAL_KIND[args.mode], args)
+    return _run_and_write(_MODES[args.mode][1], args)
 
 
 def _cmd_sweep_alpha(args) -> int:

@@ -19,28 +19,29 @@ import numpy as np
 
 from .hmm import TrainConfig
 from .manifest import CorpusManifest
-from .stage_a import ConfusionMatrix, EmotionModelSet, train_emotion_models
-from .stage_b import (
-    TrialConfig,
-    TrialRecord,
-    enroll,
-    enroll_pooled,
-    run_trials,
-)
+from .stage_a import ConfusionMatrix, train_emotion_models
+from .stage_b import TrialConfig, TrialRecord, decide_trials, enroll, enroll_pooled, score_trials
+from .stage_b import run_trials  # noqa: F401  benchmark/tracing.py wraps this name
 
 # One-sided 5% critical value for the equal-n pooled-SD t-test.
 CRITICAL_T = 1.645
 
 ALPHA_GRID = tuple(round(0.1 * i, 1) for i in range(11))
 
-KINDS = (
-    "two_stage",
-    "one_stage",
-    "hmm_only_stage_a",
-    "worst_case",
-    "oracle_emotion",
-    "alpha_sweep",
-)
+# kind -> (trial mode, stage-a weight override, compared kinds).  The
+# hmm_only identifier is stage a at weight 0.  alpha_sweep always enrolls
+# fused stage-b models and also decides two_stage at every ALPHA_GRID
+# weight, fusing both stages at that weight.
+_EXPERIMENTS = {
+    "two_stage": ("two_stage", None, ()),
+    "one_stage": ("one_stage", None, ("two_stage",)),
+    "hmm_only_stage_a": ("two_stage", 0.0, ("two_stage",)),
+    "worst_case": ("worst_case", None, ("two_stage", "one_stage")),
+    "oracle_emotion": ("oracle_emotion", None, ()),
+    "alpha_sweep": ("two_stage", None, ()),
+}
+
+KINDS = tuple(_EXPERIMENTS)
 
 
 @dataclass(frozen=True)
@@ -305,47 +306,6 @@ def _confusion_from_records(records, emotions) -> ConfusionMatrix:
     return matrix
 
 
-def _train_stage_a(manifest, features, cfg: ExperimentConfig) -> EmotionModelSet:
-    return train_emotion_models(
-        manifest,
-        features,
-        cfg.n_states,
-        cfg.n_mixtures,
-        alpha=cfg.alpha,
-        cfg=cfg.train_config,
-        prosodic_mixtures=cfg.prosodic_mixtures,
-        composite=cfg.composite,
-    )
-
-
-def _enroll_claimants(manifest, features, cfg: ExperimentConfig, fused: bool):
-    kwargs = {}
-    if fused:
-        kwargs = dict(
-            alpha=cfg.alpha,
-            prosodic_mixtures=cfg.prosodic_mixtures,
-            composite=cfg.composite,
-        )
-    return enroll(
-        manifest, features, cfg.n_states, cfg.n_mixtures,
-        cfg=cfg.train_config, fused=fused, **kwargs,
-    )
-
-
-def _enroll_pooled(manifest, features, cfg: ExperimentConfig):
-    kwargs = {}
-    if cfg.stage_b_fused:
-        kwargs = dict(
-            alpha=cfg.alpha,
-            prosodic_mixtures=cfg.prosodic_mixtures,
-            composite=cfg.composite,
-        )
-    return enroll_pooled(
-        manifest, features, cfg.n_states, cfg.n_mixtures,
-        cfg=cfg.train_config, fused=cfg.stage_b_fused, **kwargs,
-    )
-
-
 def _vector_ttest(main: Mapping[str, float], other: Mapping[str, float], emotions) -> TTestResult:
     """Main table's EER vector (first sample) against another's (second)."""
     return t_statistic(
@@ -360,98 +320,58 @@ def run_experiment(kind: str, manifest: CorpusManifest, features, cfg: Experimen
     two_stage runs the full pipeline; hmm_only_stage_a swaps the emotion
     identifier to acoustic-only scoring; oracle_emotion and worst_case
     replace the identified label with the true one and a seeded wrong one;
-    one_stage drops emotion conditioning entirely; alpha_sweep rescores
-    the fused pipeline at the eleven grid weights.  Baseline kinds carry
-    the two_stage table (worst_case also the one_stage table) plus the
-    t-test between per-emotion EER vectors, all on the same seed so the
-    trial plans pair up.
+    one_stage drops emotion conditioning entirely; alpha_sweep decides the
+    fused pipeline at the eleven grid weights.  Baseline kinds carry the
+    two_stage table (worst_case also the one_stage table) plus the t-test
+    between per-emotion EER vectors, all on the same seed so the trial
+    plans pair up.  Each model set is trained once and scored once; every
+    table, comparison and sweep row is a decision over those scores.
     """
     cfg = cfg or ExperimentConfig()
     if kind not in KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}")
+    mode, stage_a_alpha, compared = _EXPERIMENTS[kind]
+    stage_a_alpha = cfg.alpha if stage_a_alpha is None else stage_a_alpha
+    modes = {mode, *compared}
+    grid = ALPHA_GRID if kind == "alpha_sweep" else ()
     emotions = manifest.emotion_set
     trial_cfg = cfg.trial_config
-    comparisons: dict[str, dict[str, float]] = {}
-    ttests: dict[str, TTestResult] = {}
-    alpha_rows: tuple[tuple[float, float], ...] = ()
-    matrix: ConfusionMatrix | None = None
+    common = (manifest, features, cfg.n_states, cfg.n_mixtures)
+    sphmm = dict(alpha=cfg.alpha, prosodic_mixtures=cfg.prosodic_mixtures, composite=cfg.composite)
 
-    if kind == "alpha_sweep":
-        emotion_models = _train_stage_a(manifest, features, cfg)
-        speaker_models = _enroll_claimants(manifest, features, cfg, fused=True)
-        rows = []
-        primary = None
-        for a in ALPHA_GRID:
-            recs = run_trials(
-                speaker_models.with_alpha(a), emotion_models.with_alpha(a),
-                manifest, features, mode="two_stage", cfg=trial_cfg,
-            )
-            t, d = _tables(recs, emotions)
-            rows.append((a, _average(t, emotions)))
-            if a == cfg.alpha:
-                primary = (recs, t, d)
-        if primary is None:  # cfg.alpha off the grid: one extra run for the tables
-            recs = run_trials(
-                speaker_models.with_alpha(cfg.alpha), emotion_models.with_alpha(cfg.alpha),
-                manifest, features, mode="two_stage", cfg=trial_cfg,
-            )
-            primary = (recs,) + _tables(recs, emotions)
-        records, table, det = primary
-        alpha_rows = tuple(rows)
-        matrix = _confusion_from_records(records, emotions)
-    elif kind == "one_stage":
-        pooled = _enroll_pooled(manifest, features, cfg)
-        records = run_trials(pooled, None, manifest, features, mode="one_stage", cfg=trial_cfg)
-        table, det = _tables(records, emotions)
-        speaker_models = _enroll_claimants(manifest, features, cfg, fused=cfg.stage_b_fused)
-        emotion_models = _train_stage_a(manifest, features, cfg)
-        ref = run_trials(speaker_models, emotion_models, manifest, features,
-                         mode="two_stage", cfg=trial_cfg)
-        comparisons["two_stage"] = _tables(ref, emotions)[0]
-        ttests["two_stage"] = _vector_ttest(table, comparisons["two_stage"], emotions)
-    elif kind == "oracle_emotion":
-        speaker_models = _enroll_claimants(manifest, features, cfg, fused=cfg.stage_b_fused)
-        records = run_trials(speaker_models, None, manifest, features,
-                             mode="oracle_emotion", cfg=trial_cfg)
-        table, det = _tables(records, emotions)
-    elif kind == "worst_case":
-        speaker_models = _enroll_claimants(manifest, features, cfg, fused=cfg.stage_b_fused)
-        records = run_trials(speaker_models, None, manifest, features,
-                             mode="worst_case", cfg=trial_cfg)
-        table, det = _tables(records, emotions)
-        emotion_models = _train_stage_a(manifest, features, cfg)
-        ref = run_trials(speaker_models, emotion_models, manifest, features,
-                         mode="two_stage", cfg=trial_cfg)
-        comparisons["two_stage"] = _tables(ref, emotions)[0]
-        ttests["two_stage"] = _vector_ttest(table, comparisons["two_stage"], emotions)
-        pooled = _enroll_pooled(manifest, features, cfg)
-        one = run_trials(pooled, None, manifest, features, mode="one_stage", cfg=trial_cfg)
-        comparisons["one_stage"] = _tables(one, emotions)[0]
-        ttests["one_stage"] = _vector_ttest(table, comparisons["one_stage"], emotions)
-    else:  # two_stage or hmm_only_stage_a
-        speaker_models = _enroll_claimants(manifest, features, cfg, fused=cfg.stage_b_fused)
-        emotion_models = _train_stage_a(manifest, features, cfg)
-        main = emotion_models.with_mode("hmm_only") if kind == "hmm_only_stage_a" else emotion_models
-        records = run_trials(speaker_models, main, manifest, features,
-                             mode="two_stage", cfg=trial_cfg)
-        table, det = _tables(records, emotions)
-        matrix = _confusion_from_records(records, emotions)
-        if kind == "hmm_only_stage_a":
-            ref = run_trials(speaker_models, emotion_models, manifest, features,
-                             mode="two_stage", cfg=trial_cfg)
-            comparisons["two_stage"] = _tables(ref, emotions)[0]
-            ttests["two_stage"] = _vector_ttest(table, comparisons["two_stage"], emotions)
+    def stage_b_set(trainer, fused):
+        return trainer(*common, cfg=cfg.train_config, fused=fused, **(sphmm if fused else {}))
 
+    emotion_models = None
+    if "two_stage" in modes:
+        emotion_models = train_emotion_models(*common, cfg=cfg.train_config, **sphmm)
+    speaker_models = stage_b_set(enroll, cfg.stage_b_fused or bool(grid))
+    table = score_trials(speaker_models, emotion_models, manifest, features, trial_cfg,
+                         (speaker_models.alpha, *grid), (stage_a_alpha, cfg.alpha, *grid))
+    if "one_stage" in modes:
+        pooled = stage_b_set(enroll_pooled, cfg.stage_b_fused)
+        pooled_table = score_trials(pooled, None, manifest, features, trial_cfg, (pooled.alpha,))
+
+    def decide(mode, a_alpha=cfg.alpha, b_alpha=speaker_models.alpha):
+        if mode == "one_stage":
+            return decide_trials(pooled_table, mode, trial_cfg, pooled.alpha)
+        return decide_trials(table, mode, trial_cfg, b_alpha, a_alpha)
+
+    records = decide(mode, stage_a_alpha)
+    eer_table, det = _tables(records, emotions)
+    comparisons = {other: _tables(decide(other), emotions)[0] for other in compared}
     return EvalReport(
         kind=kind,
         emotions=emotions,
-        eer_by_emotion=table,
-        average_eer=_average(table, emotions),
+        eer_by_emotion=eer_table,
+        average_eer=_average(eer_table, emotions),
         det_by_emotion=det,
-        confusion=matrix,
+        confusion=_confusion_from_records(records, emotions) if mode == "two_stage" else None,
         comparisons=comparisons,
-        ttests=ttests,
-        alpha_rows=alpha_rows,
+        ttests={other: _vector_ttest(eer_table, t, emotions) for other, t in comparisons.items()},
+        alpha_rows=tuple(
+            (a, _average(_tables(decide(mode, a, a), emotions)[0], emotions)) for a in grid
+        ),
         config=cfg.echo(kind),
     )
 

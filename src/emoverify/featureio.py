@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .binio import read_array, read_exact, read_header
 from .errors import FormatError
 from .frontend import ObservationPair
 
@@ -34,23 +35,19 @@ def write_features(fp, pair: ObservationPair) -> None:
     fp.write(pair.prosodic.astype("<f8").tobytes())
 
 
-def _read_exact(fp, count: int) -> bytes:
-    data = fp.read(count)
-    if len(data) != count:
-        raise FormatError("truncated feature file")
-    return data
-
-
 def read_features(fp, source=None) -> ObservationPair:
-    magic = _read_exact(fp, 4)
+    magic = read_exact(fp, 4, "feature")
     if magic != _MAGIC:
         raise FormatError(f"bad feature magic {magic!r}")
-    version, t, d, tp, dp = np.frombuffer(_read_exact(fp, 20), dtype="<u4")
+    version, t, d, tp, dp = read_header(fp, 5, "feature")
     if version != _VERSION:
         raise FormatError(f"unsupported feature version {version}")
-    acoustic = np.frombuffer(_read_exact(fp, 8 * t * d), dtype="<f8").reshape(t, d)
-    prosodic = np.frombuffer(_read_exact(fp, 8 * tp * dp), dtype="<f8").reshape(tp, dp)
-    return ObservationPair(acoustic.copy(), prosodic.copy(), source=source)
+    acoustic = read_array(fp, (t, d), "feature")
+    prosodic = read_array(fp, (tp, dp), "feature")
+    try:
+        return ObservationPair(acoustic, prosodic, source=source)
+    except ValueError as exc:
+        raise FormatError(f"invalid feature file: {exc}") from None
 
 
 def save_features(pair: ObservationPair, path) -> None:

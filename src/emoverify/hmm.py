@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
+from .binio import read_array, read_exact, read_header
 from .errors import FormatError
 
 log = logging.getLogger(__name__)
@@ -509,31 +510,33 @@ def write_hmm(fp, model: HmmModel) -> None:
     fp.write(np.stack([em.variances for em in model.emissions]).astype("<f8").tobytes())
 
 
-def _read_exact(fp, count: int) -> bytes:
-    data = fp.read(count)
-    if len(data) != count:
-        raise FormatError("truncated model file")
-    return data
-
-
 def read_hmm(fp) -> HmmModel:
-    """Read one model block written by write_hmm."""
-    magic = _read_exact(fp, 4)
+    """Read one model block written by write_hmm; FormatError unless it is
+    structurally valid.  No training floor applies, so any positive variance loads."""
+    magic = read_exact(fp, 4, "model")
     if magic != _MODEL_MAGIC:
         raise FormatError(f"bad model magic {magic!r}")
-    version, n, m, d = np.frombuffer(_read_exact(fp, 16), dtype="<u4")
+    version, n, m, d = read_header(fp, 4, "model")
     if version != _MODEL_VERSION:
         raise FormatError(f"unsupported model version {version}")
-    a = np.frombuffer(_read_exact(fp, 8 * n * n), dtype="<f8").reshape(n, n).copy()
-    weights = np.frombuffer(_read_exact(fp, 8 * n * m), dtype="<f8").reshape(n, m)
-    means = np.frombuffer(_read_exact(fp, 8 * n * m * d), dtype="<f8").reshape(n, m, d)
-    variances = np.frombuffer(_read_exact(fp, 8 * n * m * d), dtype="<f8").reshape(n, m, d)
-    emissions = tuple(
-        GmmEmission(weights[j].copy(), means[j].copy(), variances[j].copy()) for j in range(n)
-    )
+    if min(n, m, d) < 1:
+        raise FormatError(f"empty model shape N={n}, M={m}, D={d}")
+    a = read_array(fp, (n, n), "model")
+    weights = read_array(fp, (n, m), "model")
+    means = read_array(fp, (n, m, d), "model")
+    variances = read_array(fp, (n, m, d), "model")
+    if not all(np.all(np.isfinite(x)) for x in (a, weights, means, variances)):
+        raise FormatError("model file holds non-finite values")
+    if np.any(variances <= 0):
+        raise FormatError("model file holds non-positive variances")
     nz = np.nonzero(a)
     skip = max(1, int(max((j - i for i, j in zip(*nz)), default=1)))
-    return HmmModel(a, emissions, max_skip=skip)
+    emissions = tuple(GmmEmission(weights[j], means[j], variances[j]) for j in range(n))
+    model = HmmModel(a, emissions, max_skip=skip)
+    problems = validate(model, variance_floor=0.0)
+    if problems:
+        raise FormatError("invalid model file: " + "; ".join(problems))
+    return model
 
 
 def save_hmm(model: HmmModel, path) -> None:

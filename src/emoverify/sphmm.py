@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .binio import read_array, read_exact, read_header
 from .errors import FormatError
 from .frontend import ObservationPair
 from .hmm import (
@@ -55,6 +56,8 @@ class CompositeState:
         object.__setattr__(self, "variance", np.asarray(self.variance, dtype=np.float64))
         if self.mean.shape != self.variance.shape or self.mean.ndim != 1:
             raise ValueError("composite mean and variance must be matching vectors")
+        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.variance))):
+            raise ValueError("composite mean and variance must be finite")
         if np.any(self.variance <= 0):
             raise ValueError("composite variances must be positive")
 
@@ -214,37 +217,32 @@ def write_sphmm(fp, model: SphmmModel) -> None:
     write_hmm(fp, model.prosodic.hmm)
 
 
-def _read_exact(fp, count: int) -> bytes:
-    data = fp.read(count)
-    if len(data) != count:
-        raise FormatError("truncated model file")
-    return data
-
-
 def read_sphmm(fp) -> SphmmModel:
-    magic = _read_exact(fp, 4)
+    """Read a model written by write_sphmm; FormatError unless it is valid."""
+    magic = read_exact(fp, 4, "model")
     if magic != _MAGIC:
         raise FormatError(f"bad model magic {magic!r}")
-    version, n, has_comp, dp = np.frombuffer(_read_exact(fp, 16), dtype="<u4")
+    version, n, has_comp, dp = read_header(fp, 4, "model")
     if version != _VERSION:
         raise FormatError(f"unsupported model version {version}")
-    alpha, prior_ac, prior_pr = np.frombuffer(_read_exact(fp, 24), dtype="<f8")
-    summary_map = tuple(
-        int(s) for s in np.frombuffer(_read_exact(fp, 4 * n), dtype="<u4")
-    )
-    comp = None
-    if has_comp:
-        mean = np.frombuffer(_read_exact(fp, 8 * dp), dtype="<f8").copy()
-        var = np.frombuffer(_read_exact(fp, 8 * dp), dtype="<f8").copy()
-        comp = CompositeState(mean, var)
+    if has_comp not in (0, 1):
+        raise FormatError(f"bad composite flag {has_comp}")
+    alpha, prior_ac, prior_pr = (float(v) for v in read_array(fp, (3,), "model"))
+    summary_map = tuple(int(s) for s in read_array(fp, (n,), "model", dtype="<u4"))
+    comp = [read_array(fp, (dp,), "model") for _ in range(2)] if has_comp else None
     acoustic = read_hmm(fp)
     prosodic = read_hmm(fp)
-    return SphmmModel(
-        acoustic,
-        SuprasegmentalModel(prosodic, summary_map, comp),
-        alpha=float(alpha),
-        log_priors=(float(prior_ac), float(prior_pr)),
-    )
+    if n != acoustic.n_states or (comp is not None and dp != prosodic.dim):
+        raise FormatError("model file header disagrees with its stream models")
+    try:
+        return SphmmModel(
+            acoustic,
+            SuprasegmentalModel(prosodic, summary_map, CompositeState(*comp) if comp else None),
+            alpha=alpha,
+            log_priors=(prior_ac, prior_pr),
+        )
+    except ValueError as exc:
+        raise FormatError(f"invalid model file: {exc}") from None
 
 
 def save_sphmm(model: SphmmModel, path) -> None:

@@ -49,14 +49,13 @@ class EmotionModelSet:
     def alpha(self) -> float:
         return next(iter(self.models.values())).alpha
 
+    @property
+    def score_alpha(self) -> float:
+        """The fusion weight identification scores at: hmm_only is alpha 0."""
+        return 0.0 if self.mode == "hmm_only" else self.alpha
+
     def with_mode(self, mode: str) -> "EmotionModelSet":
         return replace(self, mode=mode)
-
-    def with_alpha(self, alpha: float) -> "EmotionModelSet":
-        return EmotionModelSet(
-            {e: replace(m, alpha=alpha) for e, m in self.models.items()},
-            mode=self.mode,
-        )
 
 
 @dataclass(frozen=True)

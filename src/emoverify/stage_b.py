@@ -8,6 +8,11 @@ threshold, which may optionally track the running mean of recent trial
 scores.  A one-stage baseline drops the emotion conditioning: one pooled
 model per speaker, scored against the mean of the other speakers' pooled
 models.
+
+Trials run in two passes: score_trials keeps each model's acoustic and
+prosodic scores per planned utterance, and decide_trials fuses them at
+given weights into one mode's records, so every mode and weight over the
+same models and plan is decided from one scoring pass.
 """
 
 from __future__ import annotations
@@ -23,23 +28,26 @@ from .frontend import ObservationPair
 from .hmm import HmmModel, TrainConfig, avg_frame_ll, init_model, train_baum_welch
 from .manifest import CorpusManifest, UtteranceRef
 from .seeds import derive_seed
-from .sphmm import SphmmModel, score_fused, train_sphmm
-from .stage_a import EmotionModelSet, identify_emotion
+from .sphmm import SphmmModel, fuse_scores, score_acoustic, score_prosodic, train_sphmm
+from .sphmm import score_fused  # noqa: F401  benchmark/tracing.py wraps this name
+from .stage_a import EmotionModelSet
+from .stage_a import identify_emotion  # noqa: F401  benchmark/tracing.py wraps this name
 
 MODES = ("two_stage", "oracle_emotion", "worst_case", "one_stage")
 
 TRIAL_CSV_HEADER = "utterance,claimed,true,e_star,mode,lambda,theta,decision,truth"
 
 
-def _model_dim(model) -> int:
-    return model.acoustic.dim if isinstance(model, SphmmModel) else model.dim
-
-
-def _score(model, obs: ObservationPair) -> float:
-    """Fused score for sphmm models, plain acoustic score otherwise."""
-    if isinstance(model, SphmmModel):
-        return score_fused(model, obs)
-    return avg_frame_ll(model, obs.acoustic)
+def _set_alpha(models, what: str) -> float:
+    """The one stage-b fusion weight a model set decides at; 0.0 for plain models."""
+    if len({(m.acoustic if isinstance(m, SphmmModel) else m).dim for m in models}) != 1:
+        raise ValueError(f"{what} models disagree on feature dim")
+    if len({isinstance(m, SphmmModel) for m in models}) != 1:
+        raise ValueError(f"{what} models mix fused and plain kinds")
+    alphas = {m.alpha if isinstance(m, SphmmModel) else 0.0 for m in models}
+    if len(alphas) != 1:
+        raise ValueError(f"{what} models disagree on alpha")
+    return alphas.pop()
 
 
 @dataclass(frozen=True)
@@ -62,37 +70,22 @@ class SpeakerEmotionModelSet:
             for emotion in self.emotion_set:
                 if (speaker, emotion) not in self.models:
                     raise ValueError(f"({speaker}, {emotion}) unenrolled")
-        if len({_model_dim(m) for m in self.models.values()}) != 1:
-            raise ValueError("enrolled models disagree on feature dim")
-        if len({isinstance(m, SphmmModel) for m in self.models.values()}) != 1:
-            raise ValueError("enrolled models mix fused and plain kinds")
+        self.alpha  # fail fast on mixed dims, kinds or fusion weights
 
     @property
     def speakers(self) -> tuple[str, ...]:
         return tuple(dict.fromkeys(speaker for speaker, _ in self.models))
 
     @property
-    def n_backgrounds(self) -> int:
-        """Imposter-emotion models behind each claim: one per other emotion."""
-        return len(self.emotion_set) - 1
-
-    @property
-    def fused(self) -> bool:
-        return isinstance(next(iter(self.models.values())), SphmmModel)
+    def alpha(self) -> float:
+        """Stage-b fusion weight: the fused models' shared alpha, 0.0 for plain ones."""
+        return _set_alpha(self.models.values(), "enrolled")
 
     def model(self, speaker: str, emotion: str):
         try:
             return self.models[speaker, emotion]
         except KeyError:
             raise ValueError(f"({speaker}, {emotion}) unenrolled") from None
-
-    def with_alpha(self, alpha: float) -> "SpeakerEmotionModelSet":
-        if not self.fused:
-            raise ValueError("plain acoustic models carry no alpha")
-        return SpeakerEmotionModelSet(
-            self.emotion_set,
-            {key: replace(m, alpha=alpha) for key, m in self.models.items()},
-        )
 
 
 @dataclass(frozen=True)
@@ -104,12 +97,16 @@ class PooledSpeakerModels:
     def __post_init__(self):
         if len(self.models) < 2:
             raise ValueError("need at least 2 pooled speakers for a background")
-        if len({_model_dim(m) for m in self.models.values()}) != 1:
-            raise ValueError("pooled models disagree on feature dim")
+        self.alpha  # fail fast on mixed dims, kinds or fusion weights
 
     @property
     def speakers(self) -> tuple[str, ...]:
         return tuple(self.models)
+
+    @property
+    def alpha(self) -> float:
+        """Stage-b fusion weight: the fused models' shared alpha, 0.0 for plain ones."""
+        return _set_alpha(self.models.values(), "pooled")
 
 
 @dataclass(frozen=True)
@@ -156,6 +153,26 @@ class TrialRecord:
             raise ValueError("truth contradicts claimed vs true speaker")
 
 
+def _train_models(groups, features, n_states, n_mixtures, cfg, fused, alpha, sphmm_kwargs):
+    """One model per key of groups: key -> (training rows, seed labels)."""
+    if sphmm_kwargs and not fused:
+        raise ValueError("sphmm options need fused=True")
+    cfg = cfg or TrainConfig()
+    models = {}
+    for key, (rows, labels) in groups.items():
+        key_cfg = replace(cfg, seed=derive_seed(cfg.seed, *labels))
+        obs_list = [features[u.id] for u in rows]
+        if fused:
+            models[key] = train_sphmm(
+                obs_list, n_states, n_mixtures, alpha=alpha, cfg=key_cfg, **sphmm_kwargs
+            )
+        else:
+            acoustics = [o.acoustic for o in obs_list]
+            init = init_model(acoustics, n_states, n_mixtures, key_cfg)
+            models[key], _ = train_baum_welch(init, acoustics, key_cfg)
+    return models
+
+
 def enroll(
     manifest: CorpusManifest,
     features,
@@ -174,27 +191,16 @@ def enroll(
     (the default) trains acoustic-only models; fused=True trains full
     two-stream models scored at the given alpha.
     """
-    cfg = cfg or TrainConfig()
-    if sphmm_kwargs and not fused:
-        raise ValueError("sphmm options need fused=True")
     if not manifest.claimants:
         raise ValueError("manifest declares no claimants")
-    models: dict[tuple[str, str], HmmModel | SphmmModel] = {}
+    groups = {}
     for speaker in manifest.claimants:
         for emotion in manifest.emotion_set:
             rows = manifest.subset(split="train", speaker=speaker, emotion=emotion)
             if not rows:
                 raise ValueError(f"({speaker}, {emotion}) unenrolled")
-            pair_cfg = replace(cfg, seed=derive_seed(cfg.seed, "stage_b", speaker, emotion))
-            obs_list = [features[u.id] for u in rows]
-            if fused:
-                models[speaker, emotion] = train_sphmm(
-                    obs_list, n_states, n_mixtures, alpha=alpha, cfg=pair_cfg, **sphmm_kwargs
-                )
-            else:
-                acoustics = [o.acoustic for o in obs_list]
-                init = init_model(acoustics, n_states, n_mixtures, pair_cfg)
-                models[speaker, emotion], _ = train_baum_welch(init, acoustics, pair_cfg)
+            groups[speaker, emotion] = (rows, ("stage_b", speaker, emotion))
+    models = _train_models(groups, features, n_states, n_mixtures, cfg, fused, alpha, sphmm_kwargs)
     return SpeakerEmotionModelSet(manifest.emotion_set, models)
 
 
@@ -209,24 +215,13 @@ def enroll_pooled(
     **sphmm_kwargs,
 ) -> PooledSpeakerModels:
     """Train one emotion-pooled model per claimant for the one-stage baseline."""
-    cfg = cfg or TrainConfig()
-    if sphmm_kwargs and not fused:
-        raise ValueError("sphmm options need fused=True")
-    models: dict[str, HmmModel | SphmmModel] = {}
+    groups = {}
     for speaker in manifest.claimants:
         rows = manifest.subset(split="train", speaker=speaker)
         if not rows:
             raise ValueError(f"speaker {speaker!r} has no training utterances")
-        pooled_cfg = replace(cfg, seed=derive_seed(cfg.seed, "pooled", speaker))
-        obs_list = [features[u.id] for u in rows]
-        if fused:
-            models[speaker] = train_sphmm(
-                obs_list, n_states, n_mixtures, alpha=alpha, cfg=pooled_cfg, **sphmm_kwargs
-            )
-        else:
-            acoustics = [o.acoustic for o in obs_list]
-            init = init_model(acoustics, n_states, n_mixtures, pooled_cfg)
-            models[speaker], _ = train_baum_welch(init, acoustics, pooled_cfg)
+        groups[speaker] = (rows, ("pooled", speaker))
+    models = _train_models(groups, features, n_states, n_mixtures, cfg, fused, alpha, sphmm_kwargs)
     return PooledSpeakerModels(models)
 
 
@@ -240,13 +235,33 @@ def llr_from_scores(scores: Mapping[str, float], e_star: str) -> float:
     return scores[e_star] - float(np.mean(others))
 
 
+def _streams(model, obs: ObservationPair, weights) -> tuple[float | None, float | None]:
+    """(acoustic, prosodic) scores of one model, each only if some weight reads it.
+
+    A plain HmmModel has the acoustic stream only, which is its score at
+    weight 0.  fuse_scores of the pair at any of the weights equals
+    score_fused at that weight bit for bit.
+    """
+    if not isinstance(model, SphmmModel):
+        return avg_frame_ll(model, obs.acoustic), None
+    acoustic = score_acoustic(model, obs) if min(weights) < 1.0 else None
+    prosodic = score_prosodic(model, obs) if max(weights) > 0.0 else None
+    return acoustic, prosodic
+
+
+def _fused(streams: Mapping, alpha: float) -> dict:
+    return {key: fuse_scores(alpha, *pair) for key, pair in streams.items()}
+
+
 def speaker_scores(
     models: SpeakerEmotionModelSet, claimed: str, obs: ObservationPair
 ) -> dict[str, float]:
     """The claimed speaker's score under each of their emotion models."""
     if claimed not in set(models.speakers):
         raise ValueError(f"claimed speaker {claimed!r} is not enrolled")
-    return {e: _score(models.model(claimed, e), obs) for e in models.emotion_set}
+    alpha = models.alpha
+    streams = {e: _streams(models.model(claimed, e), obs, (alpha,)) for e in models.emotion_set}
+    return _fused(streams, alpha)
 
 
 def llr(models: SpeakerEmotionModelSet, claimed: str, e_star: str, obs: ObservationPair) -> float:
@@ -279,8 +294,8 @@ def adapt_threshold(theta_init: float, history: Sequence[float], window: int) ->
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    recent = list(history)[-window:]
-    if not recent:
+    recent = history[-window:]
+    if len(recent) == 0:
         return theta_init
     return float(np.mean(recent))
 
@@ -316,6 +331,21 @@ def _wrong_emotion(emotion_set: Sequence[str], utt: UtteranceRef, seed: int) -> 
     return others[int(rng.integers(len(others)))]
 
 
+@dataclass(frozen=True)
+class ScoreTable:
+    """(acoustic, prosodic) stream scores of one trial plan, by utterance id.
+
+    speaker[utt][key] is keyed (claimed speaker, emotion), or speaker for
+    PooledSpeakerModels; emotion[utt][e] holds the stage-a models' pairs
+    when they were scored.  A stream no scored weight reads is None.
+    """
+
+    plan: tuple[tuple[UtteranceRef, str], ...]
+    emotion_set: tuple[str, ...]
+    speaker: dict
+    emotion: dict
+
+
 # Scoring tasks run in worker processes; the models travel once per worker
 # through the initializer instead of once per task.
 _WORKER: dict = {}
@@ -326,107 +356,89 @@ def _init_worker(payload) -> None:
 
 
 def _score_utterance(task):
-    utt_id, obs, claims, identify = task
-    models, emotion_models, mode = _WORKER["payload"]
-    if mode == "one_stage":
-        table = {sp: _score(m, obs) for sp, m in models.models.items()}
-    else:
-        table = {c: speaker_scores(models, c, obs) for c in claims}
-    best = identify_emotion(emotion_models, obs)[0] if identify else None
-    return utt_id, table, best
+    utt_id, obs, claims = task
+    models, emotion_models, weights, emotion_weights = _WORKER["payload"]
+    keys = models.models
+    if isinstance(models, SpeakerEmotionModelSet):
+        keys = [(c, e) for c in claims for e in models.emotion_set]
+    speaker = {key: _streams(models.models[key], obs, weights) for key in keys}
+    emotion = {}
+    if emotion_models is not None:
+        emotion = {e: _streams(m, obs, emotion_weights) for e, m in emotion_models.models.items()}
+    return utt_id, speaker, emotion
 
 
-def _score_plan(models, emotion_models, mode, plan, features, workers):
-    """Score every planned claim, one task per utterance.
-
-    Returns ({utterance id -> score table}, {utterance id -> identified
-    emotion or None}).  Results are keyed, so the worker count never
-    changes the outcome.
-    """
-    claims_by_utt: dict[str, list[str]] = {}
-    obs_by_utt: dict[str, ObservationPair] = {}
-    for utt, claimed in plan:
-        claims_by_utt.setdefault(utt.id, []).append(claimed)
-        obs_by_utt.setdefault(utt.id, features[utt.id])
-    identify = mode == "two_stage"
-    tasks = [
-        (utt_id, obs_by_utt[utt_id], tuple(claims), identify)
-        for utt_id, claims in claims_by_utt.items()
-    ]
-    payload = (models, emotion_models, mode)
-    if workers == 0:
-        _init_worker(payload)
-        results = [_score_utterance(t) for t in tasks]
-    else:
-        chunk = max(1, len(tasks) // (4 * workers))
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(payload,)
-        ) as pool:
-            results = list(pool.map(_score_utterance, tasks, chunksize=chunk))
-    tables = {utt_id: table for utt_id, table, _ in results}
-    identified = {utt_id: best for utt_id, _, best in results}
-    return tables, identified
-
-
-def run_trials(
+def score_trials(
     models,
     emotion_models: EmotionModelSet | None,
     manifest: CorpusManifest,
     features,
-    mode: str = "two_stage",
-    cfg: TrialConfig | None = None,
-) -> list[TrialRecord]:
-    """Execute the deterministic trial plan in the given mode.
+    cfg: TrialConfig,
+    weights=(0.0,),
+    emotion_weights=(),
+) -> ScoreTable:
+    """Scoring pass: each planned utterance once under every model it meets.
 
-    two_stage identifies each utterance's emotion with the stage-a models;
-    oracle_emotion uses the true label; worst_case draws a seeded wrong
-    label once per utterance; one_stage scores PooledSpeakerModels with no
-    emotion conditioning (e_star left empty).  The records are a pure
-    function of (models, manifest, mode, cfg.seed).
+    weights and emotion_weights are the stage-b and stage-a fusion weights
+    the table will be decided at.  Results are keyed by utterance, so the
+    worker count never changes the outcome.
     """
-    cfg = cfg or TrialConfig()
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "one_stage":
-        if not isinstance(models, PooledSpeakerModels):
-            raise ValueError("one_stage mode needs PooledSpeakerModels")
-    else:
-        if not isinstance(models, SpeakerEmotionModelSet):
-            raise ValueError(f"{mode} mode needs a SpeakerEmotionModelSet")
-        if models.emotion_set != manifest.emotion_set:
-            raise ValueError("model and manifest emotion sets differ")
-    if mode == "two_stage":
-        if emotion_models is None:
-            raise ValueError("two_stage mode needs stage-a emotion models")
-        if emotion_models.emotions != manifest.emotion_set:
-            raise ValueError("stage-a and manifest emotion sets differ")
-
     plan = trial_plan(manifest, models.speakers, cfg)
-    if not plan:
-        return []
-    tables, identified = _score_plan(models, emotion_models, mode, plan, features, cfg.workers)
+    claims_by_utt: dict[str, list[str]] = {}
+    for utt, claimed in plan:
+        claims_by_utt.setdefault(utt.id, []).append(claimed)
+    tasks = [(utt_id, features[utt_id], tuple(c)) for utt_id, c in claims_by_utt.items()]
+    payload = (models, emotion_models, tuple(weights), tuple(emotion_weights))
+    if cfg.workers == 0 or not tasks:
+        _init_worker(payload)
+        results = [_score_utterance(t) for t in tasks]
+    else:
+        chunk = max(1, len(tasks) // (4 * cfg.workers))
+        with ProcessPoolExecutor(
+            max_workers=cfg.workers, initializer=_init_worker, initargs=(payload,)
+        ) as pool:
+            results = list(pool.map(_score_utterance, tasks, chunksize=chunk))
+    return ScoreTable(
+        plan=plan,
+        emotion_set=manifest.emotion_set,
+        speaker={utt_id: speaker for utt_id, speaker, _ in results},
+        emotion={utt_id: emotion for utt_id, _, emotion in results},
+    )
 
-    e_star_by_utt: dict[str, str] = {}
-    if mode != "one_stage":
-        for utt, _ in plan:
-            if utt.id in e_star_by_utt:
-                continue
-            if mode == "oracle_emotion":
-                e_star_by_utt[utt.id] = utt.emotion
-            elif mode == "worst_case":
-                e_star_by_utt[utt.id] = _wrong_emotion(manifest.emotion_set, utt, cfg.seed)
-            else:
-                e_star_by_utt[utt.id] = identified[utt.id]
 
+def _e_star(table: ScoreTable, mode: str, utt: UtteranceRef, seed: int, emotion_alpha) -> str:
+    if mode == "oracle_emotion":
+        return utt.emotion
+    if mode == "worst_case":
+        return _wrong_emotion(table.emotion_set, utt, seed)
+    scores = _fused(table.emotion[utt.id], emotion_alpha)
+    return max(scores, key=lambda e: scores[e])  # max() keeps the earliest tie
+
+
+def decide_trials(
+    table: ScoreTable,
+    mode: str,
+    cfg: TrialConfig,
+    alpha: float,
+    emotion_alpha: float | None = None,
+) -> list[TrialRecord]:
+    """Decision pass: one mode's trial records from a scored table.
+
+    alpha fuses the stage-b streams and emotion_alpha the stage-a streams
+    two_stage mode identifies with; each must be a weight the table was
+    scored for.  A plain set and the hmm_only identifier are weight 0.
+    """
     records: list[TrialRecord] = []
     history: list[float] = []
-    for utt, claimed in plan:
+    for utt, claimed in table.plan:
+        scores = table.speaker[utt.id]
         if mode == "one_stage":
-            lam = pooled_llr(tables[utt.id], claimed)
             e_star = ""
+            lam = pooled_llr(_fused(scores, alpha), claimed)
         else:
-            e_star = e_star_by_utt[utt.id]
-            lam = llr_from_scores(tables[utt.id][claimed], e_star)
+            e_star = _e_star(table, mode, utt, cfg.seed, emotion_alpha)
+            fused = {e: fuse_scores(alpha, *scores[claimed, e]) for e in table.emotion_set}
+            lam = llr_from_scores(fused, e_star)
         theta = cfg.theta
         if cfg.adapt_window is not None:
             theta = adapt_threshold(cfg.theta, history, cfg.adapt_window)
@@ -445,6 +457,48 @@ def run_trials(
         )
         history.append(lam)
     return records
+
+
+def run_trials(
+    models,
+    emotion_models: EmotionModelSet | None,
+    manifest: CorpusManifest,
+    features,
+    mode: str = "two_stage",
+    cfg: TrialConfig | None = None,
+) -> list[TrialRecord]:
+    """Execute the deterministic trial plan in the given mode.
+
+    two_stage identifies each utterance's emotion with the stage-a models;
+    oracle_emotion uses the true label; worst_case draws a seeded wrong
+    label once per utterance; one_stage scores PooledSpeakerModels with no
+    emotion conditioning (e_star left empty).  The records are a pure
+    function of (models, manifest, mode, cfg.seed): the decision pass over
+    the scoring pass, at the model sets' own fusion weights.
+    """
+    cfg = cfg or TrialConfig()
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "one_stage":
+        if not isinstance(models, PooledSpeakerModels):
+            raise ValueError("one_stage mode needs PooledSpeakerModels")
+    else:
+        if not isinstance(models, SpeakerEmotionModelSet):
+            raise ValueError(f"{mode} mode needs a SpeakerEmotionModelSet")
+        if models.emotion_set != manifest.emotion_set:
+            raise ValueError("model and manifest emotion sets differ")
+    emotion_alpha = None
+    if mode == "two_stage":
+        if emotion_models is None:
+            raise ValueError("two_stage mode needs stage-a emotion models")
+        if emotion_models.emotions != manifest.emotion_set:
+            raise ValueError("stage-a and manifest emotion sets differ")
+        emotion_alpha = emotion_models.score_alpha
+    else:
+        emotion_models = None
+    table = score_trials(models, emotion_models, manifest, features, cfg,
+                         (models.alpha,), (emotion_alpha,))
+    return decide_trials(table, mode, cfg, models.alpha, emotion_alpha)
 
 
 def write_trials(records: Sequence[TrialRecord], path) -> None:

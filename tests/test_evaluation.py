@@ -28,7 +28,8 @@ from emoverify.evaluation import (
 from emoverify.hmm import TrainConfig
 from emoverify.manifest import UtteranceRef
 from emoverify.stage_a import ConfusionMatrix
-from emoverify.stage_b import TrialRecord
+from emoverify import sphmm, stage_b
+from emoverify.stage_b import TrialRecord, trial_plan
 from emoverify.synthetic import SyntheticSpec
 
 # Six-emotion EER vectors with hand-checked population statistics.
@@ -396,6 +397,26 @@ class TestRunExperiment:
         by_alpha = dict(sweep_report.alpha_rows)
         assert by_alpha[0.5] == sweep_report.average_eer
         assert isinstance(sweep_report.confusion, ConfusionMatrix)
+
+    def test_alpha_sweep_scores_each_pair_once(self, corpus, monkeypatch):
+        # Forward evaluations, counted under the names sphmm and stage_b
+        # look avg_frame_ll up by; training never calls it.
+        manifest, features = corpus
+        calls = []
+        for module in (sphmm, stage_b):
+            real = module.avg_frame_ll
+            monkeypatch.setattr(module, "avg_frame_ll",
+                                lambda m, o, real=real: calls.append(1) or real(m, o))
+        run_experiment("alpha_sweep", manifest, features, CFG)
+        sweep = len(calls)
+        calls.clear()
+        run_experiment("two_stage", manifest, features, replace(CFG, stage_b_fused=True))
+        assert sweep == len(calls)
+        # both streams of every stage-a model per test utterance, and of
+        # the claimed speaker's emotion models per claim
+        n_claims = len(trial_plan(manifest, manifest.claimants, CFG.trial_config))
+        n_test = len(manifest.subset(split="test"))
+        assert sweep == 2 * len(manifest.emotion_set) * (n_test + n_claims)
 
     def test_average_invariant_enforced(self):
         with pytest.raises(ValueError, match="average"):

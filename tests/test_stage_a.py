@@ -103,7 +103,9 @@ class TestIdentify:
     def test_hmm_only_equals_alpha_zero(self, separable):
         manifest, features, _, models = separable
         hmm_only = models.with_mode("hmm_only")
-        alpha_zero = models.with_alpha(0.0)
+        alpha_zero = EmotionModelSet(
+            {e: dataclasses.replace(m, alpha=0.0) for e, m in models.models.items()}
+        )
         for u in manifest.subset(split="test"):
             obs = features[u.id]
             assert identify_emotion(hmm_only, obs)[0] == identify_emotion(alpha_zero, obs)[0]

@@ -1,5 +1,7 @@
 """Verification trials: enrollment, ratio arithmetic, plans, execution."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -152,20 +154,21 @@ class TestModelSets:
     def test_backgrounds_one_per_other_emotion(self):
         models = {("s1", e): toy_hmm(0.0) for e in ("a", "b", "c")}
         model_set = SpeakerEmotionModelSet(("a", "b", "c"), models)
-        assert model_set.n_backgrounds == 2
         assert model_set.speakers == ("s1",)
-        assert not model_set.fused
+        assert model_set.alpha == 0.0
 
-    def test_with_alpha_needs_fused(self):
-        models = {("s1", e): toy_hmm(0.0) for e in ("a", "b")}
-        model_set = SpeakerEmotionModelSet(("a", "b"), models)
-        with pytest.raises(ValueError, match="alpha"):
-            model_set.with_alpha(0.3)
+    def test_fused_set_decides_at_its_alpha(self):
+        models = {("s1", e): dataclasses.replace(toy_sphmm(0.0), alpha=0.25) for e in ("a", "b")}
+        assert SpeakerEmotionModelSet(("a", "b"), models).alpha == 0.25
 
-    def test_with_alpha_on_fused(self):
-        models = {("s1", e): toy_sphmm(0.0) for e in ("a", "b")}
-        model_set = SpeakerEmotionModelSet(("a", "b"), models).with_alpha(0.25)
-        assert {m.alpha for m in model_set.models.values()} == {0.25}
+    def test_mixed_fused_alpha_rejected(self):
+        models = {("s1", "a"): toy_sphmm(0.0),
+                  ("s1", "b"): dataclasses.replace(toy_sphmm(0.0), alpha=0.25)}
+        with pytest.raises(ValueError, match="disagree on alpha"):
+            SpeakerEmotionModelSet(("a", "b"), models)
+        pooled = {"s1": toy_sphmm(0.0), "s2": dataclasses.replace(toy_sphmm(1.0), alpha=0.75)}
+        with pytest.raises(ValueError, match="disagree on alpha"):
+            PooledSpeakerModels(pooled)
 
     def test_pooled_needs_two_speakers(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -213,7 +216,7 @@ class TestEnroll:
         )
         plain = enroll(sub, features, n_states=1, n_mixtures=1, cfg=FAST)
         fused = enroll(sub, features, n_states=1, n_mixtures=1, cfg=FAST, fused=True)
-        assert fused.fused and not plain.fused
+        assert (fused.alpha, plain.alpha) == (0.5, 0.0)
         got = fused.model(claimant, emotion).acoustic
         want = plain.model(claimant, emotion)
         np.testing.assert_array_equal(got.transitions, want.transitions)
