@@ -374,7 +374,7 @@ def score_trials(
     manifest: CorpusManifest,
     features,
     cfg: TrialConfig,
-    weights=(0.0,),
+    weights,
     emotion_weights=(),
 ) -> ScoreTable:
     """Scoring pass: each planned utterance once under every model it meets.

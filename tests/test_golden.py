@@ -21,6 +21,7 @@ import json
 import math
 import re
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -168,8 +169,6 @@ def test_trials_match_record(record, tmp_path):
 
 
 def _write(path: Path) -> None:
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         record = {"reports": build_reports(root / "reports"), "trials": build_trials(root / "cli")}
