@@ -6,8 +6,11 @@ fused-stage-b run with an adaptive threshold and two imposter claims per
 utterance, all on single-state models.  It also holds the trials.csv of
 every CLI trial mode on stored two-state plain models, and of the
 two_stage and one_stage modes on fused models with that adaptive
-threshold, so the forward recursion is pinned too.  A test rebuilds each and compares it with the record
-field by field: labels, decisions, flags and integer counts (confusion
+threshold, so the forward recursion is pinned too, and the identify
+command's confusion.csv in both of its modes on the stored plain models.
+Three fixed seeded 16 kHz clips (two noisy four-harmonic tones and one
+noise-only clip) pin the front end's extract output.  A test rebuilds
+each and compares it with the record field by field: labels, decisions, flags and integer counts (confusion
 counts included) must match exactly; every float must match to a
 relative tolerance of 1e-9, with an absolute floor of 1e-12 for values
 at zero.
@@ -25,6 +28,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -32,6 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from corpus_util import make_corpus  # noqa: E402
 from emoverify.cli import CLI_MODES, main  # noqa: E402
 from emoverify.evaluation import KINDS, ExperimentConfig, run_experiment, write_report  # noqa: E402
+from emoverify.frontend import AudioClip, extract  # noqa: E402
 from emoverify.hmm import TrainConfig  # noqa: E402
 from emoverify.manifest import save_manifest  # noqa: E402
 from emoverify.synthetic import SyntheticSpec, generate_synthetic  # noqa: E402
@@ -69,6 +74,12 @@ REPORT_CASES["worst_case_fused_adaptive"] = ("worst_case", FUSED_CFG)
 
 TRAIN_ARGS = ("--states", "2", "--mixtures", "2", "--max-iterations", "3", "--seed", "5")
 FUSED_TRIAL_ARGS = ("--adapt-window", "3", "--imposters-per-utterance", "2")
+IDENTIFY_MODES = ("two_stage", "hmm_only")
+
+# clip -> (fundamental in Hz or None for noise only, seed); 0.25 s at 16 kHz
+CLIPS = {"tone_150hz": (150.0, 1), "tone_220hz": (220.0, 2), "noise": (None, 3)}
+CLIP_RATE = 16000
+CLIP_SAMPLES = 4000
 
 
 def build_reports(root: Path) -> dict[str, dict[str, str]]:
@@ -84,13 +95,14 @@ def _cli(*argv) -> None:
     assert main([str(a) for a in argv]) == 0
 
 
-def build_trials(root: Path) -> dict[str, str]:
+def build_trials(root: Path) -> tuple[dict[str, str], dict[str, str]]:
+    """(trials.csv by case, identify confusion.csv by mode) from stored models."""
     manifest = root / "manifest.csv"
     features = root / "features"
     features.mkdir(parents=True)
     save_manifest(generate_synthetic(GOLDEN_SPEC, features), manifest)
     data = ("--manifest", manifest, "--features-dir", features)
-    out = {}
+    out, identify = {}, {}
     for variant, train_extra, trial_extra, modes in (
         ("plain", (), (), CLI_MODES),
         ("fused", ("--fused",), FUSED_TRIAL_ARGS, ("two_stage", "one_stage")),
@@ -103,6 +115,38 @@ def build_trials(root: Path) -> dict[str, str]:
             _cli("trials", *data, "--models-dir", models, "--report-dir", report,
                  "--mode", mode, "--seed", "9", *trial_extra)
             out[f"{variant}_{mode}"] = (report / "trials.csv").read_text()
+        if variant == "plain":
+            for mode in IDENTIFY_MODES:
+                report = root / f"identify_{mode}"
+                _cli("identify", *data, "--models-dir", models, "--report-dir", report,
+                     "--mode", mode)
+                identify[f"{variant}_{mode}"] = (report / "confusion.csv").read_text()
+    return out, identify
+
+
+def _clip(f0, seed) -> AudioClip:
+    """A noisy four-harmonic (1, 1/2, 1/3, 1/4) tone at f0, or noise alone."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(CLIP_SAMPLES) / CLIP_RATE
+    x = rng.normal(0.0, 0.02, CLIP_SAMPLES)
+    if f0 is not None:
+        x += sum(0.3 / k * np.sin(2.0 * np.pi * k * f0 * t) for k in range(1, 5))
+    return AudioClip(x, CLIP_RATE)
+
+
+def _matrix_lines(name: str, matrix: np.ndarray) -> list[str]:
+    return [f"# {name} {matrix.shape[0]}x{matrix.shape[1]}"] + [
+        ",".join(repr(float(v)) for v in row) for row in matrix
+    ]
+
+
+def build_extract() -> dict[str, str]:
+    """Both feature streams of each fixed clip, one CSV row per frame or block."""
+    out = {}
+    for name, (f0, seed) in CLIPS.items():
+        pair = extract(_clip(f0, seed))
+        lines = _matrix_lines("acoustic", pair.acoustic) + _matrix_lines("prosodic", pair.prosodic)
+        out[name] = "\n".join(lines) + "\n"
     return out
 
 
@@ -161,17 +205,35 @@ def test_reports_match_record(record, tmp_path):
             assert mismatches(text, built[case][name]) == [], f"{case}/{name}"
 
 
-def test_trials_match_record(record, tmp_path):
-    built = build_trials(tmp_path)
-    assert sorted(built) == sorted(record["trials"])
-    for case, text in record["trials"].items():
-        assert mismatches(text, built[case]) == [], case
+def _match(want: dict[str, str], got: dict[str, str]) -> None:
+    assert sorted(got) == sorted(want)
+    for case, text in want.items():
+        assert mismatches(text, got[case]) == [], case
+
+
+@pytest.fixture(scope="module")
+def cli_outputs(tmp_path_factory):
+    return build_trials(tmp_path_factory.mktemp("golden_cli"))
+
+
+def test_trials_match_record(record, cli_outputs):
+    _match(record["trials"], cli_outputs[0])
+
+
+def test_identify_matches_record(record, cli_outputs):
+    _match(record["identify"], cli_outputs[1])
+
+
+def test_extract_matches_record(record):
+    _match(record["extract"], build_extract())
 
 
 def _write(path: Path) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        record = {"reports": build_reports(root / "reports"), "trials": build_trials(root / "cli")}
+        trials, identify = build_trials(root / "cli")
+        record = {"reports": build_reports(root / "reports"), "trials": trials,
+                  "identify": identify, "extract": build_extract()}
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
 
