@@ -1,11 +1,13 @@
 """Train per-emotion models and identify emotions on held-out utterances.
 
-The fused models score both streams; an acoustic-only mode of the same
-set shows what the prosodic stream adds.
+The fused models score both streams; the same set at fusion weight 0
+scores the acoustic stream only and shows what the prosodic stream adds.
 """
 
+from dataclasses import replace
+
 from emoverify.hmm import TrainConfig
-from emoverify.stage_a import confusion, identify_emotion, train_emotion_models
+from emoverify.stage_a import EmotionModelSet, confusion, identify_emotion, train_emotion_models
 from emoverify.synthetic import SyntheticSpec, base_manifest, generator_models, synthesize_utterance
 
 spec = SyntheticSpec(
@@ -48,5 +50,6 @@ print()
 print(matrix.to_csv())
 print(f"fused accuracy: {matrix.accuracy:.1f}%")
 
-acoustic_only = confusion(emotion_models.with_mode("hmm_only"), held_out)
+alpha_zero = EmotionModelSet({e: replace(m, alpha=0.0) for e, m in emotion_models.models.items()})
+acoustic_only = confusion(alpha_zero, held_out)
 print(f"acoustic-only accuracy: {acoustic_only.accuracy:.1f}%")

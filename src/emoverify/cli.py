@@ -13,11 +13,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import EmoverifyError
 from .evaluation import (
     CRITICAL_T,
+    EXPERIMENTS,
     ExperimentConfig,
     run_experiment,
     stat_summary,
@@ -41,15 +43,14 @@ from .stage_b import (
 )
 from .synthetic import SyntheticSpec, generate_synthetic
 
-# Public mode vocabulary: CLI mode -> (trial mode, experiment kind).
-# hmm_only swaps the emotion identifier's scoring and oracle substitutes
-# the true label, both on the two-model-set path.
+# Public mode vocabulary: CLI mode -> experiment kind.  EXPERIMENTS says
+# what each kind does: its trial mode and the stage-a weight it runs at.
 _MODES = {
-    "two_stage": ("two_stage", "two_stage"),
-    "one_stage": ("one_stage", "one_stage"),
-    "hmm_only": ("two_stage", "hmm_only_stage_a"),
-    "worst_case": ("worst_case", "worst_case"),
-    "oracle": ("oracle_emotion", "oracle_emotion"),
+    "two_stage": "two_stage",
+    "one_stage": "one_stage",
+    "hmm_only": "hmm_only_stage_a",
+    "worst_case": "worst_case",
+    "oracle": "oracle_emotion",
 }
 CLI_MODES = tuple(_MODES)
 
@@ -89,13 +90,15 @@ def _load_either(models_dir, stem: str):
     raise EmoverifyError(f"missing model file {plain} (or {fused})")
 
 
-def _load_emotion_models(models_dir, manifest: CorpusManifest) -> EmotionModelSet:
+def _load_emotion_models(models_dir, manifest: CorpusManifest, alpha: float | None) -> EmotionModelSet:
+    """The stored emotion models, set to stage-a weight alpha unless it is None."""
     models = {}
     for emotion in manifest.emotion_set:
         path = _emotion_path(models_dir, emotion)
         if not path.exists():
             raise EmoverifyError(f"missing emotion model {path}")
-        models[emotion] = load_sphmm(path)
+        model = load_sphmm(path)
+        models[emotion] = model if alpha is None else replace(model, alpha=alpha)
     return EmotionModelSet(models)
 
 
@@ -236,9 +239,8 @@ def _cmd_train_speakers(args) -> int:
 def _cmd_identify(args) -> int:
     manifest = load_manifest(args.manifest)
     features = FeatureDir(args.features_dir)
-    models = _load_emotion_models(args.models_dir, manifest)
-    if args.mode == "hmm_only":
-        models = models.with_mode("hmm_only")
+    stage_a_alpha = EXPERIMENTS[_MODES[args.mode]][1]
+    models = _load_emotion_models(args.models_dir, manifest, stage_a_alpha)
     _echo({"subcommand": "identify", "mode": args.mode, "alpha": models.alpha})
     labeled = ((u.emotion, features[u.id]) for u in manifest.subset(split="test"))
     matrix = confusion(models, labeled)
@@ -268,16 +270,14 @@ def _cmd_trials(args) -> int:
         "imposters_per_utterance": cfg.imposters_per_utterance,
         "seed": cfg.seed,
     })
-    trial_mode = _MODES[args.mode][0]
+    trial_mode, stage_a_alpha, _ = EXPERIMENTS[_MODES[args.mode]]
     emotion_models = None
     if trial_mode == "one_stage":
         models = _load_pooled_models(args.models_dir, manifest)
     else:
         models = _load_speaker_models(args.models_dir, manifest)
         if trial_mode == "two_stage":
-            emotion_models = _load_emotion_models(args.models_dir, manifest)
-            if args.mode == "hmm_only":
-                emotion_models = emotion_models.with_mode("hmm_only")
+            emotion_models = _load_emotion_models(args.models_dir, manifest, stage_a_alpha)
     records = run_trials(models, emotion_models, manifest, features, mode=trial_mode, cfg=cfg)
     report_dir = Path(args.report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
@@ -317,7 +317,7 @@ def _run_and_write(kind: str, args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    return _run_and_write(_MODES[args.mode][1], args)
+    return _run_and_write(_MODES[args.mode], args)
 
 
 def _cmd_sweep_alpha(args) -> int:

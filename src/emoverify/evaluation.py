@@ -19,7 +19,7 @@ import numpy as np
 
 from .hmm import TrainConfig
 from .manifest import CorpusManifest
-from .stage_a import ConfusionMatrix, train_emotion_models
+from .stage_a import ConfusionMatrix, tally, train_emotion_models
 from .stage_b import TrialConfig, TrialRecord, decide_trials, enroll, enroll_pooled, score_trials
 from .stage_b import run_trials  # noqa: F401  benchmark/tracing.py wraps this name
 
@@ -28,11 +28,12 @@ CRITICAL_T = 1.645
 
 ALPHA_GRID = tuple(round(0.1 * i, 1) for i in range(11))
 
-# kind -> (trial mode, stage-a weight override, compared kinds).  The
-# hmm_only identifier is stage a at weight 0.  alpha_sweep always enrolls
-# fused stage-b models and also decides two_stage at every ALPHA_GRID
-# weight, fusing both stages at that weight.
-_EXPERIMENTS = {
+# The one mode table: kind -> (trial mode, stage-a weight override or None
+# for the models' own weight, compared kinds).  The acoustic-only (HMM)
+# identifier is stage a at weight 0.  alpha_sweep always enrolls fused
+# stage-b models and also decides two_stage at every ALPHA_GRID weight,
+# fusing both stages at that weight.
+EXPERIMENTS = {
     "two_stage": ("two_stage", None, ()),
     "one_stage": ("one_stage", None, ("two_stage",)),
     "hmm_only_stage_a": ("two_stage", 0.0, ("two_stage",)),
@@ -41,7 +42,7 @@ _EXPERIMENTS = {
     "alpha_sweep": ("two_stage", None, ()),
 }
 
-KINDS = tuple(_EXPERIMENTS)
+KINDS = tuple(EXPERIMENTS)
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,8 @@ class ExperimentConfig:
             raise ValueError("alpha must lie in [0, 1]")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if self.imposters_per_utterance < 1:
+            raise ValueError("imposters_per_utterance must be >= 1: EERs need nontarget trials")
         self.trial_config  # fail fast on bad theta/window/imposters/workers
 
     @property
@@ -291,21 +294,6 @@ def _average(table: Mapping[str, float], emotions: Sequence[str]) -> float:
     return float(np.mean([table[e] for e in emotions]))
 
 
-def _confusion_from_records(records, emotions) -> ConfusionMatrix:
-    """Stage-a decisions replayed from trial records, one per utterance."""
-    index = {e: i for i, e in enumerate(emotions)}
-    counts = np.zeros((len(emotions), len(emotions)), dtype=np.int64)
-    seen: set[str] = set()
-    for r in records:
-        if r.utterance.id in seen:
-            continue
-        seen.add(r.utterance.id)
-        counts[index[r.e_star], index[r.utterance.emotion]] += 1
-    matrix = ConfusionMatrix(tuple(emotions), counts)
-    matrix.percentages  # force the missing-emotion check
-    return matrix
-
-
 def _vector_ttest(main: Mapping[str, float], other: Mapping[str, float], emotions) -> TTestResult:
     """Main table's EER vector (first sample) against another's (second)."""
     return t_statistic(
@@ -317,8 +305,8 @@ def _vector_ttest(main: Mapping[str, float], other: Mapping[str, float], emotion
 def run_experiment(kind: str, manifest: CorpusManifest, features, cfg: ExperimentConfig | None = None) -> EvalReport:
     """Train, run trials, and tabulate one experiment over a corpus.
 
-    two_stage runs the full pipeline; hmm_only_stage_a swaps the emotion
-    identifier to acoustic-only scoring; oracle_emotion and worst_case
+    two_stage runs the full pipeline; hmm_only_stage_a identifies emotions
+    at stage-a weight 0, the acoustic score; oracle_emotion and worst_case
     replace the identified label with the true one and a seeded wrong one;
     one_stage drops emotion conditioning entirely; alpha_sweep decides the
     fused pipeline at the eleven grid weights.  Baseline kinds carry the
@@ -330,7 +318,7 @@ def run_experiment(kind: str, manifest: CorpusManifest, features, cfg: Experimen
     cfg = cfg or ExperimentConfig()
     if kind not in KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}")
-    mode, stage_a_alpha, compared = _EXPERIMENTS[kind]
+    mode, stage_a_alpha, compared = EXPERIMENTS[kind]
     stage_a_alpha = cfg.alpha if stage_a_alpha is None else stage_a_alpha
     modes = {mode, *compared}
     grid = ALPHA_GRID if kind == "alpha_sweep" else ()
@@ -359,6 +347,7 @@ def run_experiment(kind: str, manifest: CorpusManifest, features, cfg: Experimen
 
     records = decide(mode, stage_a_alpha)
     eer_table, det = _tables(records, emotions)
+    identified = {r.utterance.id: (r.e_star, r.utterance.emotion) for r in records}
     comparisons = {other: _tables(decide(other), emotions)[0] for other in compared}
     return EvalReport(
         kind=kind,
@@ -366,7 +355,7 @@ def run_experiment(kind: str, manifest: CorpusManifest, features, cfg: Experimen
         eer_by_emotion=eer_table,
         average_eer=_average(eer_table, emotions),
         det_by_emotion=det,
-        confusion=_confusion_from_records(records, emotions) if mode == "two_stage" else None,
+        confusion=tally(emotions, identified.values()) if mode == "two_stage" else None,
         comparisons=comparisons,
         ttests={other: _vector_ttest(eer_table, t, emotions) for other, t in comparisons.items()},
         alpha_rows=tuple(

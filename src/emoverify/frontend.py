@@ -250,16 +250,8 @@ def _frame_pitch(frame: np.ndarray, rate: int, cfg: FrontendConfig) -> tuple[flo
     return rate / (k + delta), True
 
 
-def _slope(values: np.ndarray) -> float:
-    """Least-squares slope of values against their 0-based positions."""
-    n = values.shape[0]
-    if n < 2:
-        return 0.0
-    t = np.arange(n) - (n - 1) / 2.0
-    return float(t @ (values - values.mean()) / (t @ t))
-
-
-def _voiced_slope(positions: np.ndarray, values: np.ndarray) -> float:
+def _slope(positions: np.ndarray, values: np.ndarray) -> float:
+    """Least-squares slope of values against their positions; 0 below two points."""
     if values.shape[0] < 2:
         return 0.0
     t = positions - positions.mean()
@@ -297,10 +289,10 @@ def prosody(frames: np.ndarray, rate: int, cfg: FrontendConfig = FrontendConfig(
         e = log_e[sl]
         if f.shape[0] > 0:
             out[b, F0_MEAN] = f.mean()
-            out[b, F0_SLOPE] = _voiced_slope(pos, f)
+            out[b, F0_SLOPE] = _slope(pos, f)
             out[b, F0_RANGE] = f.max() - f.min()
         out[b, LOG_ENERGY_MEAN] = e.mean()
-        out[b, LOG_ENERGY_SLOPE] = _slope(e)
+        out[b, LOG_ENERGY_SLOPE] = _slope(np.arange(e.shape[0], dtype=np.float64), e)
         out[b, VOICED_FRACTION] = v.mean()
         out[b, DURATION] = e.shape[0]
     return out

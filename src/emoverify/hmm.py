@@ -182,15 +182,24 @@ def _component_log_densities(em: GmmEmission, obs: np.ndarray) -> np.ndarray:
     return log_w[None, :] + log_norm[None, :] - 0.5 * maha
 
 
-def _state_log_densities(model: HmmModel, obs: np.ndarray) -> np.ndarray:
-    """Per-frame emission log-densities for every state: (T, N)."""
-    cols = [logsumexp(_component_log_densities(em, obs), axis=1) for em in model.emissions]
-    return np.stack(cols, axis=1)
+def _log_densities(model: HmmModel, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame component log-densities (T, N, M) and state log-densities (T, N)."""
+    comp = np.stack([_component_log_densities(em, obs) for em in model.emissions], axis=1)
+    return comp, logsumexp(comp, axis=2)
 
 
 def _log_transitions(model: HmmModel) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.log(model.transitions)
+
+
+def _forward(logb: np.ndarray, la: np.ndarray) -> np.ndarray:
+    """Log forward variables (T, N), entering in state 1."""
+    alpha = np.full(logb.shape, -np.inf)
+    alpha[0, 0] = logb[0, 0]
+    for t in range(1, logb.shape[0]):
+        alpha[t] = logsumexp(alpha[t - 1][:, None] + la, axis=0) + logb[t]
+    return alpha
 
 
 def log_forward(model: HmmModel, obs: np.ndarray) -> float:
@@ -200,15 +209,10 @@ def log_forward(model: HmmModel, obs: np.ndarray) -> float:
     stay finite instead of underflowing.
     """
     obs = _check_obs(model, obs)
-    logb = _state_log_densities(model, obs)
+    _, logb = _log_densities(model, obs)
     if model.n_states == 1:  # single state: no paths to sum over
         return float(np.sum(logb))
-    la = _log_transitions(model)
-    alpha = np.full(model.n_states, -np.inf)
-    alpha[0] = logb[0, 0]
-    for t in range(1, obs.shape[0]):
-        alpha = logsumexp(alpha[:, None] + la, axis=0) + logb[t]
-    return float(logsumexp(alpha))
+    return float(logsumexp(_forward(logb, _log_transitions(model))[-1]))
 
 
 def avg_frame_ll(model: HmmModel, obs: np.ndarray) -> float:
@@ -228,7 +232,7 @@ def viterbi(model: HmmModel, obs: np.ndarray) -> tuple[np.ndarray, float]:
     obs = _check_obs(model, obs)
     t_len = obs.shape[0]
     n = model.n_states
-    logb = _state_log_densities(model, obs)
+    _, logb = _log_densities(model, obs)
     la = _log_transitions(model)
 
     # tail[t, i] = best log-prob of transitions+emissions from (t, i) to the end
@@ -298,17 +302,9 @@ def _accumulate_stats(model: HmmModel, obs: np.ndarray, la: np.ndarray):
     """One E-step on one utterance: log-likelihood plus sufficient statistics."""
     t_len = obs.shape[0]
     n = model.n_states
-    m = model.n_mixtures
 
-    comp = np.stack(
-        [_component_log_densities(em, obs) for em in model.emissions], axis=1
-    )  # (T, N, M)
-    logb = logsumexp(comp, axis=2)  # (T, N)
-
-    alpha = np.full((t_len, n), -np.inf)
-    alpha[0, 0] = logb[0, 0]
-    for t in range(1, t_len):
-        alpha[t] = logsumexp(alpha[t - 1][:, None] + la, axis=0) + logb[t]
+    comp, logb = _log_densities(model, obs)
+    alpha = _forward(logb, la)
     ll = float(logsumexp(alpha[-1]))
 
     beta = np.zeros((t_len, n))

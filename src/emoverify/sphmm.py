@@ -145,17 +145,28 @@ def fuse_scores(alpha: float, acoustic: float, prosodic: float) -> float:
     return (1.0 - alpha) * acoustic + alpha * prosodic
 
 
+def stream_scores(model, obs: ObservationPair, weights) -> tuple[float | None, float | None]:
+    """(acoustic, prosodic) scores of one model, each only if some weight reads it.
+
+    Weight 0 reads only the acoustic stream and weight 1 only the prosodic
+    one; fuse_scores of the pair at any of the weights is the fused score
+    at that weight.  A plain HmmModel has the acoustic stream only, which
+    is its score at weight 0.
+    """
+    if isinstance(model, HmmModel):
+        return avg_frame_ll(model, obs.acoustic), None
+    acoustic = score_acoustic(model, obs) if min(weights) < 1.0 else None
+    prosodic = score_prosodic(model, obs) if max(weights) > 0.0 else None
+    return acoustic, prosodic
+
+
 def score_fused(model: SphmmModel, obs: ObservationPair) -> float:
     """Fused stream scores at the model's own mixing weight.
 
-    The endpoints skip the unused stream entirely, so they cost one stream
-    evaluation and inherit fuse_scores' bit-for-bit endpoint guarantee.
+    The endpoints score one stream and inherit fuse_scores' bit-for-bit
+    endpoint guarantee.
     """
-    if model.alpha == 0.0:
-        return score_acoustic(model, obs)
-    if model.alpha == 1.0:
-        return score_prosodic(model, obs)
-    return fuse_scores(model.alpha, score_acoustic(model, obs), score_prosodic(model, obs))
+    return fuse_scores(model.alpha, *stream_scores(model, obs, (model.alpha,)))
 
 
 def train_sphmm(

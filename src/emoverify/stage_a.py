@@ -2,9 +2,10 @@
 
 Each emotion's model is trained on every speaker's training utterances for
 that emotion.  An utterance is identified as the emotion whose model gives
-the maximal fused score; the hmm_only variant compares acoustic scores
-instead.  Ties go to the earlier emotion in the declared order, so results
-are reproducible.
+the maximal fused score at the models' shared weight alpha.  The
+acoustic-only (HMM) identifier is the same set at alpha 0, whose fused
+score is the acoustic score bit for bit.  Ties go to the earlier emotion in
+the declared order, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -17,23 +18,19 @@ from .frontend import ObservationPair
 from .hmm import TrainConfig
 from .manifest import CorpusManifest
 from .seeds import derive_seed
-from .sphmm import SphmmModel, score_acoustic, score_fused, train_sphmm
-
-MODES = ("sphmm", "hmm_only")
+from .sphmm import SphmmModel, score_fused, train_sphmm
+from .sphmm import score_acoustic  # noqa: F401  benchmark/tracing.py wraps this name
 
 
 @dataclass(frozen=True)
 class EmotionModelSet:
-    """Ordered emotion label -> model, plus the scoring mode."""
+    """Ordered emotion label -> model; the models share one fusion weight."""
 
     models: dict[str, SphmmModel]
-    mode: str = "sphmm"
 
     def __post_init__(self):
         if len(self.models) < 2:
             raise ValueError("need models for at least 2 emotions")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
         dims = {m.acoustic.dim for m in self.models.values()}
         alphas = {m.alpha for m in self.models.values()}
         if len(dims) != 1:
@@ -48,14 +45,6 @@ class EmotionModelSet:
     @property
     def alpha(self) -> float:
         return next(iter(self.models.values())).alpha
-
-    @property
-    def score_alpha(self) -> float:
-        """The fusion weight identification scores at: hmm_only is alpha 0."""
-        return 0.0 if self.mode == "hmm_only" else self.alpha
-
-    def with_mode(self, mode: str) -> "EmotionModelSet":
-        return replace(self, mode=mode)
 
 
 @dataclass(frozen=True)
@@ -107,7 +96,6 @@ def train_emotion_models(
     n_mixtures: int,
     alpha: float = 0.5,
     cfg: TrainConfig | None = None,
-    mode: str = "sphmm",
     **train_kwargs,
 ) -> EmotionModelSet:
     """Train one model per declared emotion on the pooled train split.
@@ -127,33 +115,36 @@ def train_emotion_models(
         models[emotion] = train_sphmm(
             pooled, n_states, n_mixtures, alpha=alpha, cfg=emotion_cfg, **train_kwargs
         )
-    return EmotionModelSet(models, mode=mode)
+    return EmotionModelSet(models)
 
 
 def identify_emotion(
     models: EmotionModelSet, obs: ObservationPair
 ) -> tuple[str, dict[str, float]]:
     """The argmax emotion and the full per-emotion score vector."""
-    score = score_fused if models.mode == "sphmm" else score_acoustic
-    scores = {emotion: score(model, obs) for emotion, model in models.models.items()}
+    scores = {emotion: score_fused(model, obs) for emotion, model in models.models.items()}
     best = max(scores, key=lambda e: scores[e])  # max() keeps the earliest tie
     return best, scores
 
 
-def confusion(models: EmotionModelSet, labeled) -> ConfusionMatrix:
-    """Classify (true_emotion, obs) pairs into an m x m count matrix.
+def tally(emotions, pairs) -> ConfusionMatrix:
+    """Count (identified, true) emotion pairs into an m x m matrix.
 
     Every declared emotion must appear among the true labels, otherwise
     the percentage columns would be undefined.
     """
-    emotions = models.emotions
     index = {e: i for i, e in enumerate(emotions)}
     counts = np.zeros((len(emotions), len(emotions)), dtype=np.int64)
-    for true_emotion, obs in labeled:
+    for identified, true_emotion in pairs:
         if true_emotion not in index:
             raise ValueError(f"unknown true emotion {true_emotion!r}")
-        predicted, _ = identify_emotion(models, obs)
-        counts[index[predicted], index[true_emotion]] += 1
-    matrix = ConfusionMatrix(emotions, counts)
+        counts[index[identified], index[true_emotion]] += 1
+    matrix = ConfusionMatrix(tuple(emotions), counts)
     matrix.percentages  # force the missing-emotion check
     return matrix
+
+
+def confusion(models: EmotionModelSet, labeled) -> ConfusionMatrix:
+    """Classify (true_emotion, obs) pairs and tally the identifications."""
+    return tally(models.emotions,
+                 ((identify_emotion(models, obs)[0], true) for true, obs in labeled))

@@ -25,10 +25,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .frontend import ObservationPair
-from .hmm import HmmModel, TrainConfig, avg_frame_ll, init_model, train_baum_welch
+from .hmm import HmmModel, TrainConfig, init_model, train_baum_welch
+from .hmm import avg_frame_ll  # noqa: F401  benchmark/tracing.py wraps this name
 from .manifest import CorpusManifest, UtteranceRef
 from .seeds import derive_seed
-from .sphmm import SphmmModel, fuse_scores, score_acoustic, score_prosodic, train_sphmm
+from .sphmm import SphmmModel, fuse_scores, stream_scores, train_sphmm
 from .sphmm import score_fused  # noqa: F401  benchmark/tracing.py wraps this name
 from .stage_a import EmotionModelSet
 from .stage_a import identify_emotion  # noqa: F401  benchmark/tracing.py wraps this name
@@ -235,20 +236,6 @@ def llr_from_scores(scores: Mapping[str, float], e_star: str) -> float:
     return scores[e_star] - float(np.mean(others))
 
 
-def _streams(model, obs: ObservationPair, weights) -> tuple[float | None, float | None]:
-    """(acoustic, prosodic) scores of one model, each only if some weight reads it.
-
-    A plain HmmModel has the acoustic stream only, which is its score at
-    weight 0.  fuse_scores of the pair at any of the weights equals
-    score_fused at that weight bit for bit.
-    """
-    if not isinstance(model, SphmmModel):
-        return avg_frame_ll(model, obs.acoustic), None
-    acoustic = score_acoustic(model, obs) if min(weights) < 1.0 else None
-    prosodic = score_prosodic(model, obs) if max(weights) > 0.0 else None
-    return acoustic, prosodic
-
-
 def _fused(streams: Mapping, alpha: float) -> dict:
     return {key: fuse_scores(alpha, *pair) for key, pair in streams.items()}
 
@@ -260,8 +247,8 @@ def speaker_scores(
     if claimed not in set(models.speakers):
         raise ValueError(f"claimed speaker {claimed!r} is not enrolled")
     alpha = models.alpha
-    streams = {e: _streams(models.model(claimed, e), obs, (alpha,)) for e in models.emotion_set}
-    return _fused(streams, alpha)
+    return _fused({e: stream_scores(models.model(claimed, e), obs, (alpha,))
+                   for e in models.emotion_set}, alpha)
 
 
 def llr(models: SpeakerEmotionModelSet, claimed: str, e_star: str, obs: ObservationPair) -> float:
@@ -361,10 +348,11 @@ def _score_utterance(task):
     keys = models.models
     if isinstance(models, SpeakerEmotionModelSet):
         keys = [(c, e) for c in claims for e in models.emotion_set]
-    speaker = {key: _streams(models.models[key], obs, weights) for key in keys}
+    speaker = {key: stream_scores(models.models[key], obs, weights) for key in keys}
     emotion = {}
     if emotion_models is not None:
-        emotion = {e: _streams(m, obs, emotion_weights) for e, m in emotion_models.models.items()}
+        emotion = {e: stream_scores(m, obs, emotion_weights)
+                   for e, m in emotion_models.models.items()}
     return utt_id, speaker, emotion
 
 
@@ -426,7 +414,7 @@ def decide_trials(
 
     alpha fuses the stage-b streams and emotion_alpha the stage-a streams
     two_stage mode identifies with; each must be a weight the table was
-    scored for.  A plain set and the hmm_only identifier are weight 0.
+    scored for.  A plain set and the acoustic-only identifier are weight 0.
     """
     records: list[TrialRecord] = []
     history: list[float] = []
@@ -493,7 +481,7 @@ def run_trials(
             raise ValueError("two_stage mode needs stage-a emotion models")
         if emotion_models.emotions != manifest.emotion_set:
             raise ValueError("stage-a and manifest emotion sets differ")
-        emotion_alpha = emotion_models.score_alpha
+        emotion_alpha = emotion_models.alpha
     else:
         emotion_models = None
     table = score_trials(models, emotion_models, manifest, features, cfg,

@@ -1,13 +1,17 @@
 """Command-line subcommands: determinism, exit codes, file outputs."""
 
 import wave
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from emoverify import cli
 from emoverify.cli import CLI_MODES, main
 from emoverify.featureio import FeatureDir
 from emoverify.manifest import load_manifest
+from emoverify.sphmm import load_sphmm
+from emoverify.stage_a import EmotionModelSet, confusion
 
 # One pipeline workspace shared by the read-only CLI tests below.
 SYNTH_ARGS = [
@@ -89,6 +93,20 @@ class TestIdentify:
         lines = (tmp_path / "confusion.csv").read_text().splitlines()
         assert lines[1] == "model,calm,angry,sad"
 
+    def test_hmm_only_identifies_at_alpha_zero(self, workspace, tmp_path, capsys):
+        run_ok(["identify", "--manifest", workspace["manifest"],
+                "--features-dir", workspace["features"], "--models-dir", workspace["models"],
+                "--report-dir", str(tmp_path), "--mode", "hmm_only"])
+        assert "alpha = 0.0\n" in capsys.readouterr().out
+        manifest = load_manifest(workspace["manifest"])
+        features = FeatureDir(workspace["features"])
+        alpha_zero = EmotionModelSet({
+            e: replace(load_sphmm(workspace["root"] / "models" / f"emotion_{e}.emvs"), alpha=0.0)
+            for e in manifest.emotion_set
+        })
+        labeled = [(u.emotion, features[u.id]) for u in manifest.subset(split="test")]
+        assert (tmp_path / "confusion.csv").read_text() == confusion(alpha_zero, labeled).to_csv()
+
 
 class TestTrials:
     @pytest.mark.parametrize("mode", CLI_MODES)
@@ -149,6 +167,16 @@ class TestEval:
         assert "average_eer = " in out and "seed = 5" in out
         assert (report / "summary.txt").exists()
         assert (report / "eer.csv").read_text().startswith("emotion,eer\n")
+
+    def test_no_imposters_fails_before_training(self, workspace, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_experiment", lambda *a: pytest.fail("experiment ran"))
+        code = main(["eval", "--manifest", workspace["manifest"],
+                     "--features-dir", workspace["features"], "--report-dir", str(tmp_path),
+                     "--imposters-per-utterance", "0"] + TRAIN_ARGS)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: imposters_per_utterance")
+        assert captured.out == ""
 
     def test_sweep_alpha_emits_eleven_rows(self, workspace, tmp_path):
         report = tmp_path / "sweep"

@@ -29,7 +29,7 @@ from emoverify.hmm import TrainConfig
 from emoverify.manifest import UtteranceRef
 from emoverify.stage_a import ConfusionMatrix
 from emoverify import sphmm, stage_b
-from emoverify.stage_b import TrialRecord, trial_plan
+from emoverify.stage_b import TrialConfig, TrialRecord, trial_plan
 from emoverify.synthetic import SyntheticSpec
 
 # Six-emotion EER vectors with hand-checked population statistics.
@@ -330,6 +330,13 @@ class TestExperimentConfig:
             ExperimentConfig(theta=math.inf)
         with pytest.raises(ValueError, match="seed"):
             ExperimentConfig(seed=-1)
+
+    def test_experiment_needs_nontarget_trials(self):
+        # Every EER needs nontarget trials, so an experiment rejects zero
+        # imposter claims up front; a bare trial run still accepts them.
+        with pytest.raises(ValueError, match="imposters_per_utterance must be >= 1"):
+            ExperimentConfig(imposters_per_utterance=0)
+        assert TrialConfig(imposters_per_utterance=0).imposters_per_utterance == 0
 
     def test_seed_overrides_training_seed(self):
         cfg = ExperimentConfig(seed=9, train=TrainConfig(max_iterations=5, seed=2))

@@ -93,26 +93,15 @@ class TestIdentify:
                 e: dataclasses.replace(m, log_priors=(m.log_priors[0] + 3.5,
                                                       m.log_priors[1] + 3.5))
                 for e, m in models.models.items()
-            },
-            mode=models.mode,
+            }
         )
         for u in manifest.subset(split="test")[:20]:
             assert identify_emotion(models, features[u.id])[0] == \
                 identify_emotion(shifted, features[u.id])[0]
 
-    def test_hmm_only_equals_alpha_zero(self, separable):
-        manifest, features, _, models = separable
-        hmm_only = models.with_mode("hmm_only")
-        alpha_zero = EmotionModelSet(
-            {e: dataclasses.replace(m, alpha=0.0) for e, m in models.models.items()}
-        )
-        for u in manifest.subset(split="test"):
-            obs = features[u.id]
-            assert identify_emotion(hmm_only, obs)[0] == identify_emotion(alpha_zero, obs)[0]
-
     def test_two_emotion_set_minimum(self):
         with pytest.raises(ValueError, match="2 emotions"):
-            EmotionModelSet({}, mode="sphmm")
+            EmotionModelSet({})
 
 
 class TestConfusion:
