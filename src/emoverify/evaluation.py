@@ -10,6 +10,7 @@ per-emotion results, and writes byte-reproducible report files.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -302,6 +303,31 @@ def _vector_ttest(main: Mapping[str, float], other: Mapping[str, float], emotion
     )
 
 
+# One memo slot: the features mapping it was filled for, the corpus and
+# config key, and the trained model sets and score tables under literal
+# names.  A call on another mapping, corpus or config empties it.
+_MEMO: dict = {"features": None, "key": None, "entries": {}}
+
+
+def _memo_entries(manifest: CorpusManifest, features, cfg: ExperimentConfig) -> dict:
+    """The memo entries for this mapping, corpus content and config.
+
+    The mapping is matched by identity and its streams by digest, so an
+    in-place edit or an equal rebuilt corpus both start fresh.
+    """
+    digest = hashlib.sha256()
+    for u in manifest.utterances:
+        obs = features[u.id]
+        for stream in (obs.acoustic, obs.prosodic):
+            digest.update(repr((stream.shape, stream.dtype.str)).encode())
+            digest.update(np.ascontiguousarray(stream).tobytes())
+    key = (manifest.emotion_set, manifest.utterances, tuple(manifest.roles.items()),
+           digest.hexdigest(), cfg)
+    if _MEMO["features"] is not features or _MEMO["key"] != key:
+        _MEMO.update(features=features, key=key, entries={})
+    return _MEMO["entries"]
+
+
 def run_experiment(kind: str, manifest: CorpusManifest, features, cfg: ExperimentConfig | None = None) -> EvalReport:
     """Train, run trials, and tabulate one experiment over a corpus.
 
@@ -314,6 +340,10 @@ def run_experiment(kind: str, manifest: CorpusManifest, features, cfg: Experimen
     between per-emotion EER vectors, all on the same seed so the trial
     plans pair up.  Each model set is trained once and scored once; every
     table, comparison and sweep row is a decision over those scores.
+    Kinds run one after another on the same features mapping with an equal
+    config share those model sets and scores, so a paper table trains and
+    scores each set once; a new mapping, an edited stream or another
+    config starts fresh.
     """
     cfg = cfg or ExperimentConfig()
     if kind not in KINDS:
@@ -326,19 +356,37 @@ def run_experiment(kind: str, manifest: CorpusManifest, features, cfg: Experimen
     trial_cfg = cfg.trial_config
     common = (manifest, features, cfg.n_states, cfg.n_mixtures)
     sphmm = dict(alpha=cfg.alpha, prosodic_mixtures=cfg.prosodic_mixtures, composite=cfg.composite)
+    memo = _memo_entries(manifest, features, cfg)
 
-    def stage_b_set(trainer, fused):
-        return trainer(*common, cfg=cfg.train_config, fused=fused, **(sphmm if fused else {}))
+    def once(name, build):
+        if name not in memo:
+            memo[name] = build()
+        return memo[name]
 
-    emotion_models = None
+    def stage_b_set(name, trainer, fused):
+        return once((name, fused), lambda: trainer(
+            *common, cfg=cfg.train_config, fused=fused, **(sphmm if fused else {})))
+
+    def scores(name, models, weights, emotion_models=None):
+        # Keyed by the streams the weights read: a stream's score does not
+        # depend on the weight it is later fused at.
+        key = ("scores", name, min(weights) < 1.0, max(weights) > 0.0)
+        b_weights, a_weights = (weights, ()) if emotion_models is None else ((), weights)
+        return once(key, lambda: score_trials(
+            models, emotion_models, manifest, features, trial_cfg, b_weights, a_weights))
+
+    fused = cfg.stage_b_fused or bool(grid)
+    speaker_models = stage_b_set("enroll", enroll, fused)
+    table = scores(("enroll", fused), speaker_models, (speaker_models.alpha, *grid))
     if "two_stage" in modes:
-        emotion_models = train_emotion_models(*common, cfg=cfg.train_config, **sphmm)
-    speaker_models = stage_b_set(enroll, cfg.stage_b_fused or bool(grid))
-    table = score_trials(speaker_models, emotion_models, manifest, features, trial_cfg,
-                         (speaker_models.alpha, *grid), (stage_a_alpha, cfg.alpha, *grid))
+        emotion_models = once("stage_a", lambda: train_emotion_models(
+            *common, cfg=cfg.train_config, **sphmm))
+        stage_a = scores("stage_a", speaker_models, (stage_a_alpha, cfg.alpha, *grid),
+                         emotion_models)
+        table = replace(table, emotion=stage_a.emotion)
     if "one_stage" in modes:
-        pooled = stage_b_set(enroll_pooled, cfg.stage_b_fused)
-        pooled_table = score_trials(pooled, None, manifest, features, trial_cfg, (pooled.alpha,))
+        pooled = stage_b_set("pooled", enroll_pooled, cfg.stage_b_fused)
+        pooled_table = scores(("pooled", cfg.stage_b_fused), pooled, (pooled.alpha,))
 
     def decide(mode, a_alpha=cfg.alpha, b_alpha=speaker_models.alpha):
         if mode == "one_stage":

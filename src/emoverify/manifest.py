@@ -7,7 +7,7 @@ per utterance.  Saving a loaded manifest reproduces the file byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import ManifestError
 
@@ -198,29 +198,6 @@ def save_manifest(manifest: CorpusManifest, path) -> None:
         )
     with open(path, "w", encoding="utf-8", newline="\n") as fp:
         fp.write("\n".join(lines) + "\n")
-
-
-def split_by_sentence(manifest: CorpusManifest, train_groups) -> CorpusManifest:
-    """Reassign splits: train iff sentence_group is in train_groups.
-
-    Keeps the corpus text-independent: every sentence group lands entirely
-    in one split.
-    """
-    train_groups = frozenset(train_groups)
-    if not train_groups:
-        raise ManifestError("train_groups is empty")
-    observed = {u.sentence_group for u in manifest.utterances}
-    unknown = train_groups - observed
-    if unknown:
-        raise ManifestError(f"train_groups {sorted(unknown)} never occur in the manifest")
-    if train_groups >= observed:
-        raise ManifestError("train_groups covers every sentence group; test split is empty")
-    utterances = tuple(
-        replace(u, split="train" if u.sentence_group in train_groups else "test")
-        for u in manifest.utterances
-    )
-    return CorpusManifest(manifest.emotion_set, utterances, dict(manifest.roles),
-                          manifest.audio_format)
 
 
 def grid_manifest(

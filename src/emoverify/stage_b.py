@@ -348,6 +348,8 @@ def _score_utterance(task):
     keys = models.models
     if isinstance(models, SpeakerEmotionModelSet):
         keys = [(c, e) for c in claims for e in models.emotion_set]
+    if not weights:
+        keys = ()
     speaker = {key: stream_scores(models.models[key], obs, weights) for key in keys}
     emotion = {}
     if emotion_models is not None:
@@ -368,8 +370,9 @@ def score_trials(
     """Scoring pass: each planned utterance once under every model it meets.
 
     weights and emotion_weights are the stage-b and stage-a fusion weights
-    the table will be decided at.  Results are keyed by utterance, so the
-    worker count never changes the outcome.
+    the table will be decided at; empty weights score no model of that
+    stage.  Results are keyed by utterance, so the worker count never
+    changes the outcome.
     """
     plan = trial_plan(manifest, models.speakers, cfg)
     claims_by_utt: dict[str, list[str]] = {}

@@ -25,10 +25,11 @@ from emoverify.evaluation import (
     t_statistic,
     write_report,
 )
+from emoverify.frontend import ObservationPair
 from emoverify.hmm import TrainConfig
-from emoverify.manifest import UtteranceRef
+from emoverify.manifest import CorpusManifest, UtteranceRef
 from emoverify.stage_a import ConfusionMatrix
-from emoverify import sphmm, stage_b
+from emoverify import evaluation, sphmm, stage_b
 from emoverify.stage_b import TrialConfig, TrialRecord, trial_plan
 from emoverify.synthetic import SyntheticSpec
 
@@ -407,17 +408,18 @@ class TestRunExperiment:
 
     def test_alpha_sweep_scores_each_pair_once(self, corpus, monkeypatch):
         # Forward evaluations, counted under the names sphmm and stage_b
-        # look avg_frame_ll up by; training never calls it.
+        # look avg_frame_ll up by; training never calls it.  Fresh mappings
+        # keep the module fixtures' memoized scores out of the count.
         manifest, features = corpus
         calls = []
         for module in (sphmm, stage_b):
             real = module.avg_frame_ll
             monkeypatch.setattr(module, "avg_frame_ll",
                                 lambda m, o, real=real: calls.append(1) or real(m, o))
-        run_experiment("alpha_sweep", manifest, features, CFG)
+        run_experiment("alpha_sweep", manifest, dict(features), CFG)
         sweep = len(calls)
         calls.clear()
-        run_experiment("two_stage", manifest, features, replace(CFG, stage_b_fused=True))
+        run_experiment("two_stage", manifest, dict(features), replace(CFG, stage_b_fused=True))
         assert sweep == len(calls)
         # both streams of every stage-a model per test utterance, and of
         # the claimed speaker's emotion models per claim
@@ -433,6 +435,104 @@ class TestRunExperiment:
                 det_by_emotion={"a": (), "b": ()}, confusion=None,
                 comparisons={}, ttests={}, alpha_rows=(), config={},
             )
+
+
+def report_bytes(report, directory):
+    return {p.name: p.read_bytes() for p in write_report(report, directory)}
+
+
+def count_training(monkeypatch):
+    """Record each train_baum_welch call as its job: config and training arrays."""
+    jobs = []
+    for module in (sphmm, stage_b):
+        real = module.train_baum_welch
+
+        def counted(init, utterances, cfg=None, real=real):
+            jobs.append((cfg, tuple((u.shape, u.tobytes()) for u in utterances)))
+            return real(init, utterances, cfg)
+
+        monkeypatch.setattr(module, "train_baum_welch", counted)
+    return jobs
+
+
+class TestExperimentMemo:
+    """Kinds on one features mapping and config share trained sets and scores."""
+
+    def test_shared_runs_match_fresh_runs_byte_for_byte(self, corpus, tmp_path):
+        manifest, features = corpus
+        fresh = {kind: report_bytes(run_experiment(kind, manifest, dict(features), CFG),
+                                    tmp_path / "fresh" / kind) for kind in KINDS}
+        for order in (KINDS, KINDS[::-1]):
+            shared = dict(features)
+            for kind in order:
+                report = run_experiment(kind, manifest, shared, CFG)
+                assert report_bytes(report, tmp_path / "shared" / kind) == fresh[kind], kind
+
+    def test_scores_are_shared_only_over_the_streams_they_read(self, corpus, tmp_path):
+        # At alpha 1 two_stage scores only the prosodic stage-a stream, and
+        # hmm_only_stage_a (stage-a weight 0) needs the acoustic one too.
+        manifest, features = corpus
+        cfg = replace(CFG, alpha=1.0)
+        fresh = run_experiment("hmm_only_stage_a", manifest, dict(features), cfg)
+        shared = dict(features)
+        run_experiment("two_stage", manifest, shared, cfg)
+        report = run_experiment("hmm_only_stage_a", manifest, shared, cfg)
+        assert report_bytes(report, tmp_path / "shared") == report_bytes(fresh, tmp_path / "fresh")
+
+    def test_paper_table_trains_each_job_once(self, corpus, monkeypatch):
+        manifest, features = corpus
+        jobs = count_training(monkeypatch)
+        table = ("two_stage", "hmm_only_stage_a", "oracle_emotion", "worst_case")
+        for kind in table:
+            run_experiment(kind, manifest, dict(features), CFG)
+        distinct = set(jobs)
+        assert len(jobs) > len(distinct)
+        jobs.clear()
+        shared = dict(features)
+        for kind in table:
+            run_experiment(kind, manifest, shared, CFG)
+        assert len(jobs) == len(distinct) and set(jobs) == distinct
+
+    @pytest.mark.parametrize("change", ["in_place", "seed", "workers", "manifest", "mapping"])
+    def test_any_change_retrains(self, corpus, monkeypatch, change):
+        manifest, features = corpus
+        mapping = {k: ObservationPair(o.acoustic.copy(), o.prosodic.copy())
+                   for k, o in features.items()}
+        run_experiment("oracle_emotion", manifest, mapping, CFG)
+        jobs = count_training(monkeypatch)
+        run_experiment("oracle_emotion", manifest, mapping, CFG)
+        assert jobs == []
+        cfg = CFG
+        if change == "in_place":
+            mapping[manifest.utterances[0].id].acoustic[0, 0] += 1.0
+        elif change == "seed":
+            cfg = replace(CFG, seed=CFG.seed + 1)
+        elif change == "workers":
+            cfg = replace(CFG, workers=1)
+        elif change == "manifest":  # same streams, one test utterance moved to train
+            moved = manifest.subset(split="test")[0]
+            utterances = tuple(replace(u, split="train") if u == moved else u
+                               for u in manifest.utterances)
+            manifest = CorpusManifest(manifest.emotion_set, utterances, dict(manifest.roles))
+        else:
+            mapping = dict(mapping)
+        run_experiment("oracle_emotion", manifest, mapping, cfg)
+        assert len(jobs) == len(manifest.claimants) * len(manifest.emotion_set)
+
+    def test_wrapped_trainers_keep_their_own_sets(self, corpus, worst_report, monkeypatch):
+        # Wrappers that share one __name__, as a call tracer installs them:
+        # the memo keys the emotion-conditioned and pooled sets apart anyway.
+        manifest, features = corpus
+
+        def wrap(real):
+            def traced(*args, **kwargs):
+                return real(*args, **kwargs)
+            return traced
+
+        monkeypatch.setattr(evaluation, "enroll", wrap(evaluation.enroll))
+        monkeypatch.setattr(evaluation, "enroll_pooled", wrap(evaluation.enroll_pooled))
+        assert evaluation.enroll.__name__ == evaluation.enroll_pooled.__name__
+        assert run_experiment("worst_case", manifest, dict(features), CFG) == worst_report
 
 
 class TestWriteReport:

@@ -268,6 +268,32 @@ class TestTraining:
             init_model([], 2, 2)
 
 
+class TestDegenerateInputs:
+    def test_utterances_shorter_than_state_count(self):
+        rng = np.random.default_rng(31)
+        utts = [rng.normal(size=(2, 3)) for _ in range(3)]
+        cfg = TrainConfig(max_iterations=5, seed=1)
+        model, history = train_baum_welch(init_model(utts, 4, 2, cfg), utts, cfg)
+        assert model.n_states == 4 and validate(model) == []
+        assert np.all(np.isfinite(history))
+        for u in utts:
+            assert np.isfinite(avg_frame_ll(model, u))
+            path, lp = viterbi(model, u)
+            assert len(path) == 2 and np.isfinite(lp)
+            assert path[0] == 1 and np.all(np.diff(path) >= 0) and path.max() <= 4
+
+    def test_constant_column_trains_at_variance_floor(self):
+        rng = np.random.default_rng(37)
+        utts = [np.column_stack([rng.normal(size=(10, 2)), np.full(10, 3.0)]) for _ in range(3)]
+        cfg = TrainConfig(max_iterations=5, seed=1)
+        model, history = train_baum_welch(init_model(utts, 2, 2, cfg), utts, cfg)
+        assert validate(model) == [] and np.all(np.isfinite(history))
+        for em in model.emissions:
+            assert np.all(em.variances[:, 2] == cfg.variance_floor)
+        for u in utts:
+            assert np.isfinite(avg_frame_ll(model, u))
+
+
 class TestSampling:
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(31)

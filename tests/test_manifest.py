@@ -10,7 +10,6 @@ from emoverify.manifest import (
     grid_manifest,
     load_manifest,
     save_manifest,
-    split_by_sentence,
 )
 
 MINIMAL = """\
@@ -102,17 +101,17 @@ class TestValidation:
 
 
 class TestSplit:
+    """grid_manifest's train_groups: every sentence group lands in one split."""
+
     def test_first_four_of_eight(self):
-        m = grid_manifest(n_speakers=2, n_groups=8, n_reps=1, train_groups=())
-        out = split_by_sentence(m, {1, 2, 3, 4})
+        out = grid_manifest(n_speakers=2, n_groups=8, n_reps=1, train_groups={1, 2, 3, 4})
         test_groups = {u.sentence_group for u in out.subset(split="test")}
         assert test_groups == {5, 6, 7, 8}
         train_groups = {u.sentence_group for u in out.subset(split="train")}
         assert train_groups == {1, 2, 3, 4}
 
     def test_partition_no_group_in_both(self):
-        m = grid_manifest(n_speakers=3, n_groups=5, n_reps=2, train_groups=())
-        out = split_by_sentence(m, {2, 4})
+        out = grid_manifest(n_speakers=3, n_groups=5, n_reps=2, train_groups={2, 4})
         both = {u.sentence_group for u in out.subset(split="train")} & {
             u.sentence_group for u in out.subset(split="test")
         }
@@ -122,24 +121,8 @@ class TestSplit:
         )
 
     def test_sizes_proportional_to_group_population(self):
-        m = grid_manifest(n_speakers=2, n_groups=2, n_reps=3, train_groups=())
-        out = split_by_sentence(m, {1})
+        out = grid_manifest(n_speakers=2, n_groups=2, n_reps=3, train_groups={1})
         assert len(out.subset(split="train")) == len(out.subset(split="test"))
-
-    def test_all_groups_train_rejected(self):
-        m = grid_manifest(n_speakers=2, n_groups=2, n_reps=1)
-        with pytest.raises(ManifestError, match="test split is empty"):
-            split_by_sentence(m, {1, 2})
-
-    def test_empty_train_groups_rejected(self):
-        m = grid_manifest(n_speakers=2, n_groups=2, n_reps=1)
-        with pytest.raises(ManifestError, match="empty"):
-            split_by_sentence(m, set())
-
-    def test_unknown_group_rejected(self):
-        m = grid_manifest(n_speakers=2, n_groups=2, n_reps=1)
-        with pytest.raises(ManifestError, match="never occur"):
-            split_by_sentence(m, {9})
 
 
 class TestGrid:
