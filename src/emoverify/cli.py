@@ -30,7 +30,7 @@ from .featureio import FeatureDir, features_path, save_features
 from .frontend import extract, load_wav
 from .hmm import TrainConfig, load_hmm, save_hmm
 from .manifest import CorpusManifest, load_manifest, save_manifest
-from .sphmm import load_sphmm, save_sphmm
+from .sphmm import SphmmModel, load_sphmm, save_sphmm
 from .stage_a import EmotionModelSet, confusion, train_emotion_models
 from .stage_b import (
     PooledSpeakerModels,
@@ -79,14 +79,14 @@ def _speaker_stem(speaker: str, emotion: str) -> str:
     return f"speaker_{speaker}__{emotion}"
 
 
-def _load_either(models_dir, stem: str):
+def _load_either(models_dir, stem: str) -> SphmmModel:
     """Load <stem>.emvs (fused) or <stem>.emvh (plain), whichever exists."""
     fused = Path(models_dir) / f"{stem}.emvs"
     plain = Path(models_dir) / f"{stem}.emvh"
     if fused.exists():
         return load_sphmm(fused)
     if plain.exists():
-        return load_hmm(plain)
+        return SphmmModel(load_hmm(plain), None, alpha=0.0)
     raise EmoverifyError(f"missing model file {plain} (or {fused})")
 
 
@@ -224,11 +224,12 @@ def _cmd_train_speakers(args) -> int:
     )
     models_dir = Path(args.models_dir)
     models_dir.mkdir(parents=True, exist_ok=True)
-    save, suffix = (save_sphmm, "emvs") if args.fused else (save_hmm, "emvh")
-    for (speaker, emotion), model in speaker_models.models.items():
-        save(model, models_dir / f"{_speaker_stem(speaker, emotion)}.{suffix}")
-    for speaker, model in pooled.models.items():
-        save(model, models_dir / f"pooled_{speaker}.{suffix}")
+    stems = [(_speaker_stem(*key), m) for key, m in speaker_models.models.items()]
+    for stem, model in stems + [(f"pooled_{sp}", m) for sp, m in pooled.models.items()]:
+        if args.fused:
+            save_sphmm(model, models_dir / f"{stem}.emvs")
+        else:  # a plain model is stored as its acoustic stream
+            save_hmm(model.acoustic, models_dir / f"{stem}.emvh")
     print(
         f"wrote {len(speaker_models.models)} speaker-emotion models "
         f"and {len(pooled.models)} pooled models"

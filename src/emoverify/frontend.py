@@ -168,12 +168,6 @@ def _mel_filterbank(n_filters: int, nfft: int, rate: int) -> np.ndarray:
     return fb
 
 
-def mel_filter_centers(cfg: FrontendConfig, rate: int) -> np.ndarray:
-    """Center frequencies (Hz) of the configured filterbank."""
-    edges = _mel_to_hz(np.linspace(0.0, _hz_to_mel(rate / 2.0), cfg.n_filters + 2))
-    return edges[1:-1]
-
-
 @lru_cache(maxsize=8)
 def _dct_matrix(n_ceps: int, n_filters: int) -> np.ndarray:
     n = np.arange(n_filters)

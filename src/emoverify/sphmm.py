@@ -2,12 +2,13 @@
 with acoustic scores.
 
 A SuprasegmentalModel is a small left-to-right HMM over the prosodic
-stream.  Its states summarize contiguous blocks of three acoustic states
-(summary_map), and an optional composite state on top scores the
-whole-utterance prosodic mean with a single Gaussian.  Scores from both
-streams are averaged per frame before the weighted fusion, so the weight
-mixes commensurate quantities even though the streams run at different
-rates.
+stream, ceil(n / 3) states for n acoustic states, plus an optional
+composite state that scores the whole-utterance prosodic mean with a
+single Gaussian; its summary_map is metadata that no score reads.  Scores
+from both streams are averaged per frame before the weighted fusion, so
+the weight mixes commensurate quantities even though the streams run at
+different rates.  SphmmModel is the one type a model set holds: a plain
+(acoustic-only) model has no prosodic stream and weight 0.
 """
 
 from __future__ import annotations
@@ -71,7 +72,10 @@ class CompositeState:
 
 @dataclass(frozen=True)
 class SuprasegmentalModel:
-    """Prosodic HMM plus the acoustic-to-suprasegmental state summary."""
+    """Prosodic HMM plus the acoustic-to-suprasegmental state summary.
+
+    summary_map is metadata: it is validated and stored, never scored.
+    """
 
     hmm: HmmModel
     summary_map: tuple[int, ...]
@@ -94,16 +98,18 @@ class SuprasegmentalModel:
 
 @dataclass(frozen=True)
 class SphmmModel:
-    """Acoustic model, prosodic model, fusion weight, and log-priors."""
+    """Acoustic model, prosodic model (None and alpha 0 if plain), weight, log-priors."""
 
     acoustic: HmmModel
-    prosodic: SuprasegmentalModel
+    prosodic: SuprasegmentalModel | None
     alpha: float = 0.5
     log_priors: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
+        if self.prosodic is None and self.alpha != 0.0:
+            raise ValueError("a model without a prosodic stream needs alpha 0")
         object.__setattr__(self, "log_priors", tuple(float(p) for p in self.log_priors))
         if len(self.log_priors) != 2 or not all(math.isfinite(p) for p in self.log_priors):
             raise ValueError("log_priors must be two finite values")
@@ -145,16 +151,26 @@ def fuse_scores(alpha: float, acoustic: float, prosodic: float) -> float:
     return (1.0 - alpha) * acoustic + alpha * prosodic
 
 
+def shared_alpha(models, what: str) -> float:
+    """The fusion weight a set of one dim and one kind (plain or fused) shares."""
+    models = list(models)
+    if len({m.acoustic.dim for m in models}) != 1:
+        raise ValueError(f"{what} models disagree on feature dim")
+    if len({m.prosodic is None for m in models}) != 1:
+        raise ValueError(f"{what} models mix fused and plain kinds")
+    alphas = {m.alpha for m in models}
+    if len(alphas) != 1:
+        raise ValueError(f"{what} models disagree on alpha")
+    return alphas.pop()
+
+
 def stream_scores(model, obs: ObservationPair, weights) -> tuple[float | None, float | None]:
     """(acoustic, prosodic) scores of one model, each only if some weight reads it.
 
     Weight 0 reads only the acoustic stream and weight 1 only the prosodic
     one; fuse_scores of the pair at any of the weights is the fused score
-    at that weight.  A plain HmmModel has the acoustic stream only, which
-    is its score at weight 0.
+    at that weight.
     """
-    if isinstance(model, HmmModel):
-        return avg_frame_ll(model, obs.acoustic), None
     acoustic = score_acoustic(model, obs) if min(weights) < 1.0 else None
     prosodic = score_prosodic(model, obs) if max(weights) > 0.0 else None
     return acoustic, prosodic

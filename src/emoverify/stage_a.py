@@ -18,7 +18,7 @@ from .frontend import ObservationPair
 from .hmm import TrainConfig
 from .manifest import CorpusManifest
 from .seeds import derive_seed
-from .sphmm import SphmmModel, score_fused, train_sphmm
+from .sphmm import SphmmModel, score_fused, shared_alpha, train_sphmm
 from .sphmm import score_acoustic  # noqa: F401  benchmark/tracing.py wraps this name
 
 
@@ -31,12 +31,7 @@ class EmotionModelSet:
     def __post_init__(self):
         if len(self.models) < 2:
             raise ValueError("need models for at least 2 emotions")
-        dims = {m.acoustic.dim for m in self.models.values()}
-        alphas = {m.alpha for m in self.models.values()}
-        if len(dims) != 1:
-            raise ValueError("emotion models disagree on feature dim")
-        if len(alphas) != 1:
-            raise ValueError("emotion models disagree on alpha")
+        self.alpha  # fail fast on mixed dims, kinds or fusion weights
 
     @property
     def emotions(self) -> tuple[str, ...]:
@@ -44,7 +39,7 @@ class EmotionModelSet:
 
     @property
     def alpha(self) -> float:
-        return next(iter(self.models.values())).alpha
+        return shared_alpha(self.models.values(), "emotion")
 
 
 @dataclass(frozen=True)

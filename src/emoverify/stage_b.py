@@ -25,11 +25,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .frontend import ObservationPair
-from .hmm import HmmModel, TrainConfig, init_model, train_baum_welch
+from .hmm import TrainConfig, init_model, train_baum_welch
 from .hmm import avg_frame_ll  # noqa: F401  benchmark/tracing.py wraps this name
 from .manifest import CorpusManifest, UtteranceRef
 from .seeds import derive_seed
-from .sphmm import SphmmModel, fuse_scores, stream_scores, train_sphmm
+from .sphmm import SphmmModel, fuse_scores, shared_alpha, stream_scores, train_sphmm
 from .sphmm import score_fused  # noqa: F401  benchmark/tracing.py wraps this name
 from .stage_a import EmotionModelSet
 from .stage_a import identify_emotion  # noqa: F401  benchmark/tracing.py wraps this name
@@ -39,24 +39,12 @@ MODES = ("two_stage", "oracle_emotion", "worst_case", "one_stage")
 TRIAL_CSV_HEADER = "utterance,claimed,true,e_star,mode,lambda,theta,decision,truth"
 
 
-def _set_alpha(models, what: str) -> float:
-    """The one stage-b fusion weight a model set decides at; 0.0 for plain models."""
-    if len({(m.acoustic if isinstance(m, SphmmModel) else m).dim for m in models}) != 1:
-        raise ValueError(f"{what} models disagree on feature dim")
-    if len({isinstance(m, SphmmModel) for m in models}) != 1:
-        raise ValueError(f"{what} models mix fused and plain kinds")
-    alphas = {m.alpha if isinstance(m, SphmmModel) else 0.0 for m in models}
-    if len(alphas) != 1:
-        raise ValueError(f"{what} models disagree on alpha")
-    return alphas.pop()
-
-
 @dataclass(frozen=True)
 class SpeakerEmotionModelSet:
     """(speaker, emotion) -> model, complete over the emotion set."""
 
     emotion_set: tuple[str, ...]
-    models: dict[tuple[str, str], HmmModel | SphmmModel]
+    models: dict[tuple[str, str], SphmmModel]
 
     def __post_init__(self):
         object.__setattr__(self, "emotion_set", tuple(self.emotion_set))
@@ -80,20 +68,14 @@ class SpeakerEmotionModelSet:
     @property
     def alpha(self) -> float:
         """Stage-b fusion weight: the fused models' shared alpha, 0.0 for plain ones."""
-        return _set_alpha(self.models.values(), "enrolled")
-
-    def model(self, speaker: str, emotion: str):
-        try:
-            return self.models[speaker, emotion]
-        except KeyError:
-            raise ValueError(f"({speaker}, {emotion}) unenrolled") from None
+        return shared_alpha(self.models.values(), "enrolled")
 
 
 @dataclass(frozen=True)
 class PooledSpeakerModels:
     """speaker -> emotion-pooled model, for the one-stage baseline."""
 
-    models: dict[str, HmmModel | SphmmModel]
+    models: dict[str, SphmmModel]
 
     def __post_init__(self):
         if len(self.models) < 2:
@@ -107,7 +89,7 @@ class PooledSpeakerModels:
     @property
     def alpha(self) -> float:
         """Stage-b fusion weight: the fused models' shared alpha, 0.0 for plain ones."""
-        return _set_alpha(self.models.values(), "pooled")
+        return shared_alpha(self.models.values(), "pooled")
 
 
 @dataclass(frozen=True)
@@ -170,7 +152,8 @@ def _train_models(groups, features, n_states, n_mixtures, cfg, fused, alpha, sph
         else:
             acoustics = [o.acoustic for o in obs_list]
             init = init_model(acoustics, n_states, n_mixtures, key_cfg)
-            models[key], _ = train_baum_welch(init, acoustics, key_cfg)
+            acoustic, _ = train_baum_welch(init, acoustics, key_cfg)
+            models[key] = SphmmModel(acoustic, None, alpha=0.0)
     return models
 
 
@@ -238,22 +221,6 @@ def llr_from_scores(scores: Mapping[str, float], e_star: str) -> float:
 
 def _fused(streams: Mapping, alpha: float) -> dict:
     return {key: fuse_scores(alpha, *pair) for key, pair in streams.items()}
-
-
-def speaker_scores(
-    models: SpeakerEmotionModelSet, claimed: str, obs: ObservationPair
-) -> dict[str, float]:
-    """The claimed speaker's score under each of their emotion models."""
-    if claimed not in set(models.speakers):
-        raise ValueError(f"claimed speaker {claimed!r} is not enrolled")
-    alpha = models.alpha
-    return _fused({e: stream_scores(models.model(claimed, e), obs, (alpha,))
-                   for e in models.emotion_set}, alpha)
-
-
-def llr(models: SpeakerEmotionModelSet, claimed: str, e_star: str, obs: ObservationPair) -> float:
-    """Log-likelihood ratio of the claim (claimed speaker, emotion e_star)."""
-    return llr_from_scores(speaker_scores(models, claimed, obs), e_star)
 
 
 def pooled_llr(scores: Mapping[str, float], claimed: str) -> float:
@@ -418,6 +385,8 @@ def decide_trials(
     alpha fuses the stage-b streams and emotion_alpha the stage-a streams
     two_stage mode identifies with; each must be a weight the table was
     scored for.  A plain set and the acoustic-only identifier are weight 0.
+    A non-finite score or threshold stops the run with an error naming the
+    trial, since dropping the trial would move the error rates unseen.
     """
     records: list[TrialRecord] = []
     history: list[float] = []
@@ -433,6 +402,10 @@ def decide_trials(
         theta = cfg.theta
         if cfg.adapt_window is not None:
             theta = adapt_threshold(cfg.theta, history, cfg.adapt_window)
+        try:
+            decision = decide(lam, theta)
+        except ValueError as exc:
+            raise ValueError(f"utterance {utt.id} claimed as {claimed}: {exc}") from None
         records.append(
             TrialRecord(
                 utterance=utt,
@@ -442,7 +415,7 @@ def decide_trials(
                 mode=mode,
                 llr=lam,
                 theta=theta,
-                decision=decide(lam, theta),
+                decision=decision,
                 truth="target" if claimed == utt.speaker_id else "nontarget",
             )
         )

@@ -1,5 +1,8 @@
 """Command-line subcommands: determinism, exit codes, file outputs."""
 
+import io
+import re
+import shutil
 import wave
 from dataclasses import replace
 
@@ -9,9 +12,11 @@ import pytest
 from emoverify import cli
 from emoverify.cli import CLI_MODES, main
 from emoverify.featureio import FeatureDir
+from emoverify.hmm import GmmEmission, HmmModel, TrainConfig, load_hmm, save_hmm, write_hmm
 from emoverify.manifest import load_manifest
-from emoverify.sphmm import load_sphmm
+from emoverify.sphmm import load_sphmm, write_sphmm
 from emoverify.stage_a import EmotionModelSet, confusion
+from emoverify.stage_b import enroll
 
 # One pipeline workspace shared by the read-only CLI tests below.
 SYNTH_ARGS = [
@@ -82,6 +87,33 @@ class TestTraining:
         assert len(list((tmp_path / "fused").glob("speaker_*__*.emvs"))) == 9
         assert len(list((tmp_path / "fused").glob("pooled_*.emvs"))) == 3
 
+    def test_stored_models_round_trip_byte_for_byte(self, workspace, tmp_path):
+        # In memory every stage-b model is an SphmmModel; on disk a plain one
+        # is still the acoustic stream's .emvh and a fused one an .emvs.
+        fused_dir = tmp_path / "fused"
+        run_ok(["train-speakers", "--manifest", workspace["manifest"],
+                "--features-dir", workspace["features"], "--models-dir", str(fused_dir),
+                "--fused"] + TRAIN_ARGS)
+        for models_dir, suffix, write in (
+            (workspace["root"] / "models", "emvh", lambda fp, m: write_hmm(fp, m.acoustic)),
+            (fused_dir, "emvs", write_sphmm),
+        ):
+            paths = sorted(models_dir.glob(f"*_*.{suffix}"))
+            assert len(paths) == 12
+            for path in paths:
+                buf = io.BytesIO()
+                write(buf, cli._load_either(models_dir, path.stem))
+                assert buf.getvalue() == path.read_bytes(), path.name
+
+        manifest = load_manifest(workspace["manifest"])
+        enrolled = enroll(manifest, FeatureDir(workspace["features"]), n_states=1, n_mixtures=2,
+                          cfg=TrainConfig(max_iterations=3, seed=5))
+        for (speaker, emotion), model in enrolled.models.items():
+            buf = io.BytesIO()
+            write_hmm(buf, model.acoustic)
+            path = workspace["root"] / "models" / f"speaker_{speaker}__{emotion}.emvh"
+            assert buf.getvalue() == path.read_bytes(), path.name
+
 
 class TestIdentify:
     def test_confusion_written(self, workspace, tmp_path, capsys):
@@ -147,6 +179,28 @@ class TestTrials:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("error: EMOVERIFY_WORKERS")
+
+    def test_non_finite_score_is_domain_error(self, workspace, tmp_path, capsys):
+        # A stored model with a tiny variance far from every frame scores
+        # -inf; the run names the trial it met and writes no trials.csv.
+        manifest = load_manifest(workspace["manifest"])
+        speaker, emotion = manifest.claimants[0], manifest.emotion_set[1]
+        models = tmp_path / "models"
+        shutil.copytree(workspace["models"], models)
+        path = models / f"speaker_{speaker}__{emotion}.emvh"
+        dim = load_hmm(path).dim
+        em = GmmEmission(np.array([1.0]), np.full((1, dim), 1e10), np.full((1, dim), 1e-300))
+        save_hmm(HmmModel(np.array([[1.0]]), (em,)), path)
+        report = tmp_path / "report"
+        with np.errstate(over="ignore"):
+            code = main(["trials", "--manifest", workspace["manifest"],
+                         "--features-dir", workspace["features"], "--models-dir", str(models),
+                         "--report-dir", str(report), "--mode", "oracle", "--seed", "3"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert re.fullmatch(rf"error: utterance \S+ claimed as {speaker}: "
+                            r"score and threshold must both be finite\n", err), err
+        assert not (report / "trials.csv").exists()
 
     def test_missing_models_is_domain_error(self, workspace, tmp_path, capsys):
         code = main(["trials", "--manifest", workspace["manifest"],

@@ -1,5 +1,6 @@
 """Suprasegmental models: stream scores, fusion algebra, serialization."""
 
+import dataclasses
 import io
 import math
 
@@ -20,6 +21,8 @@ from emoverify.sphmm import (
     score_acoustic,
     score_fused,
     score_prosodic,
+    shared_alpha,
+    stream_scores,
     train_sphmm,
     write_sphmm,
 )
@@ -84,6 +87,15 @@ class TestStreamScores:
                 + model.log_priors[0] / obs.acoustic.shape[0]
             )
             np.testing.assert_allclose(score_acoustic(model, obs), expected, atol=1e-12, rtol=0)
+
+    def test_plain_model_is_bitwise_avg_frame_ll(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            plain = SphmmModel(toy_hmm(rng, 3, 4), None, alpha=0.0)
+            obs = toy_obs(rng, t=int(rng.integers(2, 15)))
+            want = avg_frame_ll(plain.acoustic, obs.acoustic)
+            assert stream_scores(plain, obs, (0.0,)) == (want, None)
+            assert score_fused(plain, obs) == want
 
     def test_single_state_single_gaussian_closed_form(self):
         mean = np.array([1.0, -2.0])
@@ -193,6 +205,31 @@ class TestFusion:
         rng = np.random.default_rng(13)
         with pytest.raises(ValueError, match="finite"):
             toy_model(rng, priors=(float("-inf"), 0.0))
+
+    def test_plain_model_needs_alpha_zero(self):
+        rng = np.random.default_rng(14)
+        with pytest.raises(ValueError, match="without a prosodic stream needs alpha 0"):
+            SphmmModel(toy_hmm(rng, 3, 4), None, alpha=0.5)
+
+
+class TestSharedAlpha:
+    def test_set_weight(self):
+        rng = np.random.default_rng(15)
+        assert shared_alpha([toy_model(rng, alpha=0.25), toy_model(rng, alpha=0.25)], "x") == 0.25
+        plain = [SphmmModel(toy_hmm(rng, 3, 4), None, alpha=0.0) for _ in range(2)]
+        assert shared_alpha(plain, "x") == 0.0
+
+    def test_one_check_per_inconsistency(self):
+        rng = np.random.default_rng(16)
+        fused = toy_model(rng)
+        cases = [
+            (SphmmModel(toy_hmm(rng, 3, 5), fused.prosodic), "disagree on feature dim"),
+            (SphmmModel(fused.acoustic, None, alpha=0.0), "mix fused and plain kinds"),
+            (dataclasses.replace(fused, alpha=0.75), "disagree on alpha"),
+        ]
+        for other, message in cases:
+            with pytest.raises(ValueError, match=f"^pooled models {message}$"):
+                shared_alpha([fused, other], "pooled")
 
 
 class TestTraining:

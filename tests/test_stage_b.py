@@ -21,7 +21,6 @@ from emoverify.stage_b import (
     decide,
     enroll,
     enroll_pooled,
-    llr,
     llr_from_scores,
     pooled_llr,
     run_trials,
@@ -91,6 +90,10 @@ def toy_hmm(mu: float, dim: int = 2) -> HmmModel:
     return HmmModel(np.array([[1.0]]), (em,))
 
 
+def toy_plain(mu: float, dim: int = 2) -> SphmmModel:
+    return SphmmModel(toy_hmm(mu, dim), None, alpha=0.0)
+
+
 def toy_sphmm(mu: float, dim: int = 2) -> SphmmModel:
     supra = SuprasegmentalModel(toy_hmm(mu, dim), make_summary_map(1))
     return SphmmModel(toy_hmm(mu, dim), supra)
@@ -131,28 +134,28 @@ class RecordingFeatures:
 
 class TestModelSets:
     def test_missing_pair_named(self):
-        models = {("S07", e): toy_hmm(0.0) for e in ("neutral", "angry")}
+        models = {("S07", e): toy_plain(0.0) for e in ("neutral", "angry")}
         del models["S07", "angry"]
-        models["S07", "neutral"] = toy_hmm(0.0)
+        models["S07", "neutral"] = toy_plain(0.0)
         with pytest.raises(ValueError, match=r"\(S07, angry\) unenrolled"):
             SpeakerEmotionModelSet(("neutral", "angry"), models)
 
     def test_undeclared_emotion_rejected(self):
-        models = {("s1", e): toy_hmm(0.0) for e in ("a", "b", "c")}
+        models = {("s1", e): toy_plain(0.0) for e in ("a", "b", "c")}
         with pytest.raises(ValueError, match="undeclared emotion"):
             SpeakerEmotionModelSet(("a", "b"), models)
 
     def test_single_emotion_rejected(self):
         with pytest.raises(ValueError, match="at least 2 emotions"):
-            SpeakerEmotionModelSet(("a",), {("s1", "a"): toy_hmm(0.0)})
+            SpeakerEmotionModelSet(("a",), {("s1", "a"): toy_plain(0.0)})
 
     def test_mixed_kinds_rejected(self):
-        models = {("s1", "a"): toy_hmm(0.0), ("s1", "b"): toy_sphmm(0.0)}
+        models = {("s1", "a"): toy_plain(0.0), ("s1", "b"): toy_sphmm(0.0)}
         with pytest.raises(ValueError, match="mix"):
             SpeakerEmotionModelSet(("a", "b"), models)
 
     def test_backgrounds_one_per_other_emotion(self):
-        models = {("s1", e): toy_hmm(0.0) for e in ("a", "b", "c")}
+        models = {("s1", e): toy_plain(0.0) for e in ("a", "b", "c")}
         model_set = SpeakerEmotionModelSet(("a", "b", "c"), models)
         assert model_set.speakers == ("s1",)
         assert model_set.alpha == 0.0
@@ -172,7 +175,7 @@ class TestModelSets:
 
     def test_pooled_needs_two_speakers(self):
         with pytest.raises(ValueError, match="at least 2"):
-            PooledSpeakerModels({"s1": toy_hmm(0.0)})
+            PooledSpeakerModels({"s1": toy_plain(0.0)})
 
 
 class TestEnroll:
@@ -217,8 +220,8 @@ class TestEnroll:
         plain = enroll(sub, features, n_states=1, n_mixtures=1, cfg=FAST)
         fused = enroll(sub, features, n_states=1, n_mixtures=1, cfg=FAST, fused=True)
         assert (fused.alpha, plain.alpha) == (0.5, 0.0)
-        got = fused.model(claimant, emotion).acoustic
-        want = plain.model(claimant, emotion)
+        got = fused.models[claimant, emotion].acoustic
+        want = plain.models[claimant, emotion].acoustic
         np.testing.assert_array_equal(got.transitions, want.transitions)
         np.testing.assert_array_equal(got.emissions[0].means, want.emissions[0].means)
 
@@ -265,19 +268,15 @@ class TestLlrArithmetic:
         with pytest.raises(ValueError, match="background"):
             llr_from_scores({"a": 0.0}, "a")
 
-    def test_llr_composes_model_scores(self):
-        models = {("s1", "a"): toy_hmm(0.0), ("s1", "b"): toy_hmm(1.0),
-                  ("s1", "c"): toy_hmm(-2.0)}
-        model_set = SpeakerEmotionModelSet(("a", "b", "c"), models)
-        obs = toy_obs(np.random.default_rng(1))
-        scores = {e: avg_frame_ll(models["s1", e], obs.acoustic) for e in ("a", "b", "c")}
-        assert llr(model_set, "s1", "b", obs) == llr_from_scores(scores, "b")
-
-    def test_unenrolled_claim_is_an_error(self):
-        models = {("s1", e): toy_hmm(0.0) for e in ("a", "b")}
-        model_set = SpeakerEmotionModelSet(("a", "b"), models)
-        with pytest.raises(ValueError, match="'s9' is not enrolled"):
-            llr(model_set, "s9", "a", toy_obs(np.random.default_rng(0)))
+    def test_llr_composes_model_scores(self, corpus, enrolled, oracle_records):
+        # A plain set decides at weight 0: each trial's ratio is built from
+        # the claimed speaker's per-emotion acoustic scores alone.
+        _, features = corpus
+        for r in oracle_records[:5]:
+            obs = features[r.utterance.id]
+            scores = {e: avg_frame_ll(enrolled.models[r.claimed_speaker, e].acoustic, obs.acoustic)
+                      for e in enrolled.emotion_set}
+            assert r.llr == llr_from_scores(scores, r.e_star)
 
     def test_pooled_llr(self):
         scores = {"s1": -2.0, "s2": -4.0, "s3": -6.0}
@@ -381,9 +380,26 @@ class TestRunTrials:
         manifest = tiny_manifest([("s1", "a", "train"), ("s1", "b", "train"),
                                   ("s2", "a", "train"), ("s2", "b", "train")])
         models = SpeakerEmotionModelSet(
-            ("a", "b"), {(s, e): toy_hmm(0.0) for s in ("s1", "s2") for e in ("a", "b")}
+            ("a", "b"), {(s, e): toy_plain(0.0) for s in ("s1", "s2") for e in ("a", "b")}
         )
         assert run_trials(models, None, manifest, {}, mode="oracle_emotion") == []
+
+    def test_non_finite_score_names_the_trial(self):
+        # A tiny stored variance far from every frame scores -inf; the run
+        # stops on the first trial that meets it instead of dropping it.
+        manifest = tiny_manifest([("s1", "a", "train"), ("s1", "b", "train"),
+                                  ("s2", "a", "train"), ("s2", "b", "train"),
+                                  ("s2", "a", "test"), ("s1", "a", "test")])
+        models = {(s, e): toy_plain(0.0) for s in ("s1", "s2") for e in ("a", "b")}
+        em = GmmEmission(np.array([1.0]), np.full((1, 2), 1e10), np.full((1, 2), 1e-300))
+        models["s1", "b"] = SphmmModel(HmmModel(np.array([[1.0]]), (em,)), None, alpha=0.0)
+        model_set = SpeakerEmotionModelSet(("a", "b"), models)
+        features = {u.id: toy_obs(np.random.default_rng(i))
+                    for i, u in enumerate(manifest.utterances)}
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="^utterance u4 claimed as s1: score and threshold must both be finite$"
+        ):
+            run_trials(model_set, None, manifest, features, mode="oracle_emotion")
 
     def test_mode_validation(self, corpus, enrolled, pooled):
         manifest, features = corpus
@@ -462,7 +478,7 @@ class TestRunTrials:
         assert all(r.e_star == "" and r.mode == "one_stage" for r in records)
         for r in records[:5]:
             obs = features[r.utterance.id]
-            scores = {s: avg_frame_ll(pooled.models[s], obs.acoustic)
+            scores = {s: avg_frame_ll(pooled.models[s].acoustic, obs.acoustic)
                       for s in pooled.speakers}
             assert r.llr == pooled_llr(scores, r.claimed_speaker)
 

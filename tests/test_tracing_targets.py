@@ -2,14 +2,19 @@
 
 benchmark/tracing.py replaces "module:attribute" names with timing
 wrappers, so a refactor that drops or renames one of them would break a
-traced benchmark run (``--trace 1``).  This checks that each name resolves.
+traced benchmark run (``--trace 1``).  This checks that each name resolves,
+and that every import kept only for the tracer still names a wrapped
+attribute, so an import left behind when WRAPS moves shows up here.
 """
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "benchmark" / "tracing.py"
+MARKER = "benchmark/tracing.py wraps this name"
 
 
 def _load_tracing():
@@ -27,3 +32,15 @@ def test_every_wrapped_name_resolves():
             if not callable(getattr(importlib.import_module(module_name), attr, None)):
                 missing.append(target)
     assert missing == []
+
+
+def test_every_tracer_import_is_wrapped():
+    wrapped = {target for targets, _ in _load_tracing().WRAPS.values() for target in targets}
+    marked = []
+    for path in sorted((ROOT / "src" / "emoverify").glob("*.py")):
+        for line in path.read_text().splitlines():
+            if MARKER in line:
+                names = re.match(r"from \.\w+ import (\w+(?:, \w+)*)  #", line)
+                assert names, f"{path.name}: unparsed tracer import {line!r}"
+                marked += [f"emoverify.{path.stem}:{name}" for name in names[1].split(", ")]
+    assert [target for target in marked if target not in wrapped] == []
