@@ -21,7 +21,8 @@ import numpy as np
 from .hmm import TrainConfig
 from .manifest import CorpusManifest
 from .stage_a import ConfusionMatrix, tally, train_emotion_models
-from .stage_b import TrialConfig, TrialRecord, decide_trials, enroll, enroll_pooled, score_trials
+from .stage_b import (
+    TrialConfig, TrialRecord, decide_trials, enroll, enroll_pooled, score_trials, trial_plan)
 from .stage_b import run_trials  # noqa: F401  benchmark/tracing.py wraps this name
 
 # One-sided 5% critical value for the equal-n pooled-SD t-test.
@@ -337,9 +338,10 @@ def run_experiment(kind: str, manifest: CorpusManifest, features, cfg: Experimen
     one_stage drops emotion conditioning entirely; alpha_sweep decides the
     fused pipeline at the eleven grid weights.  Baseline kinds carry the
     two_stage table (worst_case also the one_stage table) plus the t-test
-    between per-emotion EER vectors, all on the same seed so the trial
-    plans pair up.  Each model set is trained once and scored once; every
-    table, comparison and sweep row is a decision over those scores.
+    between per-emotion EER vectors, all on one trial plan.  Each model
+    set is trained once and scored once, every stream of every model, with
+    no fusion weight; every table, comparison and sweep row applies its
+    weights when it decides over those scores.
     Kinds run one after another on the same features mapping with an equal
     config share those model sets and scores, so a paper table trains and
     scores each set once; a new mapping, an edited stream or another
@@ -367,26 +369,21 @@ def run_experiment(kind: str, manifest: CorpusManifest, features, cfg: Experimen
         return once((name, fused), lambda: trainer(
             *common, cfg=cfg.train_config, fused=fused, **(sphmm if fused else {})))
 
-    def scores(name, models, weights, emotion_models=None):
-        # Keyed by the streams the weights read: a stream's score does not
-        # depend on the weight it is later fused at.
-        key = ("scores", name, min(weights) < 1.0, max(weights) > 0.0)
-        b_weights, a_weights = (weights, ()) if emotion_models is None else ((), weights)
-        return once(key, lambda: score_trials(
-            models, emotion_models, manifest, features, trial_cfg, b_weights, a_weights))
+    def scores(name, models, emotion_models=None):
+        return once(("scores", name), lambda: score_trials(
+            plan, models, emotion_models, manifest, features, trial_cfg))
 
     fused = cfg.stage_b_fused or bool(grid)
     speaker_models = stage_b_set("enroll", enroll, fused)
-    table = scores(("enroll", fused), speaker_models, (speaker_models.alpha, *grid))
+    plan = trial_plan(manifest, speaker_models.speakers, trial_cfg)
+    table = scores(("enroll", fused), speaker_models)
     if "two_stage" in modes:
         emotion_models = once("stage_a", lambda: train_emotion_models(
             *common, cfg=cfg.train_config, **sphmm))
-        stage_a = scores("stage_a", speaker_models, (stage_a_alpha, cfg.alpha, *grid),
-                         emotion_models)
-        table = replace(table, emotion=stage_a.emotion)
+        table = replace(table, emotion=scores("stage_a", None, emotion_models).emotion)
     if "one_stage" in modes:
         pooled = stage_b_set("pooled", enroll_pooled, cfg.stage_b_fused)
-        pooled_table = scores(("pooled", cfg.stage_b_fused), pooled, (pooled.alpha,))
+        pooled_table = scores(("pooled", cfg.stage_b_fused), pooled)
 
     def decide(mode, a_alpha=cfg.alpha, b_alpha=speaker_models.alpha):
         if mode == "one_stage":

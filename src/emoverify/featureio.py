@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .binio import read_array, read_exact, read_header
-from .errors import FormatError
+from .errors import EmoverifyError, FormatError
 from .frontend import ObservationPair
 
 _MAGIC = b"EMVF"
@@ -69,7 +69,7 @@ class FeatureDir:
     def __getitem__(self, utterance_id: str) -> ObservationPair:
         path = features_path(self.directory, utterance_id)
         if not path.exists():
-            raise KeyError(utterance_id)
+            raise EmoverifyError(f"missing feature file {path}")
         return load_features(path, source=utterance_id)
 
     def __contains__(self, utterance_id: str) -> bool:

@@ -13,6 +13,7 @@ different rates.  SphmmModel is the one type a model set holds: a plain
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, replace
 
@@ -138,14 +139,17 @@ def score_prosodic(model: SphmmModel, obs: ObservationPair) -> float:
     return score + model.log_priors[1] / tp_len
 
 
-def fuse_scores(alpha: float, acoustic: float, prosodic: float) -> float:
+def fuse_scores(alpha: float, acoustic: float, prosodic: float | None) -> float:
     """(1 - alpha) * acoustic + alpha * prosodic, in the log domain.
 
     The endpoints bypass arithmetic entirely: alpha 0 returns the acoustic
-    score unchanged and alpha 1 the prosodic score, bit for bit.
+    score unchanged and alpha 1 the prosodic score, bit for bit.  A weight
+    above 0 needs a prosodic score, which a plain model does not have.
     """
     if alpha == 0.0:
         return acoustic
+    if prosodic is None:
+        raise ValueError(f"fusion weight {alpha!r} needs a prosodic stream; a plain model has none")
     if alpha == 1.0:
         return prosodic
     return (1.0 - alpha) * acoustic + alpha * prosodic
@@ -164,25 +168,19 @@ def shared_alpha(models, what: str) -> float:
     return alphas.pop()
 
 
-def stream_scores(model, obs: ObservationPair, weights) -> tuple[float | None, float | None]:
-    """(acoustic, prosodic) scores of one model, each only if some weight reads it.
+def stream_scores(model: SphmmModel, obs: ObservationPair) -> tuple[float, float | None]:
+    """(acoustic, prosodic) scores of one model; prosodic is None for a plain model.
 
-    Weight 0 reads only the acoustic stream and weight 1 only the prosodic
-    one; fuse_scores of the pair at any of the weights is the fused score
-    at that weight.
+    fuse_scores of the pair at any weight is the fused score at that
+    weight, so one pair serves every weight a decision applies.
     """
-    acoustic = score_acoustic(model, obs) if min(weights) < 1.0 else None
-    prosodic = score_prosodic(model, obs) if max(weights) > 0.0 else None
-    return acoustic, prosodic
+    acoustic = score_acoustic(model, obs)
+    return acoustic, None if model.prosodic is None else score_prosodic(model, obs)
 
 
 def score_fused(model: SphmmModel, obs: ObservationPair) -> float:
-    """Fused stream scores at the model's own mixing weight.
-
-    The endpoints score one stream and inherit fuse_scores' bit-for-bit
-    endpoint guarantee.
-    """
-    return fuse_scores(model.alpha, *stream_scores(model, obs, (model.alpha,)))
+    """Fused stream scores at the model's own mixing weight."""
+    return fuse_scores(model.alpha, *stream_scores(model, obs))
 
 
 def train_sphmm(
@@ -230,6 +228,9 @@ def train_sphmm(
 
 
 def write_sphmm(fp, model: SphmmModel) -> None:
+    if model.prosodic is None:
+        raise ValueError("a plain model has no prosodic stream to store in .emvs; "
+                         "write its acoustic stream with write_hmm(model.acoustic)")
     fp.write(_MAGIC)
     n = model.acoustic.n_states
     comp = model.prosodic.composite
@@ -273,8 +274,10 @@ def read_sphmm(fp) -> SphmmModel:
 
 
 def save_sphmm(model: SphmmModel, path) -> None:
+    buf = io.BytesIO()
+    write_sphmm(buf, model)  # a refused model leaves no file behind
     with open(path, "wb") as fp:
-        write_sphmm(fp, model)
+        fp.write(buf.getvalue())
 
 
 def load_sphmm(path) -> SphmmModel:

@@ -9,10 +9,12 @@ scores.  A one-stage baseline drops the emotion conditioning: one pooled
 model per speaker, scored against the mean of the other speakers' pooled
 models.
 
-Trials run in two passes: score_trials keeps each model's acoustic and
-prosodic scores per planned utterance, and decide_trials fuses them at
-given weights into one mode's records, so every mode and weight over the
-same models and plan is decided from one scoring pass.
+Trials run in two passes.  score_trials keeps every stream score of
+every model a planned utterance meets, acoustic and prosodic apart, and
+takes no fusion weight.  decide_trials applies the weights: it fuses the
+streams at a stage-a and a stage-b weight into one mode's records, so
+every mode and weight over the same models and plan is decided from one
+scoring pass.
 """
 
 from __future__ import annotations
@@ -209,28 +211,18 @@ def enroll_pooled(
     return PooledSpeakerModels(models)
 
 
-def llr_from_scores(scores: Mapping[str, float], e_star: str) -> float:
-    """Claimed-emotion score minus the mean of the other emotions' scores."""
-    if e_star not in scores:
-        raise ValueError(f"unknown emotion {e_star!r}")
-    others = [s for e, s in scores.items() if e != e_star]
+def background_ratio(scores: Mapping, key) -> float:
+    """The keyed score (emotion e*, or claimed speaker) minus the other keys' mean."""
+    if key not in scores:
+        raise ValueError(f"no score for {key!r}")
+    others = [s for k, s in scores.items() if k != key]
     if not others:
-        raise ValueError("need at least 2 emotions for a background")
-    return scores[e_star] - float(np.mean(others))
+        raise ValueError("need at least 2 scores for a background")
+    return scores[key] - float(np.mean(others))
 
 
 def _fused(streams: Mapping, alpha: float) -> dict:
     return {key: fuse_scores(alpha, *pair) for key, pair in streams.items()}
-
-
-def pooled_llr(scores: Mapping[str, float], claimed: str) -> float:
-    """One-stage ratio: claimed pooled score minus the other speakers' mean."""
-    if claimed not in scores:
-        raise ValueError(f"claimed speaker {claimed!r} is not enrolled")
-    others = [s for sp, s in scores.items() if sp != claimed]
-    if not others:
-        raise ValueError("need at least 2 speakers for a background")
-    return scores[claimed] - float(np.mean(others))
 
 
 def decide(llr_value: float, theta: float) -> str:
@@ -290,8 +282,9 @@ class ScoreTable:
     """(acoustic, prosodic) stream scores of one trial plan, by utterance id.
 
     speaker[utt][key] is keyed (claimed speaker, emotion), or speaker for
-    PooledSpeakerModels; emotion[utt][e] holds the stage-a models' pairs
-    when they were scored.  A stream no scored weight reads is None.
+    PooledSpeakerModels; emotion[utt][e] holds the stage-a models' pairs.
+    Each is empty when that stage was not scored.  The prosodic score is
+    None only for a plain model.
     """
 
     plan: tuple[tuple[UtteranceRef, str], ...]
@@ -311,42 +304,39 @@ def _init_worker(payload) -> None:
 
 def _score_utterance(task):
     utt_id, obs, claims = task
-    models, emotion_models, weights, emotion_weights = _WORKER["payload"]
-    keys = models.models
-    if isinstance(models, SpeakerEmotionModelSet):
-        keys = [(c, e) for c in claims for e in models.emotion_set]
-    if not weights:
-        keys = ()
-    speaker = {key: stream_scores(models.models[key], obs, weights) for key in keys}
-    emotion = {}
+    models, emotion_models = _WORKER["payload"]
+    speaker, emotion = {}, {}
+    if models is not None:
+        keys = models.models
+        if isinstance(models, SpeakerEmotionModelSet):
+            keys = [(c, e) for c in claims for e in models.emotion_set]
+        speaker = {key: stream_scores(models.models[key], obs) for key in keys}
     if emotion_models is not None:
-        emotion = {e: stream_scores(m, obs, emotion_weights)
-                   for e, m in emotion_models.models.items()}
+        emotion = {e: stream_scores(m, obs) for e, m in emotion_models.models.items()}
     return utt_id, speaker, emotion
 
 
 def score_trials(
+    plan: Sequence[tuple[UtteranceRef, str]],
     models,
     emotion_models: EmotionModelSet | None,
     manifest: CorpusManifest,
     features,
     cfg: TrialConfig,
-    weights,
-    emotion_weights=(),
 ) -> ScoreTable:
-    """Scoring pass: each planned utterance once under every model it meets.
+    """Scoring pass: each planned utterance read once, scored by every model it meets.
 
-    weights and emotion_weights are the stage-b and stage-a fusion weights
-    the table will be decided at; empty weights score no model of that
-    stage.  Results are keyed by utterance, so the worker count never
-    changes the outcome.
+    A stage is scored exactly when its model set is given: models (the
+    claimants' emotion models or the pooled models) for stage b,
+    emotion_models for stage a.  Every stream of every scored model is
+    kept, so the table decides at any fusion weight.  Results are keyed by
+    utterance, so the worker count never changes the outcome.
     """
-    plan = trial_plan(manifest, models.speakers, cfg)
     claims_by_utt: dict[str, list[str]] = {}
     for utt, claimed in plan:
         claims_by_utt.setdefault(utt.id, []).append(claimed)
     tasks = [(utt_id, features[utt_id], tuple(c)) for utt_id, c in claims_by_utt.items()]
-    payload = (models, emotion_models, tuple(weights), tuple(emotion_weights))
+    payload = (models, emotion_models)
     if cfg.workers == 0 or not tasks:
         _init_worker(payload)
         results = [_score_utterance(t) for t in tasks]
@@ -357,7 +347,7 @@ def score_trials(
         ) as pool:
             results = list(pool.map(_score_utterance, tasks, chunksize=chunk))
     return ScoreTable(
-        plan=plan,
+        plan=tuple(plan),
         emotion_set=manifest.emotion_set,
         speaker={utt_id: speaker for utt_id, speaker, _ in results},
         emotion={utt_id: emotion for utt_id, _, emotion in results},
@@ -369,6 +359,8 @@ def _e_star(table: ScoreTable, mode: str, utt: UtteranceRef, seed: int, emotion_
         return utt.emotion
     if mode == "worst_case":
         return _wrong_emotion(table.emotion_set, utt, seed)
+    if not table.emotion.get(utt.id) or emotion_alpha is None:
+        raise ValueError(f"two_stage mode needs stage-a scores and weight (utterance {utt.id})")
     scores = _fused(table.emotion[utt.id], emotion_alpha)
     return max(scores, key=lambda e: scores[e])  # max() keeps the earliest tie
 
@@ -383,22 +375,21 @@ def decide_trials(
     """Decision pass: one mode's trial records from a scored table.
 
     alpha fuses the stage-b streams and emotion_alpha the stage-a streams
-    two_stage mode identifies with; each must be a weight the table was
-    scored for.  A plain set and the acoustic-only identifier are weight 0.
-    A non-finite score or threshold stops the run with an error naming the
-    trial, since dropping the trial would move the error rates unseen.
+    two_stage mode identifies with; the table holds every stream, so any
+    weight decides.  A plain set decides only at weight 0.  A non-finite
+    score or threshold stops the run with an error naming the trial,
+    since dropping the trial would move the error rates unseen.
     """
     records: list[TrialRecord] = []
     history: list[float] = []
     for utt, claimed in table.plan:
-        scores = table.speaker[utt.id]
+        streams = table.speaker[utt.id]
         if mode == "one_stage":
-            e_star = ""
-            lam = pooled_llr(_fused(scores, alpha), claimed)
+            e_star, key = "", claimed
         else:
-            e_star = _e_star(table, mode, utt, cfg.seed, emotion_alpha)
-            fused = {e: fuse_scores(alpha, *scores[claimed, e]) for e in table.emotion_set}
-            lam = llr_from_scores(fused, e_star)
+            e_star = key = _e_star(table, mode, utt, cfg.seed, emotion_alpha)
+            streams = {e: streams[claimed, e] for e in table.emotion_set}
+        lam = background_ratio(_fused(streams, alpha), key)
         theta = cfg.theta
         if cfg.adapt_window is not None:
             theta = adapt_threshold(cfg.theta, history, cfg.adapt_window)
@@ -451,17 +442,16 @@ def run_trials(
             raise ValueError(f"{mode} mode needs a SpeakerEmotionModelSet")
         if models.emotion_set != manifest.emotion_set:
             raise ValueError("model and manifest emotion sets differ")
-    emotion_alpha = None
     if mode == "two_stage":
         if emotion_models is None:
             raise ValueError("two_stage mode needs stage-a emotion models")
         if emotion_models.emotions != manifest.emotion_set:
             raise ValueError("stage-a and manifest emotion sets differ")
-        emotion_alpha = emotion_models.alpha
     else:
         emotion_models = None
-    table = score_trials(models, emotion_models, manifest, features, cfg,
-                         (models.alpha,), (emotion_alpha,))
+    plan = trial_plan(manifest, models.speakers, cfg)
+    table = score_trials(plan, models, emotion_models, manifest, features, cfg)
+    emotion_alpha = None if emotion_models is None else emotion_models.alpha
     return decide_trials(table, mode, cfg, models.alpha, emotion_alpha)
 
 

@@ -202,6 +202,22 @@ class TestTrials:
                             r"score and threshold must both be finite\n", err), err
         assert not (report / "trials.csv").exists()
 
+    @pytest.mark.parametrize("command", ["trials", "eval", "identify"])
+    def test_missing_feature_file_is_domain_error(self, workspace, tmp_path, capsys, command):
+        features = tmp_path / "features"
+        shutil.copytree(workspace["features"], features)
+        utt = load_manifest(workspace["manifest"]).subset(split="test")[0]
+        missing = features / f"{utt.id}.emvf"
+        missing.unlink()
+        report = tmp_path / "report"
+        argv = [command, "--manifest", workspace["manifest"], "--features-dir", str(features),
+                "--report-dir", str(report)]
+        argv += TRAIN_ARGS if command == "eval" else ["--models-dir", workspace["models"]]
+        code = main(argv)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: missing feature file {missing}\n"
+        assert not report.exists()
+
     def test_missing_models_is_domain_error(self, workspace, tmp_path, capsys):
         code = main(["trials", "--manifest", workspace["manifest"],
                      "--features-dir", workspace["features"], "--models-dir", str(tmp_path / "none"),

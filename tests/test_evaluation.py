@@ -468,9 +468,10 @@ class TestExperimentMemo:
                 report = run_experiment(kind, manifest, shared, CFG)
                 assert report_bytes(report, tmp_path / "shared" / kind) == fresh[kind], kind
 
-    def test_scores_are_shared_only_over_the_streams_they_read(self, corpus, tmp_path):
-        # At alpha 1 two_stage scores only the prosodic stage-a stream, and
-        # hmm_only_stage_a (stage-a weight 0) needs the acoustic one too.
+    def test_stage_a_scores_are_shared_at_every_weight(self, corpus, tmp_path):
+        # The stage-a table holds both streams of every model, so the one
+        # two_stage fills at alpha 1 also decides hmm_only_stage_a, which
+        # identifies at stage-a weight 0.
         manifest, features = corpus
         cfg = replace(CFG, alpha=1.0)
         fresh = run_experiment("hmm_only_stage_a", manifest, dict(features), cfg)

@@ -14,6 +14,7 @@ from emoverify.sphmm import (
     CompositeState,
     SphmmModel,
     SuprasegmentalModel,
+    fuse_scores,
     load_sphmm,
     make_summary_map,
     read_sphmm,
@@ -94,8 +95,17 @@ class TestStreamScores:
             plain = SphmmModel(toy_hmm(rng, 3, 4), None, alpha=0.0)
             obs = toy_obs(rng, t=int(rng.integers(2, 15)))
             want = avg_frame_ll(plain.acoustic, obs.acoustic)
-            assert stream_scores(plain, obs, (0.0,)) == (want, None)
+            assert stream_scores(plain, obs) == (want, None)
             assert score_fused(plain, obs) == want
+
+    def test_fused_model_keeps_both_streams_at_every_weight(self):
+        rng = np.random.default_rng(4)
+        for alpha in (0.0, 0.5, 1.0):
+            model = toy_model(rng, alpha=alpha)
+            obs = toy_obs(rng)
+            pair = stream_scores(model, obs)
+            assert pair == (score_acoustic(model, obs), score_prosodic(model, obs))
+            assert fuse_scores(alpha, *pair) == score_fused(model, obs)
 
     def test_single_state_single_gaussian_closed_form(self):
         mean = np.array([1.0, -2.0])
@@ -306,3 +316,14 @@ class TestSerialization:
     def test_bad_magic(self):
         with pytest.raises(FormatError, match="magic"):
             read_sphmm(io.BytesIO(b"EMVH" + b"\x00" * 64))
+
+    def test_plain_model_points_to_write_hmm(self, tmp_path):
+        rng = np.random.default_rng(21)
+        plain = SphmmModel(toy_hmm(rng, 3, 4), None, alpha=0.0)
+        fp = io.BytesIO()
+        with pytest.raises(ValueError, match=r"write_hmm\(model\.acoustic\)"):
+            write_sphmm(fp, plain)
+        assert fp.getvalue() == b""
+        with pytest.raises(ValueError, match=r"write_hmm\(model\.acoustic\)"):
+            save_sphmm(plain, tmp_path / "m.emvs")
+        assert not (tmp_path / "m.emvs").exists()

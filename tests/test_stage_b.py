@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from corpus_util import make_corpus
+from emoverify import sphmm
+from emoverify.evaluation import ALPHA_GRID
 from emoverify.hmm import GmmEmission, HmmModel, TrainConfig, avg_frame_ll
 from emoverify.manifest import CorpusManifest, UtteranceRef, grid_manifest
 from emoverify.sphmm import SphmmModel, SuprasegmentalModel, make_summary_map
-from emoverify.stage_a import identify_emotion, train_emotion_models
+from emoverify.stage_a import EmotionModelSet, identify_emotion, train_emotion_models
 from emoverify.stage_b import (
     MODES,
     TRIAL_CSV_HEADER,
@@ -18,12 +20,13 @@ from emoverify.stage_b import (
     TrialConfig,
     TrialRecord,
     adapt_threshold,
+    background_ratio,
     decide,
+    decide_trials,
     enroll,
     enroll_pooled,
-    llr_from_scores,
-    pooled_llr,
     run_trials,
+    score_trials,
     trial_plan,
     write_trials,
 )
@@ -243,30 +246,30 @@ class TestEnroll:
 class TestLlrArithmetic:
     def test_true_score_at_imposter_mean_is_zero(self):
         scores = {"a": -4.0, "b": -5.0, "c": -3.0}
-        assert llr_from_scores(scores, "a") == 0.0
+        assert background_ratio(scores, "a") == 0.0
 
     def test_five_background_example(self):
         scores = {"n": -2.0, "a": -3.0, "s": -4.0, "h": -5.0, "d": -3.0, "f": -5.0}
-        assert llr_from_scores(scores, "n") == 2.0
+        assert background_ratio(scores, "n") == 2.0
 
     def test_two_emotions_reduce_to_difference(self):
         scores = {"a": -1.25, "b": -4.75}
-        assert llr_from_scores(scores, "a") == -1.25 - (-4.75)
+        assert background_ratio(scores, "a") == -1.25 - (-4.75)
 
     def test_constant_shift_cancels(self):
         rng = np.random.default_rng(5)
         scores = {f"e{i}": float(v) for i, v in enumerate(rng.normal(size=6))}
-        base = llr_from_scores(scores, "e2")
+        base = background_ratio(scores, "e2")
         shifted = {e: s + 17.5 for e, s in scores.items()}
-        assert llr_from_scores(shifted, "e2") == pytest.approx(base, abs=1e-12)
+        assert background_ratio(shifted, "e2") == pytest.approx(base, abs=1e-12)
 
     def test_unknown_emotion_rejected(self):
-        with pytest.raises(ValueError, match="unknown emotion"):
-            llr_from_scores({"a": 0.0, "b": 1.0}, "z")
+        with pytest.raises(ValueError, match="no score for 'z'"):
+            background_ratio({"a": 0.0, "b": 1.0}, "z")
 
     def test_single_emotion_has_no_background(self):
         with pytest.raises(ValueError, match="background"):
-            llr_from_scores({"a": 0.0}, "a")
+            background_ratio({"a": 0.0}, "a")
 
     def test_llr_composes_model_scores(self, corpus, enrolled, oracle_records):
         # A plain set decides at weight 0: each trial's ratio is built from
@@ -276,13 +279,13 @@ class TestLlrArithmetic:
             obs = features[r.utterance.id]
             scores = {e: avg_frame_ll(enrolled.models[r.claimed_speaker, e].acoustic, obs.acoustic)
                       for e in enrolled.emotion_set}
-            assert r.llr == llr_from_scores(scores, r.e_star)
+            assert r.llr == background_ratio(scores, r.e_star)
 
     def test_pooled_llr(self):
         scores = {"s1": -2.0, "s2": -4.0, "s3": -6.0}
-        assert pooled_llr(scores, "s1") == -2.0 - (-5.0)
-        with pytest.raises(ValueError, match="not enrolled"):
-            pooled_llr(scores, "s9")
+        assert background_ratio(scores, "s1") == -2.0 - (-5.0)
+        with pytest.raises(ValueError, match="no score for 's9'"):
+            background_ratio(scores, "s9")
 
 
 class TestDecide:
@@ -480,7 +483,7 @@ class TestRunTrials:
             obs = features[r.utterance.id]
             scores = {s: avg_frame_ll(pooled.models[s].acoustic, obs.acoustic)
                       for s in pooled.speakers}
-            assert r.llr == pooled_llr(scores, r.claimed_speaker)
+            assert r.llr == background_ratio(scores, r.claimed_speaker)
 
     def test_threshold_adaptation_replays(self, corpus, enrolled):
         manifest, features = corpus
@@ -504,6 +507,90 @@ class TestRunTrials:
         with pytest.raises(ValueError, match="unknown mode"):
             TrialRecord(utt, "s1", "s1", "a", "three_stage", 1.0, 0.0,
                         "accept", "target")
+
+
+def toy_table():
+    """A plain two-speaker set scored over two test utterances, and the config."""
+    manifest = tiny_manifest([("s1", "a", "train"), ("s1", "b", "train"),
+                              ("s2", "a", "train"), ("s2", "b", "train"),
+                              ("s2", "a", "test"), ("s1", "b", "test")])
+    models = SpeakerEmotionModelSet(
+        ("a", "b"), {(s, e): toy_plain(0.0) for s in ("s1", "s2") for e in ("a", "b")})
+    features = {u.id: toy_obs(np.random.default_rng(i)) for i, u in enumerate(manifest.utterances)}
+    cfg = TrialConfig()
+    plan = trial_plan(manifest, models.speakers, cfg)
+    return score_trials(plan, models, None, manifest, features, cfg), cfg
+
+
+class TestDecideTrials:
+    def test_two_stage_without_stage_a_scores_is_undecidable(self):
+        table, cfg = toy_table()
+        assert len(decide_trials(table, "oracle_emotion", cfg, 0.0)) == 4
+        with pytest.raises(ValueError, match="two_stage mode needs stage-a scores"):
+            decide_trials(table, "two_stage", cfg, 0.0, 0.0)
+
+    def test_weight_above_zero_on_a_plain_set_is_undecidable(self):
+        table, cfg = toy_table()
+        for alpha in (0.1, 0.5, 1.0):
+            with pytest.raises(ValueError, match="needs a prosodic stream"):
+                decide_trials(table, "oracle_emotion", cfg, alpha)
+
+
+# Few test utterances: each grid weight is decided from one table and by a fresh run.
+SWEEP_SPEC = dataclasses.replace(TRIALS_SPEC, n_speakers=3, n_reps=3)
+
+
+def at_alpha(models, alpha):
+    return {key: dataclasses.replace(m, alpha=alpha) for key, m in models.items()}
+
+
+class TestScoreOnceDecideMany:
+    @pytest.fixture(scope="class")
+    def fused_sets(self):
+        manifest, features, _ = make_corpus(SWEEP_SPEC)
+        shape = dict(n_states=1, n_mixtures=2, cfg=FAST)
+        return (manifest, features,
+                enroll(manifest, features, fused=True, **shape),
+                enroll_pooled(manifest, features, fused=True, **shape),
+                train_emotion_models(manifest, features, **shape))
+
+    def test_one_table_decides_every_grid_weight(self, fused_sets):
+        # Scored once, from the sets at weight 0 so that no scoring weight
+        # can shape the table.  Each grid weight then decides bit for bit
+        # what a fresh run makes with every model's alpha set to it; stage
+        # a runs the grid backwards so the two stages' weights differ.
+        manifest, features, enrolled, pooled, emotion_models = fused_sets
+        cfg = TrialConfig(seed=3, adapt_window=2)
+        plan = trial_plan(manifest, enrolled.speakers, cfg)
+        table = score_trials(
+            plan, SpeakerEmotionModelSet(manifest.emotion_set, at_alpha(enrolled.models, 0.0)),
+            EmotionModelSet(at_alpha(emotion_models.models, 0.0)), manifest, features, cfg)
+        pooled_table = score_trials(plan, PooledSpeakerModels(at_alpha(pooled.models, 0.0)), None,
+                                    manifest, features, cfg)
+        for alpha, a_alpha in zip(ALPHA_GRID, ALPHA_GRID[::-1]):
+            speakers = SpeakerEmotionModelSet(manifest.emotion_set, at_alpha(enrolled.models, alpha))
+            emotions = EmotionModelSet(at_alpha(emotion_models.models, a_alpha))
+            records = decide_trials(table, "two_stage", cfg, alpha, a_alpha)
+            assert records == run_trials(speakers, emotions, manifest, features, "two_stage", cfg)
+            assert [r.e_star for r in records] == [
+                identify_emotion(emotions, features[u.id])[0] for u, _ in plan]
+            one_stage = PooledSpeakerModels(at_alpha(pooled.models, alpha))
+            assert decide_trials(pooled_table, "one_stage", cfg, alpha) == run_trials(
+                one_stage, None, manifest, features, "one_stage", cfg), alpha
+
+    def test_stage_a_alone_scores_no_stage_b_model(self, fused_sets, monkeypatch):
+        manifest, features, enrolled, _, emotion_models = fused_sets
+        calls = []
+        real = sphmm.avg_frame_ll
+        monkeypatch.setattr(sphmm, "avg_frame_ll", lambda m, o: calls.append(m) or real(m, o))
+        cfg = TrialConfig(seed=3)
+        plan = trial_plan(manifest, enrolled.speakers, cfg)
+        table = score_trials(plan, None, emotion_models, manifest, features, cfg)
+        utt_ids = {u.id for u, _ in plan}
+        assert table.speaker == {u: {} for u in utt_ids}
+        assert all(tuple(table.emotion[u]) == manifest.emotion_set for u in utt_ids)
+        # both streams of every stage-a model, once per test utterance
+        assert len(calls) == 2 * len(emotion_models.models) * len(utt_ids)
 
 
 class TestWriteTrials:
