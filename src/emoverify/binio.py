@@ -27,3 +27,12 @@ def read_array(fp, shape: tuple[int, ...], what: str, dtype: str = "<f8") -> np.
 def read_header(fp, n_fields: int, what: str) -> tuple[int, ...]:
     """uint32 header fields as Python ints, so size arithmetic cannot wrap."""
     return tuple(int(v) for v in read_array(fp, (n_fields,), what, dtype="<u4"))
+
+
+def read_file(path, read, **kwargs):
+    """read(fp, **kwargs) over the opened file; a FormatError names the path."""
+    with open(path, "rb") as fp:
+        try:
+            return read(fp, **kwargs)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None

@@ -138,7 +138,11 @@ def _cmd_features(args) -> int:
                 f"{utt.source}: sample rate {clip.sample_rate} does not match "
                 f"the manifest's {manifest.audio_format.sample_rate}"
             )
-        save_features(extract(clip, source=utt), features_path(features_dir, utt.id))
+        try:
+            pair = extract(clip, source=utt)
+        except ValueError as exc:
+            raise EmoverifyError(f"{utt.source}: {exc}") from None
+        save_features(pair, features_path(features_dir, utt.id))
     print(f"wrote {len(manifest.utterances)} feature files")
     return 0
 

@@ -339,9 +339,9 @@ def run_experiment(kind: str, manifest: CorpusManifest, features, cfg: Experimen
     fused pipeline at the eleven grid weights.  Baseline kinds carry the
     two_stage table (worst_case also the one_stage table) plus the t-test
     between per-emotion EER vectors, all on one trial plan.  Each model
-    set is trained once and scored once, every stream of every model, with
-    no fusion weight; every table, comparison and sweep row applies its
-    weights when it decides over those scores.
+    set is trained once and scored once into its own table, every stream
+    of every model, with no fusion weight; every table, comparison and
+    sweep row applies its weights when it decides over those tables.
     Kinds run one after another on the same features mapping with an equal
     config share those model sets and scores, so a paper table trains and
     scores each set once; a new mapping, an edited stream or another
@@ -369,18 +369,18 @@ def run_experiment(kind: str, manifest: CorpusManifest, features, cfg: Experimen
         return once((name, fused), lambda: trainer(
             *common, cfg=cfg.train_config, fused=fused, **(sphmm if fused else {})))
 
-    def scores(name, models, emotion_models=None):
+    def scores(name, models):
         return once(("scores", name), lambda: score_trials(
-            plan, models, emotion_models, manifest, features, trial_cfg))
+            plan, models, manifest, features, trial_cfg))
 
     fused = cfg.stage_b_fused or bool(grid)
     speaker_models = stage_b_set("enroll", enroll, fused)
     plan = trial_plan(manifest, speaker_models.speakers, trial_cfg)
     table = scores(("enroll", fused), speaker_models)
+    stage_a = None
     if "two_stage" in modes:
-        emotion_models = once("stage_a", lambda: train_emotion_models(
-            *common, cfg=cfg.train_config, **sphmm))
-        table = replace(table, emotion=scores("stage_a", None, emotion_models).emotion)
+        stage_a = scores("stage_a", once("stage_a", lambda: train_emotion_models(
+            *common, cfg=cfg.train_config, **sphmm)))
     if "one_stage" in modes:
         pooled = stage_b_set("pooled", enroll_pooled, cfg.stage_b_fused)
         pooled_table = scores(("pooled", cfg.stage_b_fused), pooled)
@@ -388,7 +388,7 @@ def run_experiment(kind: str, manifest: CorpusManifest, features, cfg: Experimen
     def decide(mode, a_alpha=cfg.alpha, b_alpha=speaker_models.alpha):
         if mode == "one_stage":
             return decide_trials(pooled_table, mode, trial_cfg, pooled.alpha)
-        return decide_trials(table, mode, trial_cfg, b_alpha, a_alpha)
+        return decide_trials(table, mode, trial_cfg, b_alpha, stage_a, a_alpha)
 
     records = decide(mode, stage_a_alpha)
     eer_table, det = _tables(records, emotions)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import read_array, read_exact, read_header
+from .binio import read_array, read_exact, read_file, read_header
 from .errors import EmoverifyError, FormatError
 from .frontend import ObservationPair
 
@@ -56,21 +56,21 @@ def save_features(pair: ObservationPair, path) -> None:
 
 
 def load_features(path, source=None) -> ObservationPair:
-    with open(path, "rb") as fp:
-        return read_features(fp, source=source)
+    return read_file(path, read_features, source=source)
 
 
 class FeatureDir:
-    """Mapping-style view of a directory of feature files, keyed by id."""
+    """Mapping-style view of a directory of feature files, keyed by id.
+    Each file is read on its first lookup and its pair kept for the view's life."""
 
     def __init__(self, directory):
         self.directory = Path(directory)
+        self._pairs: dict[str, ObservationPair] = {}
 
     def __getitem__(self, utterance_id: str) -> ObservationPair:
-        path = features_path(self.directory, utterance_id)
-        if not path.exists():
-            raise EmoverifyError(f"missing feature file {path}")
-        return load_features(path, source=utterance_id)
-
-    def __contains__(self, utterance_id: str) -> bool:
-        return features_path(self.directory, utterance_id).exists()
+        if utterance_id not in self._pairs:
+            path = features_path(self.directory, utterance_id)
+            if not path.exists():
+                raise EmoverifyError(f"missing feature file {path}")
+            self._pairs[utterance_id] = load_features(path, source=utterance_id)
+        return self._pairs[utterance_id]

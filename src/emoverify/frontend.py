@@ -108,15 +108,15 @@ def load_wav(path) -> AudioClip:
     try:
         with wave.open(str(path), "rb") as wav:
             if wav.getcomptype() != "NONE":
-                raise FormatError(f"compression={wav.getcomptype()!r} unsupported")
+                raise FormatError(f"{path}: compression={wav.getcomptype()!r} unsupported")
             if wav.getnchannels() != 1:
-                raise FormatError(f"channels={wav.getnchannels()} unsupported")
+                raise FormatError(f"{path}: channels={wav.getnchannels()} unsupported")
             if wav.getsampwidth() != 2:
-                raise FormatError(f"sample_width={wav.getsampwidth() * 8} bits unsupported")
+                raise FormatError(f"{path}: sample_width={wav.getsampwidth() * 8} bits unsupported")
             rate = wav.getframerate()
             raw = wav.readframes(wav.getnframes())
-    except wave.Error as exc:
-        raise FormatError(f"not a readable WAV file: {exc}") from None
+    except (wave.Error, EOFError) as exc:  # EOFError: a file shorter than its RIFF header
+        raise FormatError(f"{path}: not a readable WAV file: {exc}") from None
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return AudioClip(samples, rate)
 

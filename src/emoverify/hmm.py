@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .binio import read_array, read_exact, read_header
+from .binio import read_array, read_exact, read_file, read_header
 from .errors import FormatError
 
 log = logging.getLogger(__name__)
@@ -433,7 +433,6 @@ def init_model(
     n_states: int,
     n_mixtures: int,
     cfg: TrainConfig | None = None,
-    max_skip: int = 1,
 ) -> HmmModel:
     """Flat-start initialization.
 
@@ -441,8 +440,8 @@ def init_model(
     frames of segment j seed state j's GMM through seeded k-means.  If some
     segment pool holds fewer frames than ``n_mixtures``, the mixture count
     is lowered to fit and the reduction logged.  Transitions start at
-    self-loop 0.5 with the remaining mass split over the allowed forward
-    jumps (final state self-loops with probability 1).
+    self-loop 0.5 and next state 0.5 (final state self-loops with
+    probability 1).
     """
     cfg = cfg or TrainConfig()
     if not utterances:
@@ -482,12 +481,9 @@ def init_model(
 
     a = np.zeros((n_states, n_states))
     for i in range(n_states - 1):
-        targets = list(range(i + 1, min(i + max_skip, n_states - 1) + 1))
-        a[i, i] = 0.5
-        for j in targets:
-            a[i, j] = 0.5 / len(targets)
+        a[i, i] = a[i, i + 1] = 0.5
     a[-1, -1] = 1.0
-    return HmmModel(a, tuple(emissions), max_skip=max_skip)
+    return HmmModel(a, tuple(emissions))
 
 
 # ---------------------------------------------------------------------------
@@ -541,5 +537,4 @@ def save_hmm(model: HmmModel, path) -> None:
 
 
 def load_hmm(path) -> HmmModel:
-    with open(path, "rb") as fp:
-        return read_hmm(fp)
+    return read_file(path, read_hmm)

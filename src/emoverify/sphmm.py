@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .binio import read_array, read_exact, read_header
+from .binio import read_array, read_exact, read_file, read_header
 from .errors import FormatError
 from .frontend import ObservationPair
 from .hmm import (
@@ -281,5 +281,4 @@ def save_sphmm(model: SphmmModel, path) -> None:
 
 
 def load_sphmm(path) -> SphmmModel:
-    with open(path, "rb") as fp:
-        return read_sphmm(fp)
+    return read_file(path, read_sphmm)

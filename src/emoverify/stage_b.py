@@ -9,12 +9,12 @@ scores.  A one-stage baseline drops the emotion conditioning: one pooled
 model per speaker, scored against the mean of the other speakers' pooled
 models.
 
-Trials run in two passes.  score_trials keeps every stream score of
-every model a planned utterance meets, acoustic and prosodic apart, and
-takes no fusion weight.  decide_trials applies the weights: it fuses the
-streams at a stage-a and a stage-b weight into one mode's records, so
-every mode and weight over the same models and plan is decided from one
-scoring pass.
+Trials run in two passes.  score_trials scores one model set over a
+trial plan: every stream of every model a planned utterance meets,
+acoustic and prosodic apart, with no fusion weight.  decide_trials fuses
+the stage-b table's streams, and for two_stage the stage-a table's, at
+their weights into one mode's records, so every mode and weight over the
+same models and plan is decided from one scoring pass per model set.
 """
 
 from __future__ import annotations
@@ -279,18 +279,17 @@ def _wrong_emotion(emotion_set: Sequence[str], utt: UtteranceRef, seed: int) -> 
 
 @dataclass(frozen=True)
 class ScoreTable:
-    """(acoustic, prosodic) stream scores of one trial plan, by utterance id.
+    """(acoustic, prosodic) stream scores of one model set over a trial plan.
 
-    speaker[utt][key] is keyed (claimed speaker, emotion), or speaker for
-    PooledSpeakerModels; emotion[utt][e] holds the stage-a models' pairs.
-    Each is empty when that stage was not scored.  The prosodic score is
-    None only for a plain model.
+    scores[utt][key] is keyed (claimed speaker, emotion) for a
+    SpeakerEmotionModelSet, speaker for PooledSpeakerModels and emotion
+    for an EmotionModelSet.  The prosodic score is None only for a plain
+    model.
     """
 
     plan: tuple[tuple[UtteranceRef, str], ...]
     emotion_set: tuple[str, ...]
-    speaker: dict
-    emotion: dict
+    scores: dict
 
 
 # Scoring tasks run in worker processes; the models travel once per worker
@@ -298,70 +297,58 @@ class ScoreTable:
 _WORKER: dict = {}
 
 
-def _init_worker(payload) -> None:
-    _WORKER["payload"] = payload
+def _init_worker(models) -> None:
+    _WORKER["models"] = models
 
 
-def _score_utterance(task):
+def _score_utterance(task, models=None):
+    """One utterance's scores under models, by default the worker's set."""
     utt_id, obs, claims = task
-    models, emotion_models = _WORKER["payload"]
-    speaker, emotion = {}, {}
-    if models is not None:
-        keys = models.models
-        if isinstance(models, SpeakerEmotionModelSet):
-            keys = [(c, e) for c in claims for e in models.emotion_set]
-        speaker = {key: stream_scores(models.models[key], obs) for key in keys}
-    if emotion_models is not None:
-        emotion = {e: stream_scores(m, obs) for e, m in emotion_models.models.items()}
-    return utt_id, speaker, emotion
+    models = models or _WORKER["models"]
+    keys = models.models
+    if isinstance(models, SpeakerEmotionModelSet):
+        keys = [(c, e) for c in claims for e in models.emotion_set]
+    return utt_id, {key: stream_scores(models.models[key], obs) for key in keys}
 
 
 def score_trials(
     plan: Sequence[tuple[UtteranceRef, str]],
     models,
-    emotion_models: EmotionModelSet | None,
     manifest: CorpusManifest,
     features,
     cfg: TrialConfig,
 ) -> ScoreTable:
-    """Scoring pass: each planned utterance read once, scored by every model it meets.
+    """Scoring pass: one model set over each planned utterance, read once.
 
-    A stage is scored exactly when its model set is given: models (the
-    claimants' emotion models or the pooled models) for stage b,
-    emotion_models for stage a.  Every stream of every scored model is
-    kept, so the table decides at any fusion weight.  Results are keyed by
-    utterance, so the worker count never changes the outcome.
+    A SpeakerEmotionModelSet scores the claimed speakers' emotion models
+    only; PooledSpeakerModels and a stage-a EmotionModelSet score every
+    model.  Every stream of every scored model is kept, so the table
+    decides at any fusion weight.  Results are keyed by utterance, so the
+    worker count never changes the outcome.
     """
     claims_by_utt: dict[str, list[str]] = {}
     for utt, claimed in plan:
         claims_by_utt.setdefault(utt.id, []).append(claimed)
     tasks = [(utt_id, features[utt_id], tuple(c)) for utt_id, c in claims_by_utt.items()]
-    payload = (models, emotion_models)
     if cfg.workers == 0 or not tasks:
-        _init_worker(payload)
-        results = [_score_utterance(t) for t in tasks]
+        results = [_score_utterance(t, models) for t in tasks]
     else:
         chunk = max(1, len(tasks) // (4 * cfg.workers))
         with ProcessPoolExecutor(
-            max_workers=cfg.workers, initializer=_init_worker, initargs=(payload,)
+            max_workers=cfg.workers, initializer=_init_worker, initargs=(models,)
         ) as pool:
             results = list(pool.map(_score_utterance, tasks, chunksize=chunk))
-    return ScoreTable(
-        plan=tuple(plan),
-        emotion_set=manifest.emotion_set,
-        speaker={utt_id: speaker for utt_id, speaker, _ in results},
-        emotion={utt_id: emotion for utt_id, _, emotion in results},
-    )
+    return ScoreTable(tuple(plan), manifest.emotion_set, dict(results))
 
 
-def _e_star(table: ScoreTable, mode: str, utt: UtteranceRef, seed: int, emotion_alpha) -> str:
+def _e_star(mode: str, utt: UtteranceRef, seed: int, emotion_set, stage_a, emotion_alpha) -> str:
     if mode == "oracle_emotion":
         return utt.emotion
     if mode == "worst_case":
-        return _wrong_emotion(table.emotion_set, utt, seed)
-    if not table.emotion.get(utt.id) or emotion_alpha is None:
+        return _wrong_emotion(emotion_set, utt, seed)
+    if stage_a is None or not stage_a.scores.get(utt.id) or emotion_alpha is None:
         raise ValueError(f"two_stage mode needs stage-a scores and weight (utterance {utt.id})")
-    scores = _fused(table.emotion[utt.id], emotion_alpha)
+    scores = _fused(stage_a.scores[utt.id], emotion_alpha)
     return max(scores, key=lambda e: scores[e])  # max() keeps the earliest tie
 
 
@@ -370,24 +357,26 @@ def decide_trials(
     mode: str,
     cfg: TrialConfig,
     alpha: float,
+    stage_a: ScoreTable | None = None,
     emotion_alpha: float | None = None,
 ) -> list[TrialRecord]:
-    """Decision pass: one mode's trial records from a scored table.
+    """Decision pass: one mode's trial records from a scored stage-b table.
 
-    alpha fuses the stage-b streams and emotion_alpha the stage-a streams
-    two_stage mode identifies with; the table holds every stream, so any
-    weight decides.  A plain set decides only at weight 0.  A non-finite
-    score or threshold stops the run with an error naming the trial,
-    since dropping the trial would move the error rates unseen.
+    alpha fuses the stage-b streams; two_stage identifies e* from the
+    stage-a table fused at emotion_alpha and is undecidable without both.
+    The tables hold every stream, so any weight decides; a plain set
+    decides only at weight 0.  A non-finite score or threshold stops the
+    run with an error naming the trial, since dropping the trial would
+    move the error rates unseen.
     """
     records: list[TrialRecord] = []
     history: list[float] = []
     for utt, claimed in table.plan:
-        streams = table.speaker[utt.id]
+        streams = table.scores[utt.id]
         if mode == "one_stage":
             e_star, key = "", claimed
         else:
-            e_star = key = _e_star(table, mode, utt, cfg.seed, emotion_alpha)
+            e_star = key = _e_star(mode, utt, cfg.seed, table.emotion_set, stage_a, emotion_alpha)
             streams = {e: streams[claimed, e] for e in table.emotion_set}
         lam = background_ratio(_fused(streams, alpha), key)
         theta = cfg.theta
@@ -429,7 +418,8 @@ def run_trials(
     label once per utterance; one_stage scores PooledSpeakerModels with no
     emotion conditioning (e_star left empty).  The records are a pure
     function of (models, manifest, mode, cfg.seed): the decision pass over
-    the scoring pass, at the model sets' own fusion weights.
+    one scoring pass per model set, stage a only in two_stage mode, at the
+    model sets' own fusion weights.
     """
     cfg = cfg or TrialConfig()
     if mode not in MODES:
@@ -447,12 +437,12 @@ def run_trials(
             raise ValueError("two_stage mode needs stage-a emotion models")
         if emotion_models.emotions != manifest.emotion_set:
             raise ValueError("stage-a and manifest emotion sets differ")
-    else:
-        emotion_models = None
     plan = trial_plan(manifest, models.speakers, cfg)
-    table = score_trials(plan, models, emotion_models, manifest, features, cfg)
-    emotion_alpha = None if emotion_models is None else emotion_models.alpha
-    return decide_trials(table, mode, cfg, models.alpha, emotion_alpha)
+    table = score_trials(plan, models, manifest, features, cfg)
+    if mode != "two_stage":
+        return decide_trials(table, mode, cfg, models.alpha)
+    stage_a = score_trials(plan, emotion_models, manifest, features, cfg)
+    return decide_trials(table, mode, cfg, models.alpha, stage_a, emotion_models.alpha)
 
 
 def write_trials(records: Sequence[TrialRecord], path) -> None:

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emoverify.errors import FormatError
-from emoverify.featureio import read_features, write_features
+from emoverify.featureio import load_features, read_features, write_features
 from emoverify.frontend import ObservationPair
-from emoverify.hmm import GmmEmission, HmmModel, read_hmm, validate, write_hmm
+from emoverify.hmm import GmmEmission, HmmModel, load_hmm, read_hmm, validate, write_hmm
 from emoverify.sphmm import (
     CompositeState,
     SphmmModel,
     SuprasegmentalModel,
+    load_sphmm,
     make_summary_map,
     read_sphmm,
     write_sphmm,
@@ -56,6 +57,9 @@ FILES = {
 }
 
 
+LOADERS = {"emvh": load_hmm, "emvs": load_sphmm, "emvf": load_features}
+
+
 def _valid_hmm(model: HmmModel) -> bool:
     return not validate(model, variance_floor=0.0) and all(
         np.all(np.isfinite(em.means)) and np.all(em.variances > 0) for em in model.emissions
@@ -95,6 +99,15 @@ def test_truncated_file_raises_format_error(kind, cut):
     data, read = FILES[kind]
     with pytest.raises(FormatError):
         read(io.BytesIO(data[: int(cut * len(data))]))
+
+
+@pytest.mark.parametrize("kind", sorted(FILES))
+def test_loader_names_the_failing_file(kind, tmp_path):
+    path = tmp_path / f"cut.{kind}"
+    path.write_bytes(FILES[kind][0][:-3])
+    with pytest.raises(FormatError, match="truncated") as info:
+        LOADERS[kind](path)
+    assert str(info.value).startswith(f"{path}: truncated ")
 
 
 @pytest.mark.parametrize("kind", sorted(FILES))

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from emoverify import cli
+from emoverify import cli, featureio
 from emoverify.cli import CLI_MODES, main
 from emoverify.featureio import FeatureDir
 from emoverify.hmm import GmmEmission, HmmModel, TrainConfig, load_hmm, save_hmm, write_hmm
@@ -248,6 +248,16 @@ class TestEval:
         assert captured.err.startswith("error: imposters_per_utterance")
         assert captured.out == ""
 
+    def test_two_stage_reads_each_feature_file_once(self, workspace, tmp_path, monkeypatch):
+        calls = []
+        real = featureio.load_features
+        monkeypatch.setattr(featureio, "load_features",
+                            lambda path, source=None: calls.append(path) or real(path, source))
+        run_ok(["eval", "--mode", "two_stage", "--manifest", workspace["manifest"],
+                "--features-dir", workspace["features"], "--report-dir", str(tmp_path)]
+               + TRAIN_ARGS)
+        assert len(calls) == len(set(calls)) == 72
+
     def test_sweep_alpha_emits_eleven_rows(self, workspace, tmp_path):
         report = tmp_path / "sweep"
         run_ok(["sweep-alpha", "--manifest", workspace["manifest"],
@@ -326,6 +336,16 @@ class TestFeatures:
         captured = capsys.readouterr()
         assert code == 1
         assert "sample rate" in captured.err
+
+    def test_short_clip_names_its_source(self, tmp_path, capsys):
+        write_wav(tmp_path / "short.wav", seconds=100 / 16000)
+        manifest = self.write_manifest(tmp_path, [("u0", "short.wav", "s1", "calm"),
+                                                  ("u1", "short.wav", "s1", "angry")])
+        code = main(["features", "--manifest", str(manifest),
+                     "--features-dir", str(tmp_path / "feats")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: short.wav: clip of 100 samples is shorter than one frame (256)\n")
 
 
 class TestUsageErrors:

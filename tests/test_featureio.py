@@ -5,8 +5,10 @@ import io
 import numpy as np
 import pytest
 
+from emoverify import featureio
 from emoverify.errors import FormatError
 from emoverify.featureio import (
+    FeatureDir,
     features_path,
     load_features,
     read_features,
@@ -69,3 +71,20 @@ class TestGuards:
         p.write_bytes(p.read_bytes()[:-4])
         with pytest.raises(FormatError, match="truncated"):
             load_features(p)
+
+
+class TestFeatureDir:
+    def test_each_file_is_read_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        for uid in ("u0", "u1"):
+            save_features(sample_pair(rng), features_path(tmp_path, uid))
+        calls = []
+        monkeypatch.setattr(featureio, "load_features",
+                            lambda path, source=None: calls.append(path) or load_features(
+                                path, source=source))
+        view = FeatureDir(tmp_path)
+        first = view["u0"]
+        assert view["u0"] is first and first.source == "u0"
+        view["u1"]
+        view["u1"]
+        assert calls == [features_path(tmp_path, "u0"), features_path(tmp_path, "u1")]

@@ -67,6 +67,14 @@ class TestLoadWav:
         with pytest.raises(FormatError, match="WAV"):
             load_wav(p)
 
+    @pytest.mark.parametrize("data", [b"not audio at all", b"RIFF", b""])
+    def test_rejection_names_the_file(self, tmp_path, data):
+        p = tmp_path / "junk.wav"
+        p.write_bytes(data)
+        with pytest.raises(FormatError) as info:
+            load_wav(p)
+        assert str(info.value).startswith(f"{p}: not a readable WAV file")
+
     def test_full_scale_sine_amplitude(self, tmp_path):
         t = np.arange(RATE) / RATE
         ints = np.round(32767 * np.sin(2 * np.pi * 200.0 * t)).astype("<i2")

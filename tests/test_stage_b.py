@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from corpus_util import make_corpus
-from emoverify import sphmm
+from emoverify import sphmm, stage_b
 from emoverify.evaluation import ALPHA_GRID
 from emoverify.hmm import GmmEmission, HmmModel, TrainConfig, avg_frame_ll
 from emoverify.manifest import CorpusManifest, UtteranceRef, grid_manifest
@@ -509,25 +509,29 @@ class TestRunTrials:
                         "accept", "target")
 
 
-def toy_table():
-    """A plain two-speaker set scored over two test utterances, and the config."""
+def toy_table(models=None):
+    """A model set (by default a plain two-speaker one) scored over two test
+    utterances, and the config."""
     manifest = tiny_manifest([("s1", "a", "train"), ("s1", "b", "train"),
                               ("s2", "a", "train"), ("s2", "b", "train"),
                               ("s2", "a", "test"), ("s1", "b", "test")])
-    models = SpeakerEmotionModelSet(
+    models = models or SpeakerEmotionModelSet(
         ("a", "b"), {(s, e): toy_plain(0.0) for s in ("s1", "s2") for e in ("a", "b")})
     features = {u.id: toy_obs(np.random.default_rng(i)) for i, u in enumerate(manifest.utterances)}
     cfg = TrialConfig()
-    plan = trial_plan(manifest, models.speakers, cfg)
-    return score_trials(plan, models, None, manifest, features, cfg), cfg
+    plan = trial_plan(manifest, ("s1", "s2"), cfg)
+    return score_trials(plan, models, manifest, features, cfg), cfg
 
 
 class TestDecideTrials:
     def test_two_stage_without_stage_a_scores_is_undecidable(self):
         table, cfg = toy_table()
+        stage_a, _ = toy_table(EmotionModelSet({e: toy_plain(0.0) for e in ("a", "b")}))
         assert len(decide_trials(table, "oracle_emotion", cfg, 0.0)) == 4
-        with pytest.raises(ValueError, match="two_stage mode needs stage-a scores"):
-            decide_trials(table, "two_stage", cfg, 0.0, 0.0)
+        assert len(decide_trials(table, "two_stage", cfg, 0.0, stage_a, 0.0)) == 4
+        for missing in ((None, 0.0), (stage_a, None)):
+            with pytest.raises(ValueError, match="two_stage mode needs stage-a scores"):
+                decide_trials(table, "two_stage", cfg, 0.0, *missing)
 
     def test_weight_above_zero_on_a_plain_set_is_undecidable(self):
         table, cfg = toy_table()
@@ -564,13 +568,15 @@ class TestScoreOnceDecideMany:
         plan = trial_plan(manifest, enrolled.speakers, cfg)
         table = score_trials(
             plan, SpeakerEmotionModelSet(manifest.emotion_set, at_alpha(enrolled.models, 0.0)),
-            EmotionModelSet(at_alpha(emotion_models.models, 0.0)), manifest, features, cfg)
-        pooled_table = score_trials(plan, PooledSpeakerModels(at_alpha(pooled.models, 0.0)), None,
+            manifest, features, cfg)
+        stage_a = score_trials(plan, EmotionModelSet(at_alpha(emotion_models.models, 0.0)),
+                               manifest, features, cfg)
+        pooled_table = score_trials(plan, PooledSpeakerModels(at_alpha(pooled.models, 0.0)),
                                     manifest, features, cfg)
         for alpha, a_alpha in zip(ALPHA_GRID, ALPHA_GRID[::-1]):
             speakers = SpeakerEmotionModelSet(manifest.emotion_set, at_alpha(enrolled.models, alpha))
             emotions = EmotionModelSet(at_alpha(emotion_models.models, a_alpha))
-            records = decide_trials(table, "two_stage", cfg, alpha, a_alpha)
+            records = decide_trials(table, "two_stage", cfg, alpha, stage_a, a_alpha)
             assert records == run_trials(speakers, emotions, manifest, features, "two_stage", cfg)
             assert [r.e_star for r in records] == [
                 identify_emotion(emotions, features[u.id])[0] for u, _ in plan]
@@ -578,19 +584,24 @@ class TestScoreOnceDecideMany:
             assert decide_trials(pooled_table, "one_stage", cfg, alpha) == run_trials(
                 one_stage, None, manifest, features, "one_stage", cfg), alpha
 
-    def test_stage_a_alone_scores_no_stage_b_model(self, fused_sets, monkeypatch):
+    def test_stage_a_table_scores_every_emotion_once(self, fused_sets, monkeypatch):
         manifest, features, enrolled, _, emotion_models = fused_sets
         calls = []
         real = sphmm.avg_frame_ll
         monkeypatch.setattr(sphmm, "avg_frame_ll", lambda m, o: calls.append(m) or real(m, o))
         cfg = TrialConfig(seed=3)
         plan = trial_plan(manifest, enrolled.speakers, cfg)
-        table = score_trials(plan, None, emotion_models, manifest, features, cfg)
+        table = score_trials(plan, emotion_models, manifest, features, cfg)
         utt_ids = {u.id for u, _ in plan}
-        assert table.speaker == {u: {} for u in utt_ids}
-        assert all(tuple(table.emotion[u]) == manifest.emotion_set for u in utt_ids)
+        assert set(table.scores) == utt_ids
+        assert all(tuple(table.scores[u]) == manifest.emotion_set for u in utt_ids)
         # both streams of every stage-a model, once per test utterance
         assert len(calls) == 2 * len(emotion_models.models) * len(utt_ids)
+
+    def test_serial_pass_keeps_no_models(self, fused_sets):
+        manifest, features, enrolled, _, emotion_models = fused_sets
+        run_trials(enrolled, emotion_models, manifest, features, "two_stage", TrialConfig(seed=3))
+        assert stage_b._WORKER == {}
 
 
 class TestWriteTrials:
