@@ -17,7 +17,7 @@ other-emotion models.  Submodules:
 
 from .errors import EmoverifyError, FormatError, ManifestError
 from .evaluation import ExperimentConfig, run_experiment, write_report
-from .frontend import AudioClip, FrontendConfig, ObservationPair, extract, load_wav
+from .frontend import AudioClip, ObservationPair, extract, load_wav
 from .manifest import CorpusManifest, UtteranceRef, grid_manifest, load_manifest, save_manifest
 from .synthetic import SyntheticSpec, generate_synthetic
 
@@ -29,7 +29,6 @@ __all__ = [
     "EmoverifyError",
     "ExperimentConfig",
     "FormatError",
-    "FrontendConfig",
     "ManifestError",
     "ObservationPair",
     "SyntheticSpec",

@@ -18,8 +18,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .hmm import TrainConfig
+from .hmm import KMEANS_ITERATIONS, VARIANCE_FLOOR, WEIGHT_FLOOR, TrainConfig
 from .manifest import CorpusManifest
+from .sphmm import DEFAULT_PROSODIC_MIXTURES
 from .stage_a import ConfusionMatrix, tally, train_emotion_models
 from .stage_b import (
     TrialConfig, TrialRecord, decide_trials, enroll, enroll_pooled, score_trials, trial_plan)
@@ -99,13 +100,15 @@ class ExperimentConfig:
     seed overrides both the training seed and the trial-plan seed, so one
     number reproduces a whole run.  workers only changes how scoring is
     scheduled, never what it computes, and is left out of report echoes.
+    The prosodic mixture count, the variance and weight floors and the
+    k-means iteration count are fixed (sphmm.DEFAULT_PROSODIC_MIXTURES and
+    the hmm module's constants); echo still reports them.
     """
 
     n_states: int = 2
     n_mixtures: int = 1
     alpha: float = 0.5
     stage_b_fused: bool = False
-    prosodic_mixtures: int = 2
     composite: bool = True
     theta: float = 0.0
     adapt_window: int | None = None
@@ -115,7 +118,7 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        if self.n_states < 1 or self.n_mixtures < 1 or self.prosodic_mixtures < 1:
+        if self.n_states < 1 or self.n_mixtures < 1:
             raise ValueError("model sizes must be positive")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
@@ -147,16 +150,16 @@ class ExperimentConfig:
             "n_mixtures": self.n_mixtures,
             "alpha": self.alpha,
             "stage_b_fused": self.stage_b_fused,
-            "prosodic_mixtures": self.prosodic_mixtures,
+            "prosodic_mixtures": DEFAULT_PROSODIC_MIXTURES,
             "composite": self.composite,
             "theta": self.theta,
             "adapt_window": self.adapt_window,
             "imposters_per_utterance": self.imposters_per_utterance,
             "max_iterations": self.train.max_iterations,
             "convergence_delta": self.train.convergence_delta,
-            "variance_floor": self.train.variance_floor,
-            "weight_floor": self.train.weight_floor,
-            "kmeans_iterations": self.train.kmeans_iterations,
+            "variance_floor": VARIANCE_FLOOR,
+            "weight_floor": WEIGHT_FLOOR,
+            "kmeans_iterations": KMEANS_ITERATIONS,
             "seed": self.seed,
         }
 
@@ -357,7 +360,7 @@ def run_experiment(kind: str, manifest: CorpusManifest, features, cfg: Experimen
     emotions = manifest.emotion_set
     trial_cfg = cfg.trial_config
     common = (manifest, features, cfg.n_states, cfg.n_mixtures)
-    sphmm = dict(alpha=cfg.alpha, prosodic_mixtures=cfg.prosodic_mixtures, composite=cfg.composite)
+    sphmm = dict(alpha=cfg.alpha, composite=cfg.composite)
     memo = _memo_entries(manifest, features, cfg)
 
     def once(name, build):

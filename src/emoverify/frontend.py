@@ -1,8 +1,10 @@
 """Audio front-end producing the two observation streams.
 
 Per-frame MFCC vectors form the acoustic stream.  A coarser-rate prosodic
-stream summarizes pitch, energy, and duration over blocks of K frames, so
-one prosodic vector spans many acoustic frames.
+stream summarizes pitch, energy, and duration over blocks of BLOCK_SIZE
+frames, so one prosodic vector spans many acoustic frames.  The front end
+is the paper's and fixed: the constants below set it, and the sample rate
+is its only input that varies.
 """
 
 from __future__ import annotations
@@ -15,6 +17,17 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FormatError
+
+PRE_EMPHASIS = 0.97
+FRAME_MS = 16.0
+OVERLAP_MS = 9.0
+N_FILTERS = 24
+N_CEPS = 13  # includes the 0th coefficient
+ENERGY_FLOOR = 1e-10
+BLOCK_SIZE = 10  # acoustic frames per prosodic block
+PITCH_MIN = 60.0
+PITCH_MAX = 400.0
+VOICING_THRESHOLD = 0.3
 
 # prosodic feature columns
 F0_MEAN = 0
@@ -40,40 +53,6 @@ class AudioClip:
             raise ValueError("samples must be one-dimensional")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-
-
-@dataclass(frozen=True)
-class FrontendConfig:
-    pre_emphasis: float = 0.97
-    frame_ms: float = 16.0
-    overlap_ms: float = 9.0
-    n_filters: int = 24
-    n_ceps: int = 13  # includes the 0th coefficient
-    energy_floor: float = 1e-10
-    block_size: int = 10  # acoustic frames per prosodic block
-    pitch_min: float = 60.0
-    pitch_max: float = 400.0
-    voicing_threshold: float = 0.3
-
-    def __post_init__(self):
-        if not 0.0 <= self.pre_emphasis < 1.0:
-            raise ValueError("pre_emphasis must be in [0, 1)")
-        if self.overlap_ms >= self.frame_ms or self.frame_ms <= 0:
-            raise ValueError("overlap must be shorter than the frame")
-        if self.n_ceps > self.n_filters:
-            raise ValueError("n_ceps cannot exceed n_filters")
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
-        if not 0 < self.pitch_min < self.pitch_max:
-            raise ValueError("pitch range must satisfy 0 < min < max")
-        if self.energy_floor <= 0:
-            raise ValueError("energy_floor must be positive")
-
-    def frame_length(self, rate: int) -> int:
-        return round(self.frame_ms * rate / 1000)
-
-    def hop_length(self, rate: int) -> int:
-        return self.frame_length(rate) - round(self.overlap_ms * rate / 1000)
 
 
 @dataclass(frozen=True)
@@ -117,26 +96,37 @@ def load_wav(path) -> AudioClip:
             raw = wav.readframes(wav.getnframes())
     except (wave.Error, EOFError) as exc:  # EOFError: a file shorter than its RIFF header
         raise FormatError(f"{path}: not a readable WAV file: {exc}") from None
+    if rate == 0:
+        raise FormatError(f"{path}: not a readable WAV file: its header declares 0 Hz")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return AudioClip(samples, rate)
 
 
-def frame_signal(clip: AudioClip, cfg: FrontendConfig = FrontendConfig()) -> np.ndarray:
+def frame_signal(clip: AudioClip) -> np.ndarray:
     """Pre-emphasize the whole signal, then slice it into overlapping frames.
 
-    Returns (T, frame_length); any trailing samples short of a full frame
-    are dropped so T depends on the length alone.
+    Frames span round(FRAME_MS * rate / 1000) samples and advance by that
+    less round(OVERLAP_MS * rate / 1000).  Returns (T, frame_length); any
+    trailing samples short of a full frame are dropped so T depends on the
+    length alone.  A rate so low that the hop rounds to 0 samples is a
+    ValueError.
     """
     x = clip.samples
-    frame_len = cfg.frame_length(clip.sample_rate)
-    hop = cfg.hop_length(clip.sample_rate)
+    rate = clip.sample_rate
+    frame_len = round(FRAME_MS * rate / 1000)
+    hop = frame_len - round(OVERLAP_MS * rate / 1000)
+    if hop < 1:
+        raise ValueError(
+            f"sample rate {rate} Hz is too low: {FRAME_MS:g} ms frames with "
+            f"{OVERLAP_MS:g} ms overlap advance by {hop} samples"
+        )
     if x.shape[0] < frame_len:
         raise ValueError(
             f"clip of {x.shape[0]} samples is shorter than one frame ({frame_len})"
         )
     y = np.empty_like(x)
     y[0] = x[0]
-    y[1:] = x[1:] - cfg.pre_emphasis * x[:-1]
+    y[1:] = x[1:] - PRE_EMPHASIS * x[:-1]
     n_frames = (x.shape[0] - frame_len) // hop + 1
     idx = np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]
     return y[idx]
@@ -178,8 +168,8 @@ def _dct_matrix(n_ceps: int, n_filters: int) -> np.ndarray:
     return c
 
 
-def mfcc(frames: np.ndarray, rate: int, cfg: FrontendConfig = FrontendConfig()) -> np.ndarray:
-    """(T, n_ceps) cepstra: Hamming window, magnitude spectrum on a
+def mfcc(frames: np.ndarray, rate: int) -> np.ndarray:
+    """(T, N_CEPS) cepstra: Hamming window, magnitude spectrum on a
     power-of-two FFT, triangular mel filterbank energies, floored log,
     DCT-II.
 
@@ -194,29 +184,29 @@ def mfcc(frames: np.ndarray, rate: int, cfg: FrontendConfig = FrontendConfig()) 
     nfft = _next_pow2(frame_len)
     windowed = frames * np.hamming(frame_len)[None, :]
     mag = np.abs(np.fft.rfft(windowed, nfft, axis=1))
-    energies = (mag * mag) @ _mel_filterbank(cfg.n_filters, nfft, rate).T
-    logmel = np.log(np.maximum(energies, cfg.energy_floor))
+    energies = (mag * mag) @ _mel_filterbank(N_FILTERS, nfft, rate).T
+    logmel = np.log(np.maximum(energies, ENERGY_FLOOR))
 
-    dct = _dct_matrix(cfg.n_ceps, cfg.n_filters)
+    dct = _dct_matrix(N_CEPS, N_FILTERS)
     centered = logmel - logmel.mean(axis=1, keepdims=True)
     centered[logmel.max(axis=1) == logmel.min(axis=1)] = 0.0
-    out = np.empty((frames.shape[0], cfg.n_ceps))
+    out = np.empty((frames.shape[0], N_CEPS))
     out[:, 0] = logmel @ dct[0]
     out[:, 1:] = centered @ dct[1:].T
     return out
 
 
-def _frame_pitch(frame: np.ndarray, rate: int, cfg: FrontendConfig) -> tuple[float, bool]:
+def _frame_pitch(frame: np.ndarray, rate: int) -> tuple[float, bool]:
     """F0 in Hz and a voicing decision for one frame.
 
-    Normalized autocorrelation over the configured lag range; the peak lag
-    is refined by parabolic interpolation.  The lag ceiling is clipped to
-    half the frame, so pitch floors below rate / (frame_length / 2) are not
-    measurable at the configured frame size.
+    Normalized autocorrelation over the lags of PITCH_MIN..PITCH_MAX; the
+    peak lag is refined by parabolic interpolation.  The lag ceiling is
+    clipped to half the frame, so pitch floors below
+    rate / (frame_length / 2) are not measurable at the frame size.
     """
     n = frame.shape[0]
-    lag_lo = max(1, math.floor(rate / cfg.pitch_max))
-    lag_hi = min(math.ceil(rate / cfg.pitch_min), n // 2)
+    lag_lo = max(1, math.floor(rate / PITCH_MAX))
+    lag_hi = min(math.ceil(rate / PITCH_MIN), n // 2)
     if lag_lo > lag_hi:
         return 0.0, False
 
@@ -233,7 +223,7 @@ def _frame_pitch(frame: np.ndarray, rate: int, cfg: FrontendConfig) -> tuple[flo
     window = r[lag_lo - 1 : lag_hi]
     k = lag_lo + int(np.argmax(window))
     peak = r[k - 1]
-    if peak < cfg.voicing_threshold:
+    if peak < VOICING_THRESHOLD:
         return 0.0, False
     delta = 0.0
     if 1 < k < top:
@@ -252,8 +242,8 @@ def _slope(positions: np.ndarray, values: np.ndarray) -> float:
     return float(t @ (values - values.mean()) / (t @ t))
 
 
-def prosody(frames: np.ndarray, rate: int, cfg: FrontendConfig = FrontendConfig()) -> np.ndarray:
-    """(T_p, 7) block summaries with T_p = ceil(T / block_size).
+def prosody(frames: np.ndarray, rate: int) -> np.ndarray:
+    """(T_p, 7) block summaries with T_p = ceil(T / BLOCK_SIZE).
 
     Per block: F0 mean/slope/range over voiced frames (zeros if none),
     log-energy mean/slope over all frames, voiced fraction, duration in
@@ -268,11 +258,11 @@ def prosody(frames: np.ndarray, rate: int, cfg: FrontendConfig = FrontendConfig(
     voiced = np.zeros(t_len, dtype=bool)
     log_e = np.empty(t_len)
     for t in range(t_len):
-        f0[t], voiced[t] = _frame_pitch(frames[t], rate, cfg)
+        f0[t], voiced[t] = _frame_pitch(frames[t], rate)
         rms = math.sqrt(float(np.mean(frames[t] * frames[t])))
-        log_e[t] = math.log(max(rms, cfg.energy_floor))
+        log_e[t] = math.log(max(rms, ENERGY_FLOOR))
 
-    k = cfg.block_size
+    k = BLOCK_SIZE
     n_blocks = -(-t_len // k)
     out = np.zeros((n_blocks, D_PROSODIC))
     for b in range(n_blocks):
@@ -292,11 +282,11 @@ def prosody(frames: np.ndarray, rate: int, cfg: FrontendConfig = FrontendConfig(
     return out
 
 
-def extract(clip: AudioClip, cfg: FrontendConfig = FrontendConfig(), source=None) -> ObservationPair:
+def extract(clip: AudioClip, *, source=None) -> ObservationPair:
     """Full front-end: framing plus both feature streams."""
-    frames = frame_signal(clip, cfg)
+    frames = frame_signal(clip)
     return ObservationPair(
-        acoustic=mfcc(frames, clip.sample_rate, cfg),
-        prosodic=prosody(frames, clip.sample_rate, cfg),
+        acoustic=mfcc(frames, clip.sample_rate),
+        prosodic=prosody(frames, clip.sample_rate),
         source=source,
     )

@@ -20,8 +20,10 @@ from .errors import FormatError
 log = logging.getLogger(__name__)
 
 ROW_SUM_TOL = 1e-9
-DEFAULT_VARIANCE_FLOOR = 1e-4
-DEFAULT_WEIGHT_FLOOR = 1e-8
+# training floors every variance and mixture weight it estimates
+VARIANCE_FLOOR = 1e-4
+WEIGHT_FLOOR = 1e-8
+KMEANS_ITERATIONS = 10
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 _MODEL_MAGIC = b"EMVH"
@@ -105,25 +107,22 @@ class HmmModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs for EM training and k-means initialization."""
+    """EM stopping rule and the k-means seed; the floors and the k-means
+    iteration count are the module constants VARIANCE_FLOOR, WEIGHT_FLOOR
+    and KMEANS_ITERATIONS."""
 
     max_iterations: int = 20
     convergence_delta: float = 1e-4  # per-utterance log-likelihood change
-    variance_floor: float = DEFAULT_VARIANCE_FLOOR
-    weight_floor: float = DEFAULT_WEIGHT_FLOOR
-    kmeans_iterations: int = 10
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations < 1 or self.kmeans_iterations < 1:
-            raise ValueError("iteration counts must be positive")
-        if self.convergence_delta <= 0 or self.variance_floor <= 0 or self.weight_floor <= 0:
-            raise ValueError("convergence delta and floors must be positive")
+        if self.max_iterations < 1 or self.convergence_delta <= 0:
+            raise ValueError("max_iterations and convergence_delta must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
 
-def validate(model: HmmModel, variance_floor: float = DEFAULT_VARIANCE_FLOOR) -> list[str]:
+def validate(model: HmmModel, variance_floor: float = VARIANCE_FLOOR) -> list[str]:
     """Check every model invariant; return the list of violations (empty = ok)."""
     errors = []
     n = model.n_states
@@ -217,8 +216,7 @@ def log_forward(model: HmmModel, obs: np.ndarray) -> float:
 
 def avg_frame_ll(model: HmmModel, obs: np.ndarray) -> float:
     """Per-frame average log-likelihood: log_forward(model, obs) / T."""
-    obs = _check_obs(model, obs)
-    return log_forward(model, obs) / obs.shape[0]
+    return log_forward(model, obs) / len(obs)
 
 
 def viterbi(model: HmmModel, obs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -333,7 +331,6 @@ def _reestimate(
     occ: np.ndarray,
     first: np.ndarray,
     second: np.ndarray,
-    cfg: TrainConfig,
 ) -> HmmModel:
     n = model.n_states
     tiny = 1e-12
@@ -357,7 +354,7 @@ def _reestimate(
         if state_occ <= tiny:
             emissions.append(em)  # state never visited: keep previous parameters
             continue
-        weights = np.maximum(occ[j] / state_occ, cfg.weight_floor)
+        weights = np.maximum(occ[j] / state_occ, WEIGHT_FLOOR)
         weights = weights / weights.sum()
         means = em.means.copy()
         variances = em.variances.copy()
@@ -367,7 +364,7 @@ def _reestimate(
             mu = first[j, k] / occ[j, k]
             var = second[j, k] / occ[j, k] - mu * mu
             means[k] = mu
-            variances[k] = np.maximum(var, cfg.variance_floor)
+            variances[k] = np.maximum(var, VARIANCE_FLOOR)
         emissions.append(GmmEmission(weights, means, variances))
     return HmmModel(new_a, tuple(emissions), max_skip=model.max_skip)
 
@@ -400,7 +397,7 @@ def train_baum_welch(
         first = sum(s[3] for s in per_utt)
         second = sum(s[4] for s in per_utt)
         history.append(total_ll)
-        model = _reestimate(model, trans, occ, first, second, cfg)
+        model = _reestimate(model, trans, occ, first, second)
         if len(history) >= 2 and abs(history[-1] - history[-2]) < cfg.convergence_delta * len(
             utterances
         ):
@@ -468,15 +465,15 @@ def init_model(
     rng = np.random.default_rng(cfg.seed)
     emissions = []
     for seg in segments:
-        centers, labels = _kmeans(seg, m_eff, cfg.kmeans_iterations, rng)
+        centers, labels = _kmeans(seg, m_eff, KMEANS_ITERATIONS, rng)
         weights = np.array([(labels == c).sum() for c in range(m_eff)], dtype=np.float64)
-        weights = np.maximum(weights / weights.sum(), cfg.weight_floor)
+        weights = np.maximum(weights / weights.sum(), WEIGHT_FLOOR)
         weights = weights / weights.sum()
         variances = np.empty((m_eff, dim))
         for c in range(m_eff):
             mask = labels == c
             variances[c] = seg[mask].var(axis=0) if mask.any() else 0.0
-        variances = np.maximum(variances, cfg.variance_floor)
+        variances = np.maximum(variances, VARIANCE_FLOOR)
         emissions.append(GmmEmission(weights, centers, variances))
 
     a = np.zeros((n_states, n_states))

@@ -19,6 +19,7 @@ ROLES = ("claimant", "imposter")
 _EMOTIONS_PRAGMA = "#emotions:"
 _AUDIO_PRAGMA = "#audio:"
 _HEADER = "id,source,speaker,emotion,sentence_group,repetition,split,role"
+GRID_SOURCE = "synthetic"  # the source column of every grid_manifest row
 
 
 @dataclass(frozen=True)
@@ -207,7 +208,6 @@ def grid_manifest(
     n_reps: int = 9,
     train_groups=(1, 2, 3, 4),
     n_claimants: int | None = None,
-    source: str = "synthetic",
 ) -> CorpusManifest:
     """Full factorial manifest: every speaker utters every sentence group in
     every emotion, repeated n_reps times.  The first n_claimants speakers
@@ -230,6 +230,6 @@ def grid_manifest(
                 for r in range(1, n_reps + 1):
                     uid = f"{speaker}_{emotion}_g{g}_r{r}"
                     utterances.append(
-                        UtteranceRef(uid, source, speaker, emotion, g, r, split)
+                        UtteranceRef(uid, GRID_SOURCE, speaker, emotion, g, r, split)
                     )
     return CorpusManifest(tuple(emotion_set), tuple(utterances), roles)

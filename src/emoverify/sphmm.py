@@ -23,6 +23,7 @@ from .binio import read_array, read_exact, read_file, read_header
 from .errors import FormatError
 from .frontend import ObservationPair
 from .hmm import (
+    VARIANCE_FLOOR,
     HmmModel,
     TrainConfig,
     avg_frame_ll,
@@ -217,7 +218,7 @@ def train_sphmm(
         means = np.stack([p.mean(axis=0) for p in prosodics])
         comp = CompositeState(
             means.mean(axis=0),
-            np.maximum(means.var(axis=0), cfg.variance_floor),
+            np.maximum(means.var(axis=0), VARIANCE_FLOOR),
         )
     supra = SuprasegmentalModel(pr_model, make_summary_map(n_states), comp)
     return SphmmModel(ac_model, supra, alpha=alpha)

@@ -21,6 +21,8 @@ from .hmm import GmmEmission, HmmModel, sample_sequence, validate
 from .manifest import DEFAULT_EMOTIONS, CorpusManifest, UtteranceRef, grid_manifest
 from .seeds import derive_seed
 
+SELF_LOOP = 0.8  # every generator state's self-loop probability
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -54,7 +56,6 @@ class SyntheticSpec:
     acoustic_speaker_scale: float = 0.4
     prosodic_emotion_scale: float = 1.0
     prosodic_speaker_scale: float = 1.0
-    self_loop: float = 0.8
     floor_weight: float = 0.0
     floor_scale: float = 6.0
     seed: int = 0
@@ -75,8 +76,6 @@ class SyntheticSpec:
                       self.prosodic_emotion_scale, self.prosodic_speaker_scale):
             if scale < 0:
                 raise ValueError("stream scales must be >= 0")
-        if not 0.0 < self.self_loop < 1.0:
-            raise ValueError("self_loop must be in (0, 1)")
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
         if not 0.0 <= self.floor_weight < 1.0:
@@ -89,11 +88,11 @@ class SyntheticSpec:
         return max(1, math.ceil(self.n_states / 3))
 
 
-def _bakis(n_states: int, self_loop: float) -> np.ndarray:
+def _bakis(n_states: int) -> np.ndarray:
     a = np.zeros((n_states, n_states))
     for i in range(n_states - 1):
-        a[i, i] = self_loop
-        a[i, i + 1] = 1.0 - self_loop
+        a[i, i] = SELF_LOOP
+        a[i, i + 1] = 1.0 - SELF_LOOP
     a[-1, -1] = 1.0
     return a
 
@@ -122,7 +121,7 @@ def _stream_model(spec: SyntheticSpec, stream: str, n_states: int, dim: int,
             means = np.vstack([means, base[i][None, :]])
             variances = np.vstack([variances, np.full((1, dim), spec.floor_scale**2)])
         emissions.append(GmmEmission(weights, means, variances))
-    return HmmModel(_bakis(n_states, spec.self_loop), tuple(emissions))
+    return HmmModel(_bakis(n_states), tuple(emissions))
 
 
 def generator_models(spec: SyntheticSpec) -> dict[tuple[str, str], tuple[HmmModel, HmmModel]]:

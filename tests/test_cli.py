@@ -305,8 +305,8 @@ def write_wav(path, rate=16000, seconds=0.3, seed=0):
 
 
 class TestFeatures:
-    def write_manifest(self, root, rows):
-        lines = ["#emotions: calm,angry", "#audio: 16000,16",
+    def write_manifest(self, root, rows, rate=16000):
+        lines = ["#emotions: calm,angry", f"#audio: {rate},16",
                  "id,source,speaker,emotion,sentence_group,repetition,split,role"]
         lines += [f"{uid},{src},{sp},{emo},1,1,train,claimant" for uid, src, sp, emo in rows]
         path = root / "manifest.csv"
@@ -346,6 +346,17 @@ class TestFeatures:
         assert code == 1
         assert capsys.readouterr().err == (
             "error: short.wav: clip of 100 samples is shorter than one frame (256)\n")
+
+    def test_rate_too_low_to_frame_names_its_source(self, tmp_path, capsys):
+        write_wav(tmp_path / "hum.wav", rate=60, seconds=1.0)
+        manifest = self.write_manifest(tmp_path, [("u0", "hum.wav", "s1", "calm"),
+                                                  ("u1", "hum.wav", "s1", "angry")], rate=60)
+        code = main(["features", "--manifest", str(manifest),
+                     "--features-dir", str(tmp_path / "feats")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: hum.wav: sample rate 60 Hz is too low: "
+            "16 ms frames with 9 ms overlap advance by 0 samples\n")
 
 
 class TestUsageErrors:

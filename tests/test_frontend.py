@@ -1,6 +1,7 @@
 """Front-end tests: WAV loading, framing, MFCC, and prosodic summaries."""
 
 import math
+import struct
 import wave
 
 import numpy as np
@@ -8,14 +9,15 @@ import pytest
 
 from emoverify.errors import FormatError
 from emoverify.frontend import (
+    BLOCK_SIZE,
     DURATION,
     F0_MEAN,
     F0_RANGE,
     F0_SLOPE,
     LOG_ENERGY_MEAN,
+    N_FILTERS,
     VOICED_FRACTION,
     AudioClip,
-    FrontendConfig,
     extract,
     frame_signal,
     _mel_filterbank,
@@ -33,6 +35,14 @@ def write_wav(path, samples_i16, rate=RATE, channels=1, width=2):
         wav.setsampwidth(width)
         wav.setframerate(rate)
         wav.writeframes(samples_i16.tobytes())
+
+
+def wav_bytes(rate, n_samples=4):
+    """A mono 16-bit WAV file image whose header declares any rate, 0 Hz included."""
+    data = bytes(2 * n_samples)
+    fmt = struct.pack("<HHIIHH", 1, 1, rate, 2 * rate, 2, 16)
+    body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", len(data))
+    return b"RIFF" + struct.pack("<I", len(body) + len(data)) + body + data
 
 
 def sine_clip(freq, seconds=1.0, amp=0.5, rate=RATE):
@@ -67,7 +77,8 @@ class TestLoadWav:
         with pytest.raises(FormatError, match="WAV"):
             load_wav(p)
 
-    @pytest.mark.parametrize("data", [b"not audio at all", b"RIFF", b""])
+    @pytest.mark.parametrize("data", [b"not audio at all", b"RIFF", b"",
+                                      pytest.param(wav_bytes(rate=0), id="0hz")])
     def test_rejection_names_the_file(self, tmp_path, data):
         p = tmp_path / "junk.wav"
         p.write_bytes(data)
@@ -106,10 +117,27 @@ class TestFraming:
             frame_signal(AudioClip(np.zeros(100), RATE))
 
     def test_frame_count_formula(self):
-        cfg = FrontendConfig()
         for n in [256, 300, 1000, 5000]:
-            frames = frame_signal(AudioClip(np.zeros(n), RATE), cfg)
+            frames = frame_signal(AudioClip(np.zeros(n), RATE))
             assert frames.shape[0] == (n - 256) // 112 + 1
+
+    def test_8khz_geometry(self):
+        # 16 ms frames of 128 samples, overlapping by 9 ms (72), so a 56-sample hop
+        for n in [128, 500, 8000]:
+            pair = extract(AudioClip(np.random.default_rng(n).normal(0, 0.1, n), 8000))
+            t = (n - 128) // 56 + 1
+            assert pair.acoustic.shape == (t, 13)
+            assert pair.prosodic.shape[0] == math.ceil(t / 10)
+        assert frame_signal(AudioClip(np.zeros(500), 8000)).shape == ((500 - 128) // 56 + 1, 128)
+
+    @pytest.mark.parametrize("rate", [1, 31, 56, 60, 93])
+    def test_rate_with_zero_hop_rejected(self, rate):
+        with pytest.raises(ValueError, match=f"sample rate {rate} Hz is too low"):
+            frame_signal(AudioClip(np.zeros(1000), rate))
+
+    @pytest.mark.parametrize("rate, shape", [(32, (100, 1)), (55, (100, 1)), (94, (99, 2))])
+    def test_lowest_rates_with_a_hop_still_frame(self, rate, shape):
+        assert frame_signal(AudioClip(np.zeros(100), rate)).shape == shape
 
 
 class TestMfcc:
@@ -125,7 +153,6 @@ class TestMfcc:
         assert np.all(np.isfinite(out))
 
     def test_200hz_sine_peaks_at_nearest_filter(self):
-        cfg = FrontendConfig()
         t = np.arange(256) / RATE
         frame = np.sin(2 * np.pi * 200.0 * t)[None, :]
 
@@ -136,11 +163,11 @@ class TestMfcc:
         def hz(m):
             return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
 
-        edges = [hz(mel(RATE / 2) * k / (cfg.n_filters + 1)) for k in range(cfg.n_filters + 2)]
+        edges = [hz(mel(RATE / 2) * k / (N_FILTERS + 1)) for k in range(N_FILTERS + 2)]
         spectrum = np.abs(np.fft.rfft(frame[0] * np.hamming(256), 256)) ** 2
         freqs = np.fft.rfftfreq(256, 1.0 / RATE)
-        oracle = np.zeros(cfg.n_filters)
-        for i in range(cfg.n_filters):
+        oracle = np.zeros(N_FILTERS)
+        for i in range(N_FILTERS):
             lo, ce, hi = edges[i], edges[i + 1], edges[i + 2]
             for f, p in zip(freqs, spectrum):
                 if lo <= f <= ce and ce > lo:
@@ -149,7 +176,7 @@ class TestMfcc:
                     oracle[i] += p * (hi - f) / (hi - ce)
 
         # the pipeline's filterbank; each filter's centre is the bin its row peaks at
-        bank = _mel_filterbank(cfg.n_filters, 256, RATE)
+        bank = _mel_filterbank(N_FILTERS, 256, RATE)
         centers = freqs[np.argmax(bank, axis=1)]
         nearest = int(np.argmin(np.abs(centers - 200.0)))
         assert int(np.argmax(oracle)) == nearest
@@ -183,15 +210,14 @@ class TestProsody:
         assert out[0, DURATION] == 10 and out[1, DURATION] == 2
 
     def test_chirp_has_positive_slope(self):
-        cfg = FrontendConfig()
         n = 256 + 9 * 112  # exactly one block of 10 frames
         t = np.arange(n) / RATE
         dur = n / RATE
         f0, f1 = 150.0, 250.0
         x = np.sin(2 * np.pi * (f0 * t + (f1 - f0) / (2 * dur) * t * t))
-        frames = frame_signal(AudioClip(x, RATE), cfg)
+        frames = frame_signal(AudioClip(x, RATE))
         assert frames.shape[0] == 10
-        out = prosody(frames, RATE, cfg)
+        out = prosody(frames, RATE)
         assert out.shape[0] == 1
 
         # oracle: least-squares slope of the true instantaneous frequency
@@ -236,12 +262,11 @@ class TestExtract:
 
     def test_block_count_law(self):
         rng = np.random.default_rng(8)
-        cfg = FrontendConfig(block_size=10)
         for n in [256, 900, 2500, 7001]:
             clip = AudioClip(rng.normal(0, 0.1, size=n), RATE)
-            pair = extract(clip, cfg)
+            pair = extract(clip)
             t = pair.acoustic.shape[0]
-            assert pair.prosodic.shape[0] == -(-t // cfg.block_size)
+            assert pair.prosodic.shape[0] == -(-t // BLOCK_SIZE)
 
     def test_no_nan_for_odd_inputs(self):
         spike = np.zeros(1000)

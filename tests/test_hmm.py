@@ -9,6 +9,7 @@ from scipy.stats import norm
 
 from emoverify.errors import FormatError
 from emoverify.hmm import (
+    VARIANCE_FLOOR,
     GmmEmission,
     HmmModel,
     TrainConfig,
@@ -289,7 +290,7 @@ class TestDegenerateInputs:
         model, history = train_baum_welch(init_model(utts, 2, 2, cfg), utts, cfg)
         assert validate(model) == [] and np.all(np.isfinite(history))
         for em in model.emissions:
-            assert np.all(em.variances[:, 2] == cfg.variance_floor)
+            assert np.all(em.variances[:, 2] == VARIANCE_FLOOR)
         for u in utts:
             assert np.isfinite(avg_frame_ll(model, u))
 
