@@ -37,7 +37,7 @@ with wave.open(str(path), "wb") as fp:
 clip = load_wav(path)
 print(f"loaded {path.name}: {clip.samples.size} samples at {clip.sample_rate} Hz")
 
-pair = extract(clip, source=path.name)
+pair = extract(clip)
 print(f"acoustic stream: {pair.acoustic.shape} (frames x cepstra)")
 print(f"prosodic stream: {pair.prosodic.shape} (blocks x summaries)")
 

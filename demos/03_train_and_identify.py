@@ -9,7 +9,8 @@ acoustic-only identifier misreads utterances the fused one gets right.
 from dataclasses import replace
 
 from emoverify.hmm import TrainConfig
-from emoverify.stage_a import EmotionModelSet, confusion, identify_emotion, train_emotion_models
+from emoverify.sphmm import ModelSet
+from emoverify.stage_a import confusion, identify_emotion, train_emotion_models
 from emoverify.synthetic import SyntheticSpec, base_manifest, generator_models, synthesize_utterance
 
 spec = SyntheticSpec(
@@ -53,6 +54,6 @@ print()
 print(matrix.to_csv())
 print(f"fused accuracy: {matrix.accuracy:.1f}%")
 
-alpha_zero = EmotionModelSet({e: replace(m, alpha=0.0) for e, m in emotion_models.models.items()})
+alpha_zero = ModelSet({e: replace(m, alpha=0.0) for e, m in emotion_models.models.items()})
 acoustic_only = confusion(alpha_zero, held_out)
 print(f"acoustic-only accuracy: {acoustic_only.accuracy:.1f}%")

@@ -29,10 +29,10 @@ def read_header(fp, n_fields: int, what: str) -> tuple[int, ...]:
     return tuple(int(v) for v in read_array(fp, (n_fields,), what, dtype="<u4"))
 
 
-def read_file(path, read, **kwargs):
-    """read(fp, **kwargs) over the opened file; a FormatError names the path."""
+def read_file(path, read):
+    """read(fp) over the opened file; a FormatError names the path."""
     with open(path, "rb") as fp:
         try:
-            return read(fp, **kwargs)
+            return read(fp)
         except FormatError as exc:
             raise FormatError(f"{path}: {exc}") from None

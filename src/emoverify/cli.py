@@ -30,10 +30,9 @@ from .featureio import FeatureDir, features_path, save_features
 from .frontend import extract, load_wav
 from .hmm import TrainConfig, load_hmm, save_hmm
 from .manifest import CorpusManifest, load_manifest, save_manifest
-from .sphmm import SphmmModel, load_sphmm, save_sphmm
-from .stage_a import EmotionModelSet, confusion, train_emotion_models
+from .sphmm import ModelSet, SphmmModel, load_sphmm, save_sphmm
+from .stage_a import confusion, train_emotion_models
 from .stage_b import (
-    PooledSpeakerModels,
     SpeakerEmotionModelSet,
     TrialConfig,
     enroll,
@@ -71,8 +70,8 @@ def _workers(args) -> int:
         raise EmoverifyError(f"EMOVERIFY_WORKERS must be an integer, got {raw!r}") from None
 
 
-def _emotion_path(models_dir, emotion: str) -> Path:
-    return Path(models_dir) / f"emotion_{emotion}.emvs"
+def _emotion_stems(manifest: CorpusManifest) -> dict[str, str]:
+    return {emotion: f"emotion_{emotion}" for emotion in manifest.emotion_set}
 
 
 def _speaker_stem(speaker: str, emotion: str) -> str:
@@ -90,16 +89,12 @@ def _load_either(models_dir, stem: str) -> SphmmModel:
     raise EmoverifyError(f"missing model file {plain} (or {fused})")
 
 
-def _load_emotion_models(models_dir, manifest: CorpusManifest, alpha: float | None) -> EmotionModelSet:
-    """The stored emotion models, set to stage-a weight alpha unless it is None."""
-    models = {}
-    for emotion in manifest.emotion_set:
-        path = _emotion_path(models_dir, emotion)
-        if not path.exists():
-            raise EmoverifyError(f"missing emotion model {path}")
-        model = load_sphmm(path)
-        models[emotion] = model if alpha is None else replace(model, alpha=alpha)
-    return EmotionModelSet(models)
+def _load_model_set(models_dir, stems: dict, alpha: float | None = None) -> ModelSet:
+    """The stored models of a label -> file stem map, set to weight alpha unless it is None."""
+    models = {label: _load_either(models_dir, stem) for label, stem in stems.items()}
+    if alpha is not None:
+        models = {label: replace(m, alpha=alpha) for label, m in models.items()}
+    return ModelSet(models)
 
 
 def _load_speaker_models(models_dir, manifest: CorpusManifest) -> SpeakerEmotionModelSet:
@@ -108,12 +103,6 @@ def _load_speaker_models(models_dir, manifest: CorpusManifest) -> SpeakerEmotion
         for emotion in manifest.emotion_set:
             models[speaker, emotion] = _load_either(models_dir, _speaker_stem(speaker, emotion))
     return SpeakerEmotionModelSet(manifest.emotion_set, models)
-
-
-def _load_pooled_models(models_dir, manifest: CorpusManifest) -> PooledSpeakerModels:
-    return PooledSpeakerModels(
-        {sp: _load_either(models_dir, f"pooled_{sp}") for sp in manifest.claimants}
-    )
 
 
 def _train_config(args) -> TrainConfig:
@@ -139,7 +128,7 @@ def _cmd_features(args) -> int:
                 f"the manifest's {manifest.audio_format.sample_rate}"
             )
         try:
-            pair = extract(clip, source=utt)
+            pair = extract(clip)
         except ValueError as exc:
             raise EmoverifyError(f"{utt.source}: {exc}") from None
         save_features(pair, features_path(features_dir, utt.id))
@@ -199,8 +188,9 @@ def _cmd_train_emotions(args) -> int:
     )
     models_dir = Path(args.models_dir)
     models_dir.mkdir(parents=True, exist_ok=True)
+    stems = _emotion_stems(manifest)
     for emotion, model in models.models.items():
-        save_sphmm(model, _emotion_path(models_dir, emotion))
+        save_sphmm(model, models_dir / f"{stems[emotion]}.emvs")
     print(f"wrote {len(models.models)} emotion models")
     return 0
 
@@ -245,7 +235,7 @@ def _cmd_identify(args) -> int:
     manifest = load_manifest(args.manifest)
     features = FeatureDir(args.features_dir)
     stage_a_alpha = EXPERIMENTS[_MODES[args.mode]][1]
-    models = _load_emotion_models(args.models_dir, manifest, stage_a_alpha)
+    models = _load_model_set(args.models_dir, _emotion_stems(manifest), stage_a_alpha)
     _echo({"subcommand": "identify", "mode": args.mode, "alpha": models.alpha})
     labeled = ((u.emotion, features[u.id]) for u in manifest.subset(split="test"))
     matrix = confusion(models, labeled)
@@ -278,11 +268,12 @@ def _cmd_trials(args) -> int:
     trial_mode, stage_a_alpha, _ = EXPERIMENTS[_MODES[args.mode]]
     emotion_models = None
     if trial_mode == "one_stage":
-        models = _load_pooled_models(args.models_dir, manifest)
+        models = _load_model_set(args.models_dir, {sp: f"pooled_{sp}" for sp in manifest.claimants})
     else:
         models = _load_speaker_models(args.models_dir, manifest)
         if trial_mode == "two_stage":
-            emotion_models = _load_emotion_models(args.models_dir, manifest, stage_a_alpha)
+            emotion_models = _load_model_set(
+                args.models_dir, _emotion_stems(manifest), stage_a_alpha)
     records = run_trials(models, emotion_models, manifest, features, mode=trial_mode, cfg=cfg)
     report_dir = Path(args.report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)

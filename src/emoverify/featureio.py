@@ -35,7 +35,7 @@ def write_features(fp, pair: ObservationPair) -> None:
     fp.write(pair.prosodic.astype("<f8").tobytes())
 
 
-def read_features(fp, source=None) -> ObservationPair:
+def read_features(fp) -> ObservationPair:
     magic = read_exact(fp, 4, "feature")
     if magic != _MAGIC:
         raise FormatError(f"bad feature magic {magic!r}")
@@ -45,7 +45,7 @@ def read_features(fp, source=None) -> ObservationPair:
     acoustic = read_array(fp, (t, d), "feature")
     prosodic = read_array(fp, (tp, dp), "feature")
     try:
-        return ObservationPair(acoustic, prosodic, source=source)
+        return ObservationPair(acoustic, prosodic)
     except ValueError as exc:
         raise FormatError(f"invalid feature file: {exc}") from None
 
@@ -55,8 +55,8 @@ def save_features(pair: ObservationPair, path) -> None:
         write_features(fp, pair)
 
 
-def load_features(path, source=None) -> ObservationPair:
-    return read_file(path, read_features, source=source)
+def load_features(path) -> ObservationPair:
+    return read_file(path, read_features)
 
 
 class FeatureDir:
@@ -72,5 +72,5 @@ class FeatureDir:
             path = features_path(self.directory, utterance_id)
             if not path.exists():
                 raise EmoverifyError(f"missing feature file {path}")
-            self._pairs[utterance_id] = load_features(path, source=utterance_id)
+            self._pairs[utterance_id] = load_features(path)
         return self._pairs[utterance_id]

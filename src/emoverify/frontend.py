@@ -28,6 +28,7 @@ BLOCK_SIZE = 10  # acoustic frames per prosodic block
 PITCH_MIN = 60.0
 PITCH_MAX = 400.0
 VOICING_THRESHOLD = 0.3
+MIN_FRAME_SAMPLES = 3  # shortest frame whose cepstra vary with the input
 
 # prosodic feature columns
 F0_MEAN = 0
@@ -65,7 +66,6 @@ class ObservationPair:
 
     acoustic: np.ndarray
     prosodic: np.ndarray
-    source: object = None
 
     def __post_init__(self):
         object.__setattr__(self, "acoustic", np.asarray(self.acoustic, dtype=np.float64))
@@ -108,8 +108,10 @@ def frame_signal(clip: AudioClip) -> np.ndarray:
     Frames span round(FRAME_MS * rate / 1000) samples and advance by that
     less round(OVERLAP_MS * rate / 1000).  Returns (T, frame_length); any
     trailing samples short of a full frame are dropped so T depends on the
-    length alone.  A rate so low that the hop rounds to 0 samples is a
-    ValueError.
+    length alone.  A rate so low that the hop rounds to 0 samples, or that
+    a frame holds fewer than MIN_FRAME_SAMPLES samples, is a ValueError:
+    every mel filter has zero weight on the FFT bins of a 1- or 2-sample
+    frame, so its cepstra would be the same floor for any input.
     """
     x = clip.samples
     rate = clip.sample_rate
@@ -119,6 +121,11 @@ def frame_signal(clip: AudioClip) -> np.ndarray:
         raise ValueError(
             f"sample rate {rate} Hz is too low: {FRAME_MS:g} ms frames with "
             f"{OVERLAP_MS:g} ms overlap advance by {hop} samples"
+        )
+    if frame_len < MIN_FRAME_SAMPLES:
+        raise ValueError(
+            f"sample rate {rate} Hz is too low: {FRAME_MS:g} ms frames hold "
+            f"{frame_len} samples, fewer than {MIN_FRAME_SAMPLES}"
         )
     if x.shape[0] < frame_len:
         raise ValueError(
@@ -282,11 +289,10 @@ def prosody(frames: np.ndarray, rate: int) -> np.ndarray:
     return out
 
 
-def extract(clip: AudioClip, *, source=None) -> ObservationPair:
+def extract(clip: AudioClip) -> ObservationPair:
     """Full front-end: framing plus both feature streams."""
     frames = frame_signal(clip)
     return ObservationPair(
         acoustic=mfcc(frames, clip.sample_rate),
         prosodic=prosody(frames, clip.sample_rate),
-        source=source,
     )

@@ -102,6 +102,8 @@ def _validate(manifest: CorpusManifest) -> None:
             raise ManifestError(f"unknown role {role!r}")
     seen: set[str] = set()
     for u in manifest.utterances:
+        if u.id in ("", ".", "..") or "/" in u.id or "\\" in u.id:
+            raise ManifestError(f"utterance id {u.id!r} is not a plain file name")
         if u.id in seen:
             raise ManifestError(f"duplicate utterance id {u.id!r}")
         seen.add(u.id)

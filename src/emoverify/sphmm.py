@@ -8,7 +8,8 @@ single Gaussian; its summary_map is metadata that no score reads.  Scores
 from both streams are averaged per frame before the weighted fusion, so
 the weight mixes commensurate quantities even though the streams run at
 different rates.  SphmmModel is the one type a model set holds: a plain
-(acoustic-only) model has no prosodic stream and weight 0.
+(acoustic-only) model has no prosodic stream and weight 0.  ModelSet is
+the labeled set of them that stage a and the one-stage baseline score.
 """
 
 from __future__ import annotations
@@ -156,17 +157,38 @@ def fuse_scores(alpha: float, acoustic: float, prosodic: float | None) -> float:
     return (1.0 - alpha) * acoustic + alpha * prosodic
 
 
-def shared_alpha(models, what: str) -> float:
-    """The fusion weight a set of one dim and one kind (plain or fused) shares."""
-    models = list(models)
-    if len({m.acoustic.dim for m in models}) != 1:
-        raise ValueError(f"{what} models disagree on feature dim")
-    if len({m.prosodic is None for m in models}) != 1:
-        raise ValueError(f"{what} models mix fused and plain kinds")
-    alphas = {m.alpha for m in models}
-    if len(alphas) != 1:
-        raise ValueError(f"{what} models disagree on alpha")
-    return alphas.pop()
+@dataclass(frozen=True)
+class ModelSet:
+    """Ordered label -> model: at least two, of one feature dim, one kind
+    (plain or fused) and one fusion weight.
+
+    Stage a's set is keyed by emotion and the one-stage baseline's pooled
+    set by speaker; a speaker-emotion set checks its models through one.
+    """
+
+    models: dict[object, SphmmModel]
+
+    def __post_init__(self):
+        if len(self.models) < 2:
+            raise ValueError(f"a model set needs at least 2 models, got {len(self.models)}")
+        self.alpha  # fail fast on mixed dims, kinds or fusion weights
+
+    @property
+    def labels(self) -> tuple:
+        return tuple(self.models)
+
+    @property
+    def alpha(self) -> float:
+        """The fusion weight the models share: 0.0 for plain ones."""
+        models = self.models.values()
+        if len({m.acoustic.dim for m in models}) != 1:
+            raise ValueError("models disagree on feature dim")
+        if len({m.prosodic is None for m in models}) != 1:
+            raise ValueError("models mix fused and plain kinds")
+        alphas = {m.alpha for m in models}
+        if len(alphas) != 1:
+            raise ValueError("models disagree on alpha")
+        return alphas.pop()
 
 
 def stream_scores(model: SphmmModel, obs: ObservationPair) -> tuple[float, float | None]:

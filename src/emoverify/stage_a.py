@@ -1,11 +1,12 @@
 """Emotion identification: one speaker-pooled model per emotion.
 
 Each emotion's model is trained on every speaker's training utterances for
-that emotion.  An utterance is identified as the emotion whose model gives
-the maximal fused score at the models' shared weight alpha.  The
-acoustic-only (HMM) identifier is the same set at alpha 0, whose fused
-score is the acoustic score bit for bit.  Ties go to the earlier emotion in
-the declared order, so results are reproducible.
+that emotion, and the models form one sphmm.ModelSet keyed by emotion.
+An utterance is identified as the emotion whose model gives the maximal
+fused score at the models' shared weight alpha.  The acoustic-only (HMM)
+identifier is the same set at alpha 0, whose fused score is the acoustic
+score bit for bit.  Ties go to the earlier emotion in the declared order,
+so results are reproducible.
 """
 
 from __future__ import annotations
@@ -18,28 +19,8 @@ from .frontend import ObservationPair
 from .hmm import TrainConfig
 from .manifest import CorpusManifest
 from .seeds import derive_seed
-from .sphmm import SphmmModel, score_fused, shared_alpha, train_sphmm
+from .sphmm import ModelSet, SphmmModel, score_fused, train_sphmm
 from .sphmm import score_acoustic  # noqa: F401  benchmark/tracing.py wraps this name
-
-
-@dataclass(frozen=True)
-class EmotionModelSet:
-    """Ordered emotion label -> model; the models share one fusion weight."""
-
-    models: dict[str, SphmmModel]
-
-    def __post_init__(self):
-        if len(self.models) < 2:
-            raise ValueError("need models for at least 2 emotions")
-        self.alpha  # fail fast on mixed dims, kinds or fusion weights
-
-    @property
-    def emotions(self) -> tuple[str, ...]:
-        return tuple(self.models)
-
-    @property
-    def alpha(self) -> float:
-        return shared_alpha(self.models.values(), "emotion")
 
 
 @dataclass(frozen=True)
@@ -92,7 +73,7 @@ def train_emotion_models(
     alpha: float = 0.5,
     cfg: TrainConfig | None = None,
     **train_kwargs,
-) -> EmotionModelSet:
+) -> ModelSet:
     """Train one model per declared emotion on the pooled train split.
 
     features maps utterance id to ObservationPair.  Each emotion trains
@@ -110,11 +91,11 @@ def train_emotion_models(
         models[emotion] = train_sphmm(
             pooled, n_states, n_mixtures, alpha=alpha, cfg=emotion_cfg, **train_kwargs
         )
-    return EmotionModelSet(models)
+    return ModelSet(models)
 
 
 def identify_emotion(
-    models: EmotionModelSet, obs: ObservationPair
+    models: ModelSet, obs: ObservationPair
 ) -> tuple[str, dict[str, float]]:
     """The argmax emotion and the full per-emotion score vector."""
     scores = {emotion: score_fused(model, obs) for emotion, model in models.models.items()}
@@ -139,7 +120,7 @@ def tally(emotions, pairs) -> ConfusionMatrix:
     return matrix
 
 
-def confusion(models: EmotionModelSet, labeled) -> ConfusionMatrix:
+def confusion(models: ModelSet, labeled) -> ConfusionMatrix:
     """Classify (true_emotion, obs) pairs and tally the identifications."""
-    return tally(models.emotions,
+    return tally(models.labels,
                  ((identify_emotion(models, obs)[0], true) for true, obs in labeled))

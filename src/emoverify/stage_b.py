@@ -7,7 +7,9 @@ other-emotion models.  The claim is accepted when the ratio clears the
 threshold, which may optionally track the running mean of recent trial
 scores.  A one-stage baseline drops the emotion conditioning: one pooled
 model per speaker, scored against the mean of the other speakers' pooled
-models.
+models.  The pooled models form a sphmm.ModelSet keyed by speaker, as
+stage a's form one keyed by emotion; a SpeakerEmotionModelSet keys its
+models (speaker, emotion) and checks them through a ModelSet.
 
 Trials run in two passes.  score_trials scores one model set over a
 trial plan: every stream of every model a planned utterance meets,
@@ -31,9 +33,8 @@ from .hmm import TrainConfig, init_model, train_baum_welch
 from .hmm import avg_frame_ll  # noqa: F401  benchmark/tracing.py wraps this name
 from .manifest import CorpusManifest, UtteranceRef
 from .seeds import derive_seed
-from .sphmm import SphmmModel, fuse_scores, shared_alpha, stream_scores, train_sphmm
+from .sphmm import ModelSet, SphmmModel, fuse_scores, stream_scores, train_sphmm
 from .sphmm import score_fused  # noqa: F401  benchmark/tracing.py wraps this name
-from .stage_a import EmotionModelSet
 from .stage_a import identify_emotion  # noqa: F401  benchmark/tracing.py wraps this name
 
 MODES = ("two_stage", "oracle_emotion", "worst_case", "one_stage")
@@ -70,28 +71,7 @@ class SpeakerEmotionModelSet:
     @property
     def alpha(self) -> float:
         """Stage-b fusion weight: the fused models' shared alpha, 0.0 for plain ones."""
-        return shared_alpha(self.models.values(), "enrolled")
-
-
-@dataclass(frozen=True)
-class PooledSpeakerModels:
-    """speaker -> emotion-pooled model, for the one-stage baseline."""
-
-    models: dict[str, SphmmModel]
-
-    def __post_init__(self):
-        if len(self.models) < 2:
-            raise ValueError("need at least 2 pooled speakers for a background")
-        self.alpha  # fail fast on mixed dims, kinds or fusion weights
-
-    @property
-    def speakers(self) -> tuple[str, ...]:
-        return tuple(self.models)
-
-    @property
-    def alpha(self) -> float:
-        """Stage-b fusion weight: the fused models' shared alpha, 0.0 for plain ones."""
-        return shared_alpha(self.models.values(), "pooled")
+        return ModelSet(self.models).alpha
 
 
 @dataclass(frozen=True)
@@ -199,7 +179,7 @@ def enroll_pooled(
     fused: bool = False,
     alpha: float = 0.5,
     **sphmm_kwargs,
-) -> PooledSpeakerModels:
+) -> ModelSet:
     """Train one emotion-pooled model per claimant for the one-stage baseline."""
     groups = {}
     for speaker in manifest.claimants:
@@ -208,7 +188,7 @@ def enroll_pooled(
             raise ValueError(f"speaker {speaker!r} has no training utterances")
         groups[speaker] = (rows, ("pooled", speaker))
     models = _train_models(groups, features, n_states, n_mixtures, cfg, fused, alpha, sphmm_kwargs)
-    return PooledSpeakerModels(models)
+    return ModelSet(models)
 
 
 def background_ratio(scores: Mapping, key) -> float:
@@ -282,9 +262,9 @@ class ScoreTable:
     """(acoustic, prosodic) stream scores of one model set over a trial plan.
 
     scores[utt][key] is keyed (claimed speaker, emotion) for a
-    SpeakerEmotionModelSet, speaker for PooledSpeakerModels and emotion
-    for an EmotionModelSet.  The prosodic score is None only for a plain
-    model.
+    SpeakerEmotionModelSet and by label for a ModelSet: speaker for the
+    pooled set, emotion for the stage-a set.  The prosodic score is None
+    only for a plain model.
     """
 
     plan: tuple[tuple[UtteranceRef, str], ...]
@@ -321,10 +301,10 @@ def score_trials(
     """Scoring pass: one model set over each planned utterance, read once.
 
     A SpeakerEmotionModelSet scores the claimed speakers' emotion models
-    only; PooledSpeakerModels and a stage-a EmotionModelSet score every
-    model.  Every stream of every scored model is kept, so the table
-    decides at any fusion weight.  Results are keyed by utterance, so the
-    worker count never changes the outcome.
+    only; a ModelSet (the pooled or the stage-a set) scores every model.
+    Every stream of every scored model is kept, so the table decides at
+    any fusion weight.  Results are keyed by utterance, so the worker
+    count never changes the outcome.
     """
     claims_by_utt: dict[str, list[str]] = {}
     for utt, claimed in plan:
@@ -405,7 +385,7 @@ def decide_trials(
 
 def run_trials(
     models,
-    emotion_models: EmotionModelSet | None,
+    emotion_models: ModelSet | None,
     manifest: CorpusManifest,
     features,
     mode: str = "two_stage",
@@ -415,7 +395,7 @@ def run_trials(
 
     two_stage identifies each utterance's emotion with the stage-a models;
     oracle_emotion uses the true label; worst_case draws a seeded wrong
-    label once per utterance; one_stage scores PooledSpeakerModels with no
+    label once per utterance; one_stage scores the pooled ModelSet with no
     emotion conditioning (e_star left empty).  The records are a pure
     function of (models, manifest, mode, cfg.seed): the decision pass over
     one scoring pass per model set, stage a only in two_stage mode, at the
@@ -425,19 +405,21 @@ def run_trials(
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "one_stage":
-        if not isinstance(models, PooledSpeakerModels):
-            raise ValueError("one_stage mode needs PooledSpeakerModels")
+        if not isinstance(models, ModelSet) or not set(models.labels) <= set(manifest.speakers):
+            raise ValueError("one_stage mode needs a ModelSet keyed by manifest speakers")
+        speakers = models.labels
     else:
         if not isinstance(models, SpeakerEmotionModelSet):
             raise ValueError(f"{mode} mode needs a SpeakerEmotionModelSet")
         if models.emotion_set != manifest.emotion_set:
             raise ValueError("model and manifest emotion sets differ")
+        speakers = models.speakers
     if mode == "two_stage":
         if emotion_models is None:
             raise ValueError("two_stage mode needs stage-a emotion models")
-        if emotion_models.emotions != manifest.emotion_set:
+        if emotion_models.labels != manifest.emotion_set:
             raise ValueError("stage-a and manifest emotion sets differ")
-    plan = trial_plan(manifest, models.speakers, cfg)
+    plan = trial_plan(manifest, speakers, cfg)
     table = score_trials(plan, models, manifest, features, cfg)
     if mode != "two_stage":
         return decide_trials(table, mode, cfg, models.alpha)

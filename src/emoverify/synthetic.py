@@ -177,7 +177,6 @@ def synthesize_utterance(
     return ObservationPair(
         acoustic=sample_sequence(acoustic_model, t_len, derive_seed(spec.seed, utt.id, "ac")),
         prosodic=sample_sequence(prosodic_model, tp_len, derive_seed(spec.seed, utt.id, "pr")),
-        source=utt,
     )
 
 

@@ -14,8 +14,8 @@ from emoverify.cli import CLI_MODES, main
 from emoverify.featureio import FeatureDir
 from emoverify.hmm import GmmEmission, HmmModel, TrainConfig, load_hmm, save_hmm, write_hmm
 from emoverify.manifest import load_manifest
-from emoverify.sphmm import load_sphmm, write_sphmm
-from emoverify.stage_a import EmotionModelSet, confusion
+from emoverify.sphmm import ModelSet, load_sphmm, write_sphmm
+from emoverify.stage_a import confusion
 from emoverify.stage_b import enroll
 
 # One pipeline workspace shared by the read-only CLI tests below.
@@ -132,7 +132,7 @@ class TestIdentify:
         assert "alpha = 0.0\n" in capsys.readouterr().out
         manifest = load_manifest(workspace["manifest"])
         features = FeatureDir(workspace["features"])
-        alpha_zero = EmotionModelSet({
+        alpha_zero = ModelSet({
             e: replace(load_sphmm(workspace["root"] / "models" / f"emotion_{e}.emvs"), alpha=0.0)
             for e in manifest.emotion_set
         })
@@ -227,6 +227,22 @@ class TestTrials:
         assert captured.err.startswith("error: missing model file")
 
 
+    @pytest.mark.parametrize("command", ["identify", "trials"])
+    def test_missing_emotion_model_is_domain_error(self, workspace, tmp_path, capsys, command):
+        models = tmp_path / "models"
+        shutil.copytree(workspace["models"], models)
+        (models / "emotion_angry.emvs").unlink()
+        report = tmp_path / "report"
+        code = main([command, "--manifest", workspace["manifest"],
+                     "--features-dir", workspace["features"], "--models-dir", str(models),
+                     "--report-dir", str(report), "--mode", "two_stage"])
+        assert code == 1
+        missing = models / "emotion_angry"
+        assert capsys.readouterr().err == (
+            f"error: missing model file {missing}.emvh (or {missing}.emvs)\n")
+        assert not report.exists()
+
+
 class TestEval:
     def test_oracle_experiment_report(self, workspace, tmp_path, capsys):
         report = tmp_path / "report"
@@ -252,7 +268,7 @@ class TestEval:
         calls = []
         real = featureio.load_features
         monkeypatch.setattr(featureio, "load_features",
-                            lambda path, source=None: calls.append(path) or real(path, source))
+                            lambda path: calls.append(path) or real(path))
         run_ok(["eval", "--mode", "two_stage", "--manifest", workspace["manifest"],
                 "--features-dir", workspace["features"], "--report-dir", str(tmp_path)]
                + TRAIN_ARGS)
@@ -357,6 +373,19 @@ class TestFeatures:
         assert capsys.readouterr().err == (
             "error: hum.wav: sample rate 60 Hz is too low: "
             "16 ms frames with 9 ms overlap advance by 0 samples\n")
+
+
+    def test_id_outside_the_features_dir_is_domain_error(self, tmp_path, capsys):
+        write_wav(tmp_path / "u.wav")
+        manifest = self.write_manifest(tmp_path, [("../escaped", "u.wav", "s1", "calm"),
+                                                  ("u1", "u.wav", "s1", "angry")])
+        code = main(["features", "--manifest", str(manifest),
+                     "--features-dir", str(tmp_path / "feats")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "utterance id '../escaped' is not a plain file name" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.csv", "u.wav"]
 
 
 class TestUsageErrors:

@@ -35,13 +35,6 @@ class TestRoundTrip:
     def test_path_naming(self, tmp_path):
         assert features_path(tmp_path, "abc").name == "abc.emvf"
 
-    def test_source_attached_on_load(self, tmp_path):
-        rng = np.random.default_rng(2)
-        p = features_path(tmp_path, "u2")
-        save_features(sample_pair(rng), p)
-        back = load_features(p, source="u2")
-        assert back.source == "u2"
-
     def test_bytes_deterministic(self):
         rng = np.random.default_rng(3)
         pair = sample_pair(rng)
@@ -80,11 +73,10 @@ class TestFeatureDir:
             save_features(sample_pair(rng), features_path(tmp_path, uid))
         calls = []
         monkeypatch.setattr(featureio, "load_features",
-                            lambda path, source=None: calls.append(path) or load_features(
-                                path, source=source))
+                            lambda path: calls.append(path) or load_features(path))
         view = FeatureDir(tmp_path)
         first = view["u0"]
-        assert view["u0"] is first and first.source == "u0"
+        assert view["u0"] is first
         view["u1"]
         view["u1"]
         assert calls == [features_path(tmp_path, "u0"), features_path(tmp_path, "u1")]

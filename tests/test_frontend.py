@@ -135,9 +135,17 @@ class TestFraming:
         with pytest.raises(ValueError, match=f"sample rate {rate} Hz is too low"):
             frame_signal(AudioClip(np.zeros(1000), rate))
 
-    @pytest.mark.parametrize("rate, shape", [(32, (100, 1)), (55, (100, 1)), (94, (99, 2))])
+    @pytest.mark.parametrize("rate", [32, 55, 94, 156])
+    def test_rate_with_frames_under_three_samples_rejected(self, rate):
+        # 1- and 2-sample frames have a hop but give the same cepstra for any input
+        with pytest.raises(ValueError, match=f"^sample rate {rate} Hz is too low: 16 ms frames"):
+            frame_signal(AudioClip(np.zeros(1000), rate))
+
+    @pytest.mark.parametrize("rate, shape", [(157, (49, 3))])
     def test_lowest_rates_with_a_hop_still_frame(self, rate, shape):
         assert frame_signal(AudioClip(np.zeros(100), rate)).shape == shape
+        cepstra = extract(AudioClip(np.random.default_rng(0).normal(0, 0.1, rate), rate)).acoustic
+        assert np.ptp(cepstra[:, 1:], axis=0).max() > 1.0  # the cepstra follow the input
 
 
 class TestMfcc:

@@ -54,6 +54,14 @@ class TestLoad:
         with pytest.raises(ManifestError, match="duplicate"):
             load_manifest(write(tmp_path, bad))
 
+    @pytest.mark.parametrize("uid", ["../x", "a/b", "..", "", ".", "a\\b"])
+    def test_id_that_is_not_a_plain_file_name_rejected(self, tmp_path, uid):
+        # the id names the utterance's feature file, so it must not leave its directory
+        bad = MINIMAL.replace("u1,x.wav", f"{uid},x.wav").replace("s2,angry,2,1,test,imposter",
+                                                                   "s2,angry,2,1,test,claimant")
+        with pytest.raises(ManifestError, match="is not a plain file name"):
+            load_manifest(write(tmp_path, bad))
+
     def test_missing_emotions_pragma(self, tmp_path):
         bad = MINIMAL.split("\n", 1)[1]
         with pytest.raises(ManifestError, match="#emotions"):
@@ -93,6 +101,12 @@ class TestValidation:
     def test_single_emotion_rejected(self):
         with pytest.raises(ManifestError, match="at least 2"):
             CorpusManifest(("neutral",), (), {})
+
+    @pytest.mark.parametrize("uid", ["../x", "a/b", "..", ""])
+    def test_id_that_is_not_a_plain_file_name_rejected(self, uid):
+        u = UtteranceRef(uid, "x", "s1", "neutral", 1, 1, "train")
+        with pytest.raises(ManifestError, match="is not a plain file name"):
+            CorpusManifest(("neutral", "angry"), (u,), {"s1": "claimant"})
 
     def test_unknown_split_rejected(self):
         u = UtteranceRef("u1", "x", "s1", "neutral", 1, 1, "dev")

@@ -12,6 +12,7 @@ from emoverify.frontend import ObservationPair
 from emoverify.hmm import GmmEmission, HmmModel, TrainConfig, avg_frame_ll, log_forward
 from emoverify.sphmm import (
     CompositeState,
+    ModelSet,
     SphmmModel,
     SuprasegmentalModel,
     fuse_scores,
@@ -22,7 +23,6 @@ from emoverify.sphmm import (
     score_acoustic,
     score_fused,
     score_prosodic,
-    shared_alpha,
     stream_scores,
     train_sphmm,
     write_sphmm,
@@ -223,23 +223,29 @@ class TestFusion:
 
 
 class TestSharedAlpha:
+    """ModelSet: the one set check and the fusion weight its models share."""
+
     def test_set_weight(self):
         rng = np.random.default_rng(15)
-        assert shared_alpha([toy_model(rng, alpha=0.25), toy_model(rng, alpha=0.25)], "x") == 0.25
-        plain = [SphmmModel(toy_hmm(rng, 3, 4), None, alpha=0.0) for _ in range(2)]
-        assert shared_alpha(plain, "x") == 0.0
+        fused = ModelSet({"a": toy_model(rng, alpha=0.25), "b": toy_model(rng, alpha=0.25)})
+        assert fused.alpha == 0.25 and fused.labels == ("a", "b")
+        plain = ModelSet({k: SphmmModel(toy_hmm(rng, 3, 4), None, alpha=0.0) for k in "ba"})
+        assert plain.alpha == 0.0 and plain.labels == ("b", "a")
 
     def test_one_check_per_inconsistency(self):
         rng = np.random.default_rng(16)
         fused = toy_model(rng)
         cases = [
-            (SphmmModel(toy_hmm(rng, 3, 5), fused.prosodic), "disagree on feature dim"),
-            (SphmmModel(fused.acoustic, None, alpha=0.0), "mix fused and plain kinds"),
-            (dataclasses.replace(fused, alpha=0.75), "disagree on alpha"),
+            (SphmmModel(toy_hmm(rng, 3, 5), fused.prosodic), "models disagree on feature dim"),
+            (SphmmModel(fused.acoustic, None, alpha=0.0), "models mix fused and plain kinds"),
+            (dataclasses.replace(fused, alpha=0.75), "models disagree on alpha"),
         ]
         for other, message in cases:
-            with pytest.raises(ValueError, match=f"^pooled models {message}$"):
-                shared_alpha([fused, other], "pooled")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                ModelSet({"s1": fused, "s2": other})
+        for too_few in ({}, {"s1": fused}):
+            with pytest.raises(ValueError, match="^a model set needs at least 2 models"):
+                ModelSet(too_few)
 
 
 class TestTraining:

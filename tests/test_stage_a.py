@@ -9,9 +9,9 @@ from corpus_util import make_corpus
 from emoverify.frontend import ObservationPair
 from emoverify.hmm import TrainConfig
 from emoverify.manifest import UtteranceRef
+from emoverify.sphmm import ModelSet
 from emoverify.stage_a import (
     ConfusionMatrix,
-    EmotionModelSet,
     confusion,
     identify_emotion,
     train_emotion_models,
@@ -43,7 +43,7 @@ def separable():
 class TestTraining:
     def test_pooled_counts(self, separable):
         manifest, features, _, models = separable
-        assert models.emotions == manifest.emotion_set
+        assert models.labels == manifest.emotion_set
         # 4 speakers x 1 train group x 3 reps pooled per emotion
         assert len(manifest.subset(split="train", emotion="sad")) == 12
 
@@ -88,7 +88,7 @@ class TestIdentify:
 
     def test_constant_shift_keeps_argmax(self, separable):
         manifest, features, _, models = separable
-        shifted = EmotionModelSet(
+        shifted = ModelSet(
             {
                 e: dataclasses.replace(m, log_priors=(m.log_priors[0] + 3.5,
                                                       m.log_priors[1] + 3.5))
@@ -100,8 +100,8 @@ class TestIdentify:
                 identify_emotion(shifted, features[u.id])[0]
 
     def test_two_emotion_set_minimum(self):
-        with pytest.raises(ValueError, match="2 emotions"):
-            EmotionModelSet({})
+        with pytest.raises(ValueError, match="at least 2"):
+            ModelSet({})
 
 
 class TestConfusion:

@@ -10,12 +10,11 @@ from emoverify import sphmm, stage_b
 from emoverify.evaluation import ALPHA_GRID
 from emoverify.hmm import GmmEmission, HmmModel, TrainConfig, avg_frame_ll
 from emoverify.manifest import CorpusManifest, UtteranceRef, grid_manifest
-from emoverify.sphmm import SphmmModel, SuprasegmentalModel, make_summary_map
-from emoverify.stage_a import EmotionModelSet, identify_emotion, train_emotion_models
+from emoverify.sphmm import ModelSet, SphmmModel, SuprasegmentalModel, make_summary_map
+from emoverify.stage_a import identify_emotion, train_emotion_models
 from emoverify.stage_b import (
     MODES,
     TRIAL_CSV_HEADER,
-    PooledSpeakerModels,
     SpeakerEmotionModelSet,
     TrialConfig,
     TrialRecord,
@@ -174,11 +173,11 @@ class TestModelSets:
             SpeakerEmotionModelSet(("a", "b"), models)
         pooled = {"s1": toy_sphmm(0.0), "s2": dataclasses.replace(toy_sphmm(1.0), alpha=0.75)}
         with pytest.raises(ValueError, match="disagree on alpha"):
-            PooledSpeakerModels(pooled)
+            ModelSet(pooled)
 
     def test_pooled_needs_two_speakers(self):
         with pytest.raises(ValueError, match="at least 2"):
-            PooledSpeakerModels({"s1": toy_plain(0.0)})
+            ModelSet({"s1": toy_plain(0.0)})
 
 
 class TestEnroll:
@@ -404,12 +403,13 @@ class TestRunTrials:
         ):
             run_trials(model_set, None, manifest, features, mode="oracle_emotion")
 
-    def test_mode_validation(self, corpus, enrolled, pooled):
+    def test_mode_validation(self, corpus, enrolled, pooled, emotion_models):
         manifest, features = corpus
         with pytest.raises(ValueError, match="unknown mode"):
             run_trials(enrolled, None, manifest, features, mode="zero_stage")
-        with pytest.raises(ValueError, match="needs PooledSpeakerModels"):
-            run_trials(enrolled, None, manifest, features, mode="one_stage")
+        for not_pooled in (enrolled, emotion_models):  # the stage-a set is keyed by emotion
+            with pytest.raises(ValueError, match="needs a ModelSet keyed by manifest speakers"):
+                run_trials(not_pooled, None, manifest, features, mode="one_stage")
         with pytest.raises(ValueError, match="needs a SpeakerEmotionModelSet"):
             run_trials(pooled, None, manifest, features, mode="oracle_emotion")
         with pytest.raises(ValueError, match="stage-a emotion models"):
@@ -482,7 +482,7 @@ class TestRunTrials:
         for r in records[:5]:
             obs = features[r.utterance.id]
             scores = {s: avg_frame_ll(pooled.models[s].acoustic, obs.acoustic)
-                      for s in pooled.speakers}
+                      for s in pooled.labels}
             assert r.llr == background_ratio(scores, r.claimed_speaker)
 
     def test_threshold_adaptation_replays(self, corpus, enrolled):
@@ -526,7 +526,7 @@ def toy_table(models=None):
 class TestDecideTrials:
     def test_two_stage_without_stage_a_scores_is_undecidable(self):
         table, cfg = toy_table()
-        stage_a, _ = toy_table(EmotionModelSet({e: toy_plain(0.0) for e in ("a", "b")}))
+        stage_a, _ = toy_table(ModelSet({e: toy_plain(0.0) for e in ("a", "b")}))
         assert len(decide_trials(table, "oracle_emotion", cfg, 0.0)) == 4
         assert len(decide_trials(table, "two_stage", cfg, 0.0, stage_a, 0.0)) == 4
         for missing in ((None, 0.0), (stage_a, None)):
@@ -569,18 +569,18 @@ class TestScoreOnceDecideMany:
         table = score_trials(
             plan, SpeakerEmotionModelSet(manifest.emotion_set, at_alpha(enrolled.models, 0.0)),
             manifest, features, cfg)
-        stage_a = score_trials(plan, EmotionModelSet(at_alpha(emotion_models.models, 0.0)),
+        stage_a = score_trials(plan, ModelSet(at_alpha(emotion_models.models, 0.0)),
                                manifest, features, cfg)
-        pooled_table = score_trials(plan, PooledSpeakerModels(at_alpha(pooled.models, 0.0)),
+        pooled_table = score_trials(plan, ModelSet(at_alpha(pooled.models, 0.0)),
                                     manifest, features, cfg)
         for alpha, a_alpha in zip(ALPHA_GRID, ALPHA_GRID[::-1]):
             speakers = SpeakerEmotionModelSet(manifest.emotion_set, at_alpha(enrolled.models, alpha))
-            emotions = EmotionModelSet(at_alpha(emotion_models.models, a_alpha))
+            emotions = ModelSet(at_alpha(emotion_models.models, a_alpha))
             records = decide_trials(table, "two_stage", cfg, alpha, stage_a, a_alpha)
             assert records == run_trials(speakers, emotions, manifest, features, "two_stage", cfg)
             assert [r.e_star for r in records] == [
                 identify_emotion(emotions, features[u.id])[0] for u, _ in plan]
-            one_stage = PooledSpeakerModels(at_alpha(pooled.models, alpha))
+            one_stage = ModelSet(at_alpha(pooled.models, alpha))
             assert decide_trials(pooled_table, "one_stage", cfg, alpha) == run_trials(
                 one_stage, None, manifest, features, "one_stage", cfg), alpha
 
