@@ -3,7 +3,8 @@
 On one tiny seeded corpus (3 speakers x 3 emotions, 18 test utterances)
 the record holds every experiment kind's write_report files, plus a
 fused-stage-b run with an adaptive threshold and two imposter claims per
-utterance, all on single-state models.  It also holds the trials.csv of
+utterance, all on single-state models, and the two_stage and alpha_sweep
+reports again on three-state models.  It also holds the trials.csv of
 every CLI trial mode on stored two-state plain models, and of the
 two_stage and one_stage modes on fused models with that adaptive
 threshold, so the forward recursion is pinned too, and the identify
@@ -71,6 +72,10 @@ FUSED_CFG = replace(BASE_CFG, stage_b_fused=True, adapt_window=3, imposters_per_
 # report case -> (experiment kind, config)
 REPORT_CASES = {kind: (kind, BASE_CFG) for kind in KINDS}
 REPORT_CASES["worst_case_fused_adaptive"] = ("worst_case", FUSED_CFG)
+# multi-state EM, so the forward/backward recursion of training is pinned too
+STATE3_CFG = replace(BASE_CFG, n_states=3)
+REPORT_CASES["two_stage_3state"] = ("two_stage", STATE3_CFG)
+REPORT_CASES["alpha_sweep_3state"] = ("alpha_sweep", STATE3_CFG)
 
 TRAIN_ARGS = ("--states", "2", "--mixtures", "2", "--max-iterations", "3", "--seed", "5")
 FUSED_TRIAL_ARGS = ("--adapt-window", "3", "--imposters-per-utterance", "2")
