@@ -120,6 +120,9 @@ def _cmd_features(args) -> int:
         "features_dir": str(features_dir),
         "sample_rate": manifest.audio_format.sample_rate,
     })
+    # extract every clip before writing any file, so a failing clip leaves
+    # no mix of old and new feature files behind
+    pairs = {}
     for utt in manifest.utterances:
         clip = load_wav(base / utt.source)
         if clip.sample_rate != manifest.audio_format.sample_rate:
@@ -128,10 +131,11 @@ def _cmd_features(args) -> int:
                 f"the manifest's {manifest.audio_format.sample_rate}"
             )
         try:
-            pair = extract(clip)
+            pairs[utt.id] = extract(clip)
         except ValueError as exc:
             raise EmoverifyError(f"{utt.source}: {exc}") from None
-        save_features(pair, features_path(features_dir, utt.id))
+    for uid, pair in pairs.items():
+        save_features(pair, features_path(features_dir, uid))
     print(f"wrote {len(manifest.utterances)} feature files")
     return 0
 

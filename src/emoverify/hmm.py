@@ -12,7 +12,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .binio import read_array, read_exact, read_file, read_header
 from .errors import FormatError
@@ -181,6 +180,39 @@ def _component_log_densities(em: GmmEmission, obs: np.ndarray) -> np.ndarray:
     return log_w[None, :] + log_norm[None, :] - 0.5 * maha
 
 
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) over ``axis`` (None: every axis), computed stably.
+
+    For real float64 input this is SciPy 1.17's ``special.logsumexp`` with
+    ``b=None``, operation for operation, so results match it bit for bit,
+    result type included; only its array-API dispatch is left out.
+    The maximum is shifted out and its ties counted separately
+    (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41(4), 2021); where
+    that gives no finite value, the direct log(sum(exp(a))) is used.
+    """
+    a = np.atleast_1d(a)
+    if axis is None:
+        axis = tuple(range(a.ndim))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
+        i_max = a == a_max
+        masked = a.copy()
+        masked[i_max] = -np.inf
+        m = np.add.reduce(i_max, axis=axis, keepdims=True, dtype=np.float64)
+        s = np.add.reduce(np.exp(masked - a_max), axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        sgn = np.sign(s + 1) * np.sign(m)
+        s = np.where(s < -1, -s - 2, s)
+        out = np.log1p(s) + np.log(np.abs(m)) + a_max
+        out[sgn < 0] = np.nan
+        finite = np.isfinite(out)
+        if not finite.all():
+            direct = np.log(np.add.reduce(np.exp(a), axis=axis, keepdims=True))
+            out = np.where(finite, out, direct)
+    out = out.squeeze(axis=axis)
+    return out[()] if out.ndim == 0 else out
+
+
 def _log_densities(model: HmmModel, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame component log-densities (T, N, M) and state log-densities (T, N)."""
     comp = np.stack([_component_log_densities(em, obs) for em in model.emissions], axis=1)
@@ -302,12 +334,19 @@ def _accumulate_stats(model: HmmModel, obs: np.ndarray, la: np.ndarray):
     n = model.n_states
 
     comp, logb = _log_densities(model, obs)
-    alpha = _forward(logb, la)
-    ll = float(logsumexp(alpha[-1]))
-
     beta = np.zeros((t_len, n))
-    for t in range(t_len - 2, -1, -1):
-        beta[t] = logsumexp(la + (logb[t + 1] + beta[t + 1])[None, :], axis=1)
+    if n == 1 and la[0, 0] == 0.0:
+        # one state that never leaves: both recursions are running sums, the
+        # same additions that a one-element logsumexp (which returns its
+        # input) and a 0.0 log-transition leave the general loops doing
+        alpha = np.cumsum(logb, axis=0)
+        beta[:-1, 0] = np.cumsum(logb[:0:-1, 0])[::-1]
+        ll = float(alpha[-1, 0])
+    else:
+        alpha = _forward(logb, la)
+        ll = float(logsumexp(alpha[-1]))
+        for t in range(t_len - 2, -1, -1):
+            beta[t] = logsumexp(la + (logb[t + 1] + beta[t + 1])[None, :], axis=1)
 
     log_gamma = alpha + beta - ll  # (T, N)
     with np.errstate(invalid="ignore"):

@@ -363,6 +363,18 @@ class TestFeatures:
         assert capsys.readouterr().err == (
             "error: short.wav: clip of 100 samples is shorter than one frame (256)\n")
 
+    def test_failing_clip_writes_no_feature_file(self, tmp_path, capsys):
+        write_wav(tmp_path / "good.wav", seconds=0.5)
+        write_wav(tmp_path / "short.wav", seconds=100 / 16000)
+        manifest = self.write_manifest(tmp_path, [("u0", "good.wav", "s1", "calm"),
+                                                  ("u1", "short.wav", "s1", "angry")])
+        feats = tmp_path / "feats"
+        code = main(["features", "--manifest", str(manifest), "--features-dir", str(feats)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "short.wav" in err
+        assert list(feats.glob("*.emvf")) == []
+
     def test_rate_too_low_to_frame_names_its_source(self, tmp_path, capsys):
         write_wav(tmp_path / "hum.wav", rate=60, seconds=1.0)
         manifest = self.write_manifest(tmp_path, [("u0", "hum.wav", "s1", "calm"),

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import norm
 
+from emoverify import hmm
 from emoverify.errors import FormatError
 from emoverify.hmm import (
     VARIANCE_FLOOR,
@@ -85,6 +86,108 @@ def oracle_scores(model, obs):
             lp += la[path[t - 1], path[t]] + logb[t, path[t]]
         out[path] = lp
     return out
+
+
+def replica_cases(rng, count):
+    """Arrays of 1-3 dims with -inf entries, all--inf slices, tied maxima,
+    integer values and scales from 1 to 1e3."""
+    for i in range(count):
+        shape = tuple(int(d) for d in rng.integers(1, 6, size=int(rng.integers(1, 4))))
+        a = rng.normal(size=shape) * (1.0, 30.0, 1e3)[i % 3]
+        if i % 4 == 0:
+            a = np.round(a)
+        if i % 5 == 0:
+            a[rng.random(shape) < 0.3] = -np.inf
+        if i % 6 == 0:
+            a.flat[int(rng.integers(a.size))] = a.max()
+        if i % 7 == 0:
+            a[..., 0] = -np.inf  # every first element, so 1-wide slices are all -inf
+        if i % 11 == 0:
+            a[...] = -np.inf
+        yield a
+
+
+class TestLogsumexpReplica:
+    """hmm.logsumexp performs SciPy's operations without its dispatch; a
+    SciPy release that computes differently fails here, not in report bytes."""
+
+    @staticmethod
+    def assert_same(a, axis):
+        want = logsumexp(a, axis=axis)
+        got = hmm.logsumexp(a, axis=axis)
+        assert type(got) is type(want), (a, axis)
+        assert np.shape(got) == np.shape(want), (a, axis)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (a, axis, got, want)
+
+    def test_matches_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        for a in replica_cases(rng, 2000):
+            for axis in (None, *range(a.ndim)):
+                self.assert_same(a, axis)
+
+    @pytest.mark.parametrize("a", [
+        np.array([-np.inf]),
+        np.array([-np.inf, -np.inf]),
+        np.array([[-np.inf, 0.0], [-np.inf, -np.inf]]),
+        np.array([3.0, 3.0, 3.0]),
+        np.array([[1.0, 1.0], [2.0, -np.inf]]),
+        np.array([np.inf, 1.0]),
+        np.array([-745.0, -746.0, -800.0]),
+        np.array([2.5]),
+    ], ids=repr)
+    def test_edge_cases_match_scipy(self, a):
+        for axis in (None, *range(a.ndim)):
+            self.assert_same(a, axis)
+
+
+def general_stats(model, obs, la):
+    """_accumulate_stats by the general recursion: hmm._forward, SciPy's
+    logsumexp for the total, and an explicit backward loop."""
+    comp, logb = hmm._log_densities(model, obs)
+    alpha = hmm._forward(logb, la)
+    ll = float(logsumexp(alpha[-1]))
+    beta = np.zeros(logb.shape)
+    for t in range(len(obs) - 2, -1, -1):
+        beta[t] = logsumexp(la + (logb[t + 1] + beta[t + 1])[None, :], axis=1)
+    with np.errstate(invalid="ignore"):
+        log_resp = comp - logb[:, :, None]
+    log_resp[~np.isfinite(logb), :] = -np.inf
+    gamma_m = np.exp((alpha + beta - ll)[:, :, None] + log_resp)
+    trans = np.zeros(la.shape)
+    for t in range(len(obs) - 1):
+        trans += np.exp(alpha[t][:, None] + la + (logb[t + 1] + beta[t + 1])[None, :] - ll)
+    return (ll, trans, gamma_m.sum(axis=0), np.einsum("tnm,td->nmd", gamma_m, obs),
+            np.einsum("tnm,td->nmd", gamma_m, obs * obs))
+
+
+def assert_same_stats(got, want):
+    assert type(got[0]) is float and got[0] == want[0]
+    for g, w in zip(got[1:], want[1:]):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+class TestOneStateEStep:
+    def test_running_sums_equal_the_general_recursion(self):
+        rng = np.random.default_rng(43)
+        for trial in range(40):
+            model = random_model(rng, 1, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+            obs = rng.normal(0.0, 3.0, size=(int(rng.integers(1, 40)), model.dim))
+            la = hmm._log_transitions(model)
+            assert la[0, 0] == 0.0
+            assert_same_stats(hmm._accumulate_stats(model, obs, la), general_stats(model, obs, la))
+
+    def test_inexact_self_loop_takes_the_general_path(self):
+        rng = np.random.default_rng(47)
+        base = random_model(rng, 1, 2, 2)
+        model = HmmModel(np.array([[1.0 - 5e-10]]), base.emissions)
+        assert validate(model) == []
+        la = hmm._log_transitions(model)
+        assert la[0, 0] != 0.0
+        obs = rng.normal(size=(12, 2))
+        got = hmm._accumulate_stats(model, obs, la)
+        assert np.isfinite(got[0])
+        assert_same_stats(got, general_stats(model, obs, la))
+        assert got[0] != hmm._accumulate_stats(base, obs, hmm._log_transitions(base))[0]
 
 
 class TestForwardAgainstEnumeration:

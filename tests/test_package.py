@@ -1,7 +1,39 @@
-"""The package's export list names only what the package defines."""
+"""The package's export list names only what the package defines, and the
+package runs on numpy and the standard library alone."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import emoverify
+
+WITHOUT_SCIPY = """
+import importlib, pkgutil, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import numpy as np
+import emoverify
+for info in pkgutil.walk_packages(emoverify.__path__, "emoverify."):
+    importlib.import_module(info.name)
+from emoverify.hmm import TrainConfig, init_model, log_forward, train_baum_welch
+rng = np.random.default_rng(0)
+utts = [rng.normal(size=(12, 2)) for _ in range(3)]
+cfg = TrainConfig(max_iterations=3)
+model, history = train_baum_welch(init_model(utts, 3, 1, cfg), utts, cfg)
+assert model.n_states == 3 and len(history) >= 2
+assert np.isfinite(log_forward(model, utts[0]))
+print("ok")
+"""
 
 
 def test_every_exported_name_resolves():
     assert [name for name in emoverify.__all__ if not hasattr(emoverify, name)] == []
+
+
+def test_runs_without_scipy():
+    src = str(Path(emoverify.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
