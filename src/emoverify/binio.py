@@ -1,9 +1,12 @@
-"""Checked reads for the little-endian binary files: every declared size is
-checked against the bytes left before anything is read."""
+"""Every file the package writes, and checked reads for its little-endian
+binary files: each declared size is checked against the bytes left before
+anything is read.  A path the locale cannot encode is written in UTF-8."""
 
 from __future__ import annotations
 
+import io
 import math
+import os
 
 import numpy as np
 
@@ -29,10 +32,37 @@ def read_header(fp, n_fields: int, what: str) -> tuple[int, ...]:
     return tuple(int(v) for v in read_array(fp, (n_fields,), what, dtype="<u4"))
 
 
+def _os_path(path):
+    """path itself, or its UTF-8 bytes (the manifest's encoding) where the
+    file system encoding cannot hold it, as under the C locale."""
+    try:
+        os.fsencode(path)
+        return path
+    except UnicodeEncodeError:
+        return os.fspath(path).encode("utf-8", "surrogateescape")
+
+
+def exists(path) -> bool:
+    return os.path.exists(_os_path(path))
+
+
 def read_file(path, read):
     """read(fp) over the opened file; a FormatError names the path."""
-    with open(path, "rb") as fp:
+    with open(_os_path(path), "rb") as fp:
         try:
             return read(fp)
         except FormatError as exc:
             raise FormatError(f"{path}: {exc}") from None
+
+
+def write_file(path, write) -> None:
+    """write(fp) into memory, then the bytes to path; if write raises, path is left as it was."""
+    buf = io.BytesIO()
+    write(buf)
+    with open(_os_path(path), "wb") as fp:
+        fp.write(buf.getvalue())
+
+
+def write_text(path, text: str) -> None:
+    """text to path as UTF-8 with the LF line ends it holds, whatever the locale."""
+    write_file(path, lambda fp: fp.write(text.encode("utf-8")))

@@ -16,6 +16,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .binio import exists, write_text
 from .errors import EmoverifyError
 from .evaluation import (
     CRITICAL_T,
@@ -82,11 +83,19 @@ def _load_either(models_dir, stem: str) -> SphmmModel:
     """Load <stem>.emvs (fused) or <stem>.emvh (plain), whichever exists."""
     fused = Path(models_dir) / f"{stem}.emvs"
     plain = Path(models_dir) / f"{stem}.emvh"
-    if fused.exists():
+    if exists(fused):
         return load_sphmm(fused)
-    if plain.exists():
+    if exists(plain):
         return SphmmModel(load_hmm(plain), None, alpha=0.0)
     raise EmoverifyError(f"missing model file {plain} (or {fused})")
+
+
+def _save_either(model: SphmmModel, models_dir, stem: str) -> None:
+    """Store a model where _load_either finds it: fused in <stem>.emvs, plain in <stem>.emvh."""
+    if model.prosodic is None:
+        save_hmm(model.acoustic, Path(models_dir) / f"{stem}.emvh")
+    else:
+        save_sphmm(model, Path(models_dir) / f"{stem}.emvs")
 
 
 def _load_model_set(models_dir, stems: dict, alpha: float | None = None) -> ModelSet:
@@ -194,7 +203,7 @@ def _cmd_train_emotions(args) -> int:
     models_dir.mkdir(parents=True, exist_ok=True)
     stems = _emotion_stems(manifest)
     for emotion, model in models.models.items():
-        save_sphmm(model, models_dir / f"{stems[emotion]}.emvs")
+        _save_either(model, models_dir, stems[emotion])
     print(f"wrote {len(models.models)} emotion models")
     return 0
 
@@ -211,23 +220,15 @@ def _cmd_train_speakers(args) -> int:
         "max_iterations": args.max_iterations,
         "seed": args.seed,
     })
-    cfg = _train_config(args)
-    speaker_models = enroll(
-        manifest, features, args.states, args.mixtures,
-        cfg=cfg, fused=args.fused, alpha=args.alpha,
-    )
-    pooled = enroll_pooled(
-        manifest, features, args.states, args.mixtures,
-        cfg=cfg, fused=args.fused, alpha=args.alpha,
-    )
+    common = (manifest, features, args.states, args.mixtures)
+    training = dict(cfg=_train_config(args), fused=args.fused, alpha=args.alpha)
+    speaker_models = enroll(*common, **training)
+    pooled = enroll_pooled(*common, **training)
     models_dir = Path(args.models_dir)
     models_dir.mkdir(parents=True, exist_ok=True)
     stems = [(_speaker_stem(*key), m) for key, m in speaker_models.models.items()]
     for stem, model in stems + [(f"pooled_{sp}", m) for sp, m in pooled.models.items()]:
-        if args.fused:
-            save_sphmm(model, models_dir / f"{stem}.emvs")
-        else:  # a plain model is stored as its acoustic stream
-            save_hmm(model.acoustic, models_dir / f"{stem}.emvh")
+        _save_either(model, models_dir, stem)
     print(
         f"wrote {len(speaker_models.models)} speaker-emotion models "
         f"and {len(pooled.models)} pooled models"
@@ -245,8 +246,7 @@ def _cmd_identify(args) -> int:
     matrix = confusion(models, labeled)
     report_dir = Path(args.report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
-    with open(report_dir / "confusion.csv", "w", newline="\n") as fp:
-        fp.write(matrix.to_csv())
+    write_text(report_dir / "confusion.csv", matrix.to_csv())
     print(f"accuracy = {matrix.accuracy!r}")
     return 0
 

@@ -18,6 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .binio import write_text
 from .hmm import KMEANS_ITERATIONS, VARIANCE_FLOOR, WEIGHT_FLOOR, TrainConfig
 from .manifest import CorpusManifest
 from .sphmm import DEFAULT_PROSODIC_MIXTURES
@@ -360,7 +361,7 @@ def run_experiment(kind: str, manifest: CorpusManifest, features, cfg: Experimen
     emotions = manifest.emotion_set
     trial_cfg = cfg.trial_config
     common = (manifest, features, cfg.n_states, cfg.n_mixtures)
-    sphmm = dict(alpha=cfg.alpha, composite=cfg.composite)
+    training = dict(cfg=cfg.train_config, alpha=cfg.alpha, composite=cfg.composite)
     memo = _memo_entries(manifest, features, cfg)
 
     def once(name, build):
@@ -369,8 +370,7 @@ def run_experiment(kind: str, manifest: CorpusManifest, features, cfg: Experimen
         return memo[name]
 
     def stage_b_set(name, trainer, fused):
-        return once((name, fused), lambda: trainer(
-            *common, cfg=cfg.train_config, fused=fused, **(sphmm if fused else {})))
+        return once((name, fused), lambda: trainer(*common, fused=fused, **training))
 
     def scores(name, models):
         return once(("scores", name), lambda: score_trials(
@@ -382,8 +382,8 @@ def run_experiment(kind: str, manifest: CorpusManifest, features, cfg: Experimen
     table = scores(("enroll", fused), speaker_models)
     stage_a = None
     if "two_stage" in modes:
-        stage_a = scores("stage_a", once("stage_a", lambda: train_emotion_models(
-            *common, cfg=cfg.train_config, **sphmm)))
+        stage_a = scores("stage_a", once(
+            "stage_a", lambda: train_emotion_models(*common, **training)))
     if "one_stage" in modes:
         pooled = stage_b_set("pooled", enroll_pooled, cfg.stage_b_fused)
         pooled_table = scores(("pooled", cfg.stage_b_fused), pooled)
@@ -426,39 +426,34 @@ def write_report(report: EvalReport, directory) -> tuple[Path, ...]:
     Every kind gets summary.txt, eer.csv, and one det_<emotion>.csv;
     confusion.csv, eer_<other>.csv, ttests.csv, and alpha_sweep.csv appear
     when the report carries them.  Floats are written in repr form and
-    nothing is timestamped, so equal reports produce equal bytes.
+    nothing is timestamped, so equal reports produce equal bytes.  Every
+    file is formatted before the first is written.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    def emit(name: str, lines: list[str]) -> None:
-        path = directory / name
-        with open(path, "w", newline="\n") as fp:
-            fp.write("\n".join(lines) + "\n")
-        written.append(path)
+    def text(lines: list[str]) -> str:
+        return "\n".join(lines) + "\n"
 
     summary = [f"{key} = {value!r}" for key, value in report.config.items()]
     summary.append(f"average_eer = {report.average_eer!r}")
-    emit("summary.txt", summary)
-    emit("eer.csv", _eer_lines(report.emotions, report.eer_by_emotion))
+    files = {"summary.txt": text(summary),
+             "eer.csv": text(_eer_lines(report.emotions, report.eer_by_emotion))}
     for emotion in report.emotions:
         rows = ["theta,far,frr"]
         rows += [f"{t!r},{fa!r},{fr!r}" for t, fa, fr in report.det_by_emotion[emotion]]
-        emit(f"det_{emotion}.csv", rows)
+        files[f"det_{emotion}.csv"] = text(rows)
     if report.confusion is not None:
-        path = directory / "confusion.csv"
-        with open(path, "w", newline="\n") as fp:
-            fp.write(report.confusion.to_csv())
-        written.append(path)
+        files["confusion.csv"] = report.confusion.to_csv()
     for other, comparison in report.comparisons.items():
-        emit(f"eer_{other}.csv", _eer_lines(report.emotions, comparison))
+        files[f"eer_{other}.csv"] = text(_eer_lines(report.emotions, comparison))
     if report.ttests:
         rows = ["comparison,t,significant,larger"]
         rows += [f"{other},{r.t!r},{r.significant},{r.larger}" for other, r in report.ttests.items()]
-        emit("ttests.csv", rows)
+        files["ttests.csv"] = text(rows)
     if report.alpha_rows:
         rows = ["alpha,average_eer"]
         rows += [f"{a!r},{v!r}" for a, v in report.alpha_rows]
-        emit("alpha_sweep.csv", rows)
-    return tuple(written)
+        files["alpha_sweep.csv"] = text(rows)
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        write_text(directory / name, content)
+    return tuple(directory / name for name in files)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import read_array, read_exact, read_file, read_header
+from .binio import exists, read_array, read_exact, read_file, read_header, write_file
 from .errors import EmoverifyError, FormatError
 from .frontend import ObservationPair
 
@@ -51,8 +51,7 @@ def read_features(fp) -> ObservationPair:
 
 
 def save_features(pair: ObservationPair, path) -> None:
-    with open(path, "wb") as fp:
-        write_features(fp, pair)
+    write_file(path, lambda fp: write_features(fp, pair))
 
 
 def load_features(path) -> ObservationPair:
@@ -70,7 +69,7 @@ class FeatureDir:
     def __getitem__(self, utterance_id: str) -> ObservationPair:
         if utterance_id not in self._pairs:
             path = features_path(self.directory, utterance_id)
-            if not path.exists():
+            if not exists(path):
                 raise EmoverifyError(f"missing feature file {path}")
             self._pairs[utterance_id] = load_features(path)
         return self._pairs[utterance_id]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binio import read_array, read_exact, read_file, read_header
+from .binio import read_array, read_exact, read_file, read_header, write_file
 from .errors import FormatError
 
 log = logging.getLogger(__name__)
@@ -183,9 +183,12 @@ def _component_log_densities(em: GmmEmission, obs: np.ndarray) -> np.ndarray:
 def logsumexp(a, axis=None):
     """log(sum(exp(a))) over ``axis`` (None: every axis), computed stably.
 
-    For real float64 input this is SciPy 1.17's ``special.logsumexp`` with
-    ``b=None``, operation for operation, so results match it bit for bit,
-    result type included; only its array-API dispatch is left out.
+    For real float64 input this gives SciPy 1.17's ``special.logsumexp``
+    with ``b=None`` bit for bit, result type included.  It performs the
+    operations that decide those bits, in SciPy's order, and leaves out
+    the array-API dispatch and the sign and scale guards that are
+    identities for real input: the tie count m is at least 1 unless the
+    maximum is NaN, and the shifted sum s is at least 0 or NaN.
     The maximum is shifted out and its ties counted separately
     (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41(4), 2021); where
     that gives no finite value, the direct log(sum(exp(a))) is used.
@@ -200,11 +203,7 @@ def logsumexp(a, axis=None):
         masked[i_max] = -np.inf
         m = np.add.reduce(i_max, axis=axis, keepdims=True, dtype=np.float64)
         s = np.add.reduce(np.exp(masked - a_max), axis=axis, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        sgn = np.sign(s + 1) * np.sign(m)
-        s = np.where(s < -1, -s - 2, s)
-        out = np.log1p(s) + np.log(np.abs(m)) + a_max
-        out[sgn < 0] = np.nan
+        out = np.log1p(s / m) + np.log(m) + a_max
         finite = np.isfinite(out)
         if not finite.all():
             direct = np.log(np.add.reduce(np.exp(a), axis=axis, keepdims=True))
@@ -380,9 +379,8 @@ def _reestimate(
         total = row.sum()
         if total > tiny:
             new_a[i] = row / total
-    # structural zeros can only shrink (xi is zero outside the Bakis band),
-    # but renormalize defensively and pin the final row
-    new_a[new_a < 0] = 0.0
+    # structural zeros can only shrink (xi is zero outside the Bakis band);
+    # pin the final row and renormalize defensively
     new_a[-1, :] = 0.0
     new_a[-1, -1] = 1.0
     new_a /= new_a.sum(axis=1, keepdims=True)
@@ -568,8 +566,7 @@ def read_hmm(fp) -> HmmModel:
 
 
 def save_hmm(model: HmmModel, path) -> None:
-    with open(path, "wb") as fp:
-        write_hmm(fp, model)
+    write_file(path, lambda fp: write_hmm(fp, model))
 
 
 def load_hmm(path) -> HmmModel:

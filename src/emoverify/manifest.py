@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .binio import write_text
 from .errors import ManifestError
 
 DEFAULT_EMOTIONS = ("neutral", "angry", "sad", "happy", "disgust", "fear")
@@ -199,8 +200,7 @@ def save_manifest(manifest: CorpusManifest, path) -> None:
             f"{u.id},{u.source},{u.speaker_id},{u.emotion},"
             f"{u.sentence_group},{u.repetition},{u.split},{manifest.roles[u.speaker_id]}"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        fp.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def grid_manifest(

@@ -14,13 +14,12 @@ the labeled set of them that stage a and the one-stage baseline score.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .binio import read_array, read_exact, read_file, read_header
+from .binio import read_array, read_exact, read_file, read_header, write_file
 from .errors import FormatError
 from .frontend import ObservationPair
 from .hmm import (
@@ -206,34 +205,28 @@ def score_fused(model: SphmmModel, obs: ObservationPair) -> float:
     return fuse_scores(model.alpha, *stream_scores(model, obs))
 
 
-def train_sphmm(
-    utterances: list[ObservationPair],
-    n_states: int,
-    n_mixtures: int,
-    alpha: float = 0.5,
-    cfg: TrainConfig | None = None,
-    prosodic_mixtures: int = DEFAULT_PROSODIC_MIXTURES,
-    composite: bool = True,
-) -> SphmmModel:
+def _train_stream(streams: list[np.ndarray], n_states: int, n_mixtures: int,
+                  cfg: TrainConfig) -> HmmModel:
+    """Flat-start init, then EM: one stream of one model."""
+    init = init_model(streams, n_states, n_mixtures, cfg)
+    return train_baum_welch(init, streams, cfg)[0]
+
+
+def train_sphmm(utterances: list[ObservationPair], n_states: int, n_mixtures: int,
+                alpha: float = 0.5, cfg: TrainConfig | None = None,
+                composite: bool = True) -> SphmmModel:
     """Train both streams independently and assemble the fused model.
 
     The acoustic model gets n_states states; the prosodic model gets
-    ceil(n_states / 3) states over block-rate vectors, plus (optionally)
-    the composite Gaussian fit to per-utterance prosodic means.
+    ceil(n_states / 3) states of DEFAULT_PROSODIC_MIXTURES components over
+    block-rate vectors, plus (optionally) the composite Gaussian fit to
+    per-utterance prosodic means.
     """
     cfg = cfg or TrainConfig()
-    if not utterances:
-        raise ValueError("training set is empty")
-    acoustics = [u.acoustic for u in utterances]
     prosodics = [u.prosodic for u in utterances]
-
-    ac_init = init_model(acoustics, n_states, n_mixtures, cfg)
-    ac_model, _ = train_baum_welch(ac_init, acoustics, cfg)
-
-    n_supra = math.ceil(n_states / 3)
+    ac_model = _train_stream([u.acoustic for u in utterances], n_states, n_mixtures, cfg)
     pr_cfg = replace(cfg, seed=derive_seed(cfg.seed, "prosodic"))
-    pr_init = init_model(prosodics, n_supra, prosodic_mixtures, pr_cfg)
-    pr_model, _ = train_baum_welch(pr_init, prosodics, pr_cfg)
+    pr_model = _train_stream(prosodics, math.ceil(n_states / 3), DEFAULT_PROSODIC_MIXTURES, pr_cfg)
 
     comp = None
     if composite:
@@ -244,6 +237,29 @@ def train_sphmm(
         )
     supra = SuprasegmentalModel(pr_model, make_summary_map(n_states), comp)
     return SphmmModel(ac_model, supra, alpha=alpha)
+
+
+def train_set(groups: dict, features, n_states: int, n_mixtures: int,
+              cfg: TrainConfig | None = None, fused: bool = True, alpha: float = 0.5,
+              composite: bool = True) -> dict[object, SphmmModel]:
+    """One model per key of groups (key -> (training rows, seed labels)),
+    each seeded from cfg.seed and its labels, so no key perturbs another.
+
+    features maps utterance id to ObservationPair.  A plain model
+    (fused=False ignores alpha and composite) is a fused one's acoustic
+    stream bit for bit.
+    """
+    cfg = cfg or TrainConfig()
+    models = {}
+    for key, (rows, labels) in groups.items():
+        key_cfg = replace(cfg, seed=derive_seed(cfg.seed, *labels))
+        obs = [features[u.id] for u in rows]
+        if fused:
+            models[key] = train_sphmm(obs, n_states, n_mixtures, alpha, key_cfg, composite)
+        else:
+            acoustic = _train_stream([o.acoustic for o in obs], n_states, n_mixtures, key_cfg)
+            models[key] = SphmmModel(acoustic, None, alpha=0.0)
+    return models
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +313,7 @@ def read_sphmm(fp) -> SphmmModel:
 
 
 def save_sphmm(model: SphmmModel, path) -> None:
-    buf = io.BytesIO()
-    write_sphmm(buf, model)  # a refused model leaves no file behind
-    with open(path, "wb") as fp:
-        fp.write(buf.getvalue())
+    write_file(path, lambda fp: write_sphmm(fp, model))
 
 
 def load_sphmm(path) -> SphmmModel:

@@ -11,16 +11,15 @@ so results are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .frontend import ObservationPair
 from .hmm import TrainConfig
 from .manifest import CorpusManifest
-from .seeds import derive_seed
-from .sphmm import ModelSet, SphmmModel, score_fused, train_sphmm
-from .sphmm import score_acoustic  # noqa: F401  benchmark/tracing.py wraps this name
+from .sphmm import ModelSet, score_fused, train_set
+from .sphmm import score_acoustic, train_sphmm  # noqa: F401  benchmark/tracing.py wraps this name
 
 
 @dataclass(frozen=True)
@@ -65,33 +64,22 @@ class ConfusionMatrix:
         return "\n".join(lines) + "\n"
 
 
-def train_emotion_models(
-    manifest: CorpusManifest,
-    features,
-    n_states: int,
-    n_mixtures: int,
-    alpha: float = 0.5,
-    cfg: TrainConfig | None = None,
-    **train_kwargs,
-) -> ModelSet:
-    """Train one model per declared emotion on the pooled train split.
+def train_emotion_models(manifest: CorpusManifest, features, n_states: int, n_mixtures: int,
+                         alpha: float = 0.5, cfg: TrainConfig | None = None,
+                         composite: bool = True) -> ModelSet:
+    """Train one fused model per declared emotion on the pooled train split.
 
     features maps utterance id to ObservationPair.  Each emotion trains
     with its own seed derived from cfg.seed, so adding an emotion never
     perturbs the others.
     """
-    cfg = cfg or TrainConfig()
-    models: dict[str, SphmmModel] = {}
+    groups = {}
     for emotion in manifest.emotion_set:
         rows = manifest.subset(split="train", emotion=emotion)
         if not rows:
             raise ValueError(f"emotion {emotion!r} has no training utterances")
-        pooled = [features[u.id] for u in rows]
-        emotion_cfg = replace(cfg, seed=derive_seed(cfg.seed, "stage_a", emotion))
-        models[emotion] = train_sphmm(
-            pooled, n_states, n_mixtures, alpha=alpha, cfg=emotion_cfg, **train_kwargs
-        )
-    return ModelSet(models)
+        groups[emotion] = (rows, ("stage_a", emotion))
+    return ModelSet(train_set(groups, features, n_states, n_mixtures, cfg, True, alpha, composite))
 
 
 def identify_emotion(

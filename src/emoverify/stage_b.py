@@ -23,18 +23,20 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .binio import write_text
 from .frontend import ObservationPair
-from .hmm import TrainConfig, init_model, train_baum_welch
+from .hmm import TrainConfig
 from .hmm import avg_frame_ll  # noqa: F401  benchmark/tracing.py wraps this name
+from .hmm import init_model, train_baum_welch  # noqa: F401  benchmark/tracing.py wraps this name
 from .manifest import CorpusManifest, UtteranceRef
 from .seeds import derive_seed
-from .sphmm import ModelSet, SphmmModel, fuse_scores, stream_scores, train_sphmm
-from .sphmm import score_fused  # noqa: F401  benchmark/tracing.py wraps this name
+from .sphmm import ModelSet, SphmmModel, fuse_scores, stream_scores, train_set
+from .sphmm import score_fused, train_sphmm  # noqa: F401  benchmark/tracing.py wraps this name
 from .stage_a import identify_emotion  # noqa: F401  benchmark/tracing.py wraps this name
 
 MODES = ("two_stage", "oracle_emotion", "worst_case", "one_stage")
@@ -118,44 +120,16 @@ class TrialRecord:
             raise ValueError("truth contradicts claimed vs true speaker")
 
 
-def _train_models(groups, features, n_states, n_mixtures, cfg, fused, alpha, sphmm_kwargs):
-    """One model per key of groups: key -> (training rows, seed labels)."""
-    if sphmm_kwargs and not fused:
-        raise ValueError("sphmm options need fused=True")
-    cfg = cfg or TrainConfig()
-    models = {}
-    for key, (rows, labels) in groups.items():
-        key_cfg = replace(cfg, seed=derive_seed(cfg.seed, *labels))
-        obs_list = [features[u.id] for u in rows]
-        if fused:
-            models[key] = train_sphmm(
-                obs_list, n_states, n_mixtures, alpha=alpha, cfg=key_cfg, **sphmm_kwargs
-            )
-        else:
-            acoustics = [o.acoustic for o in obs_list]
-            init = init_model(acoustics, n_states, n_mixtures, key_cfg)
-            acoustic, _ = train_baum_welch(init, acoustics, key_cfg)
-            models[key] = SphmmModel(acoustic, None, alpha=0.0)
-    return models
-
-
-def enroll(
-    manifest: CorpusManifest,
-    features,
-    n_states: int,
-    n_mixtures: int,
-    cfg: TrainConfig | None = None,
-    fused: bool = False,
-    alpha: float = 0.5,
-    **sphmm_kwargs,
-) -> SpeakerEmotionModelSet:
+def enroll(manifest: CorpusManifest, features, n_states: int, n_mixtures: int,
+           cfg: TrainConfig | None = None, fused: bool = False, alpha: float = 0.5,
+           composite: bool = True) -> SpeakerEmotionModelSet:
     """Train one model per (claimant, emotion) from that pair's train split.
 
     features maps utterance id to ObservationPair.  Every pair trains with
     its own seed derived from cfg.seed, so the acoustic model of a fused
     enrollment matches the plain enrollment bit for bit.  fused=False
-    (the default) trains acoustic-only models; fused=True trains full
-    two-stream models scored at the given alpha.
+    (the default) trains acoustic-only models, which ignore alpha and
+    composite; fused=True trains full two-stream models scored at alpha.
     """
     if not manifest.claimants:
         raise ValueError("manifest declares no claimants")
@@ -166,20 +140,13 @@ def enroll(
             if not rows:
                 raise ValueError(f"({speaker}, {emotion}) unenrolled")
             groups[speaker, emotion] = (rows, ("stage_b", speaker, emotion))
-    models = _train_models(groups, features, n_states, n_mixtures, cfg, fused, alpha, sphmm_kwargs)
-    return SpeakerEmotionModelSet(manifest.emotion_set, models)
+    return SpeakerEmotionModelSet(manifest.emotion_set, train_set(
+        groups, features, n_states, n_mixtures, cfg, fused, alpha, composite))
 
 
-def enroll_pooled(
-    manifest: CorpusManifest,
-    features,
-    n_states: int,
-    n_mixtures: int,
-    cfg: TrainConfig | None = None,
-    fused: bool = False,
-    alpha: float = 0.5,
-    **sphmm_kwargs,
-) -> ModelSet:
+def enroll_pooled(manifest: CorpusManifest, features, n_states: int, n_mixtures: int,
+                  cfg: TrainConfig | None = None, fused: bool = False, alpha: float = 0.5,
+                  composite: bool = True) -> ModelSet:
     """Train one emotion-pooled model per claimant for the one-stage baseline."""
     groups = {}
     for speaker in manifest.claimants:
@@ -187,8 +154,7 @@ def enroll_pooled(
         if not rows:
             raise ValueError(f"speaker {speaker!r} has no training utterances")
         groups[speaker] = (rows, ("pooled", speaker))
-    models = _train_models(groups, features, n_states, n_mixtures, cfg, fused, alpha, sphmm_kwargs)
-    return ModelSet(models)
+    return ModelSet(train_set(groups, features, n_states, n_mixtures, cfg, fused, alpha, composite))
 
 
 def background_ratio(scores: Mapping, key) -> float:
@@ -446,5 +412,4 @@ def write_trials(records: Sequence[TrialRecord], path) -> None:
                 )
             )
         )
-    with open(path, "w", newline="\n") as fp:
-        fp.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")

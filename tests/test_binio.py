@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from emoverify.errors import FormatError
 from emoverify.featureio import load_features, read_features, write_features
 from emoverify.frontend import ObservationPair
-from emoverify.hmm import GmmEmission, HmmModel, load_hmm, read_hmm, validate, write_hmm
+from emoverify.hmm import GmmEmission, HmmModel, load_hmm, read_hmm, save_hmm, validate, write_hmm
 from emoverify.sphmm import (
     CompositeState,
     SphmmModel,
@@ -170,3 +170,21 @@ def test_custom_variance_floor_models_still_load():
     var = np.full((2, 1, 2), 1e-7)  # below the default training floor
     model = read_hmm(io.BytesIO(_emvh_with(variances=var)))
     assert model.emissions[0].variances[0, 0] == 1e-7
+
+
+def test_refused_save_leaves_no_file_and_keeps_an_old_one(tmp_path):
+    # write_hmm refuses states with different component counts
+    ragged = HmmModel(
+        np.array([[0.5, 0.5], [0.0, 1.0]]),
+        (GmmEmission([0.5, 0.5], np.zeros((2, 1)), np.ones((2, 1))),
+         GmmEmission([1.0], np.zeros((1, 1)), np.ones((1, 1)))),
+    )
+    path = tmp_path / "model.emvh"
+    with pytest.raises(ValueError):
+        save_hmm(ragged, path)
+    assert not path.exists()
+    save_hmm(_hmm(np.random.default_rng(3), 2, 1, 1), path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        save_hmm(ragged, path)
+    assert path.read_bytes() == before

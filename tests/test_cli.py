@@ -1,10 +1,14 @@
 """Command-line subcommands: determinism, exit codes, file outputs."""
 
 import io
+import os
 import re
 import shutil
+import subprocess
+import sys
 import wave
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from emoverify import cli, featureio
 from emoverify.cli import CLI_MODES, main
 from emoverify.featureio import FeatureDir
 from emoverify.hmm import GmmEmission, HmmModel, TrainConfig, load_hmm, save_hmm, write_hmm
-from emoverify.manifest import load_manifest
+from emoverify.manifest import CorpusManifest, load_manifest, save_manifest
 from emoverify.sphmm import ModelSet, load_sphmm, write_sphmm
 from emoverify.stage_a import confusion
 from emoverify.stage_b import enroll
@@ -285,6 +289,49 @@ class TestEval:
         assert [line.split(",")[0] for line in lines[1:]] == [
             "0.0", "0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.8", "0.9", "1.0"
         ]
+
+
+class TestLocale:
+    """Every output is UTF-8 with UTF-8 file names, whatever the locale says."""
+
+    def test_c_locale_writes_the_same_bytes(self, tmp_path):
+        synth = tmp_path / "synth.csv"
+        features = str(tmp_path / "features")
+        models = str(tmp_path / "models")
+        run_ok(["synth", "--manifest", str(synth), "--features-dir", features] + SYNTH_ARGS)
+        ascii_manifest = load_manifest(synth)
+        label = {"angry": "col\u00e8re"}  # the ids stay ASCII
+        manifest = str(tmp_path / "manifest.csv")
+        save_manifest(CorpusManifest(
+            tuple(label.get(e, e) for e in ascii_manifest.emotion_set),
+            tuple(replace(u, emotion=label.get(u.emotion, u.emotion))
+                  for u in ascii_manifest.utterances),
+            dict(ascii_manifest.roles),
+        ), manifest)
+        common = ["--manifest", manifest, "--features-dir", features]
+        run_ok(["train-emotions", "--models-dir", models] + common + TRAIN_ARGS)
+        run_ok(["train-speakers", "--models-dir", models] + common + TRAIN_ARGS)
+        commands = {
+            "eval": ["eval"] + common + TRAIN_ARGS,
+            "trials": ["trials", "--models-dir", models, "--mode", "oracle"] + common,
+            "identify": ["identify", "--models-dir", models] + common,
+        }
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for name, argv in commands.items():
+            run_ok(argv + ["--report-dir", str(tmp_path / "utf8" / name)])
+            done = subprocess.run(
+                [sys.executable, "-m", "emoverify.cli", *argv,
+                 "--report-dir", str(tmp_path / "c" / name)],
+                env=env, capture_output=True, text=True, errors="replace",
+            )
+            assert done.returncode == 0, (name, done.stderr)
+            want = sorted((tmp_path / "utf8" / name).iterdir())
+            got = sorted((tmp_path / "c" / name).iterdir())
+            assert [p.name for p in got] == [p.name for p in want], name
+            assert [p.read_bytes() for p in got] == [p.read_bytes() for p in want], name
+        assert (tmp_path / "c" / "eval" / "det_col\u00e8re.csv").exists()
 
 
 class TestTTest:

@@ -90,7 +90,7 @@ def oracle_scores(model, obs):
 
 def replica_cases(rng, count):
     """Arrays of 1-3 dims with -inf entries, all--inf slices, tied maxima,
-    integer values and scales from 1 to 1e3."""
+    integer values, scales from 1 to 1e3, and NaN, +inf and +-1e308 entries."""
     for i in range(count):
         shape = tuple(int(d) for d in rng.integers(1, 6, size=int(rng.integers(1, 4))))
         a = rng.normal(size=shape) * (1.0, 30.0, 1e3)[i % 3]
@@ -104,6 +104,8 @@ def replica_cases(rng, count):
             a[..., 0] = -np.inf  # every first element, so 1-wide slices are all -inf
         if i % 11 == 0:
             a[...] = -np.inf
+        if i % 8 == 0:
+            a.flat[int(rng.integers(a.size))] = (np.nan, np.inf, 1e308, -1e308)[i // 8 % 4]
         yield a
 
 
@@ -113,7 +115,8 @@ class TestLogsumexpReplica:
 
     @staticmethod
     def assert_same(a, axis):
-        want = logsumexp(a, axis=axis)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, 1e308 - -1e308
+            want = logsumexp(a, axis=axis)
         got = hmm.logsumexp(a, axis=axis)
         assert type(got) is type(want), (a, axis)
         assert np.shape(got) == np.shape(want), (a, axis)

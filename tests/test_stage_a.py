@@ -1,6 +1,7 @@
 """Emotion identification over synthetic corpora with known generators."""
 
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from corpus_util import make_corpus
 from emoverify.frontend import ObservationPair
 from emoverify.hmm import TrainConfig
 from emoverify.manifest import UtteranceRef
-from emoverify.sphmm import ModelSet
+from emoverify.seeds import derive_seed
+from emoverify.sphmm import ModelSet, train_sphmm, write_sphmm
 from emoverify.stage_a import (
     ConfusionMatrix,
     confusion,
@@ -55,6 +57,18 @@ class TestTraining:
         )
         with pytest.raises(ValueError, match="fear"):
             train_emotion_models(trimmed, features, 1, 1, cfg=FAST)
+
+    def test_each_model_trains_on_its_emotion_with_its_own_seed(self, separable):
+        # the seed labels ("stage_a", emotion) are what the golden record pins
+        manifest, features, _, models = separable
+        for emotion in manifest.emotion_set:
+            rows = manifest.subset(split="train", emotion=emotion)
+            cfg = dataclasses.replace(FAST, seed=derive_seed(FAST.seed, "stage_a", emotion))
+            want = train_sphmm([features[u.id] for u in rows], 1, 1, cfg=cfg)
+            got, expected = io.BytesIO(), io.BytesIO()
+            write_sphmm(got, models.models[emotion])
+            write_sphmm(expected, want)
+            assert got.getvalue() == expected.getvalue(), emotion
 
     def test_own_emotion_scores_higher_on_average(self, separable):
         manifest, features, _, models = separable
@@ -164,7 +178,7 @@ class TestChanceLevel:
         manifest, features, _ = make_corpus(spec)
         models = train_emotion_models(manifest, features, 1, 1,
                                       cfg=TrainConfig(max_iterations=2, seed=3),
-                                      prosodic_mixtures=1, composite=False)
+                                      composite=False)
         labeled = [(u.emotion, features[u.id]) for u in manifest.subset(split="test")]
         m = len(manifest.emotion_set)
         assert len(labeled) == 600 * m

@@ -1,6 +1,7 @@
 """Verification trials: enrollment, ratio arithmetic, plans, execution."""
 
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from corpus_util import make_corpus
 from emoverify import sphmm, stage_b
 from emoverify.evaluation import ALPHA_GRID
-from emoverify.hmm import GmmEmission, HmmModel, TrainConfig, avg_frame_ll
+from emoverify.hmm import GmmEmission, HmmModel, TrainConfig, avg_frame_ll, write_hmm
 from emoverify.manifest import CorpusManifest, UtteranceRef, grid_manifest
 from emoverify.sphmm import ModelSet, SphmmModel, SuprasegmentalModel, make_summary_map
 from emoverify.stage_a import identify_emotion, train_emotion_models
@@ -32,6 +33,12 @@ from emoverify.stage_b import (
 from emoverify.synthetic import SyntheticSpec
 
 FAST = TrainConfig(max_iterations=3, seed=7)
+
+
+def hmm_bytes(model):
+    buf = io.BytesIO()
+    write_hmm(buf, model)
+    return buf.getvalue()
 
 # Strong speaker and emotion separation so score orderings are decisive.
 # The shared floor component keeps background scores from tracking speaker
@@ -210,28 +217,33 @@ class TestEnroll:
         with pytest.raises(ValueError, match=r"\(S07, b\) unenrolled"):
             enroll(manifest, RecordingFeatures(), n_states=1, n_mixtures=1, cfg=FAST)
 
-    def test_fused_enrollment_shares_acoustic_model(self, corpus):
+    @pytest.mark.parametrize("trainer", [enroll, enroll_pooled], ids=lambda f: f.__name__)
+    def test_fused_enrollment_shares_acoustic_model(self, corpus, trainer):
         manifest, features = corpus
-        claimant = manifest.claimants[0]
-        emotion = manifest.emotion_set[0]
+        claimants = manifest.claimants[:2]
         sub = CorpusManifest(
             manifest.emotion_set,
-            manifest.subset(speaker=claimant),
-            {claimant: "claimant"},
+            tuple(u for u in manifest.utterances if u.speaker_id in claimants),
+            {c: "claimant" for c in claimants},
         )
-        plain = enroll(sub, features, n_states=1, n_mixtures=1, cfg=FAST)
-        fused = enroll(sub, features, n_states=1, n_mixtures=1, cfg=FAST, fused=True)
+        plain = trainer(sub, features, n_states=1, n_mixtures=1, cfg=FAST)
+        fused = trainer(sub, features, n_states=1, n_mixtures=1, cfg=FAST, fused=True)
         assert (fused.alpha, plain.alpha) == (0.5, 0.0)
-        got = fused.models[claimant, emotion].acoustic
-        want = plain.models[claimant, emotion].acoustic
-        np.testing.assert_array_equal(got.transitions, want.transitions)
-        np.testing.assert_array_equal(got.emissions[0].means, want.emissions[0].means)
+        assert list(fused.models) == list(plain.models)
+        for key, model in plain.models.items():
+            assert hmm_bytes(fused.models[key].acoustic) == hmm_bytes(model.acoustic), key
 
-    def test_sphmm_options_require_fused(self):
-        manifest = tiny_manifest([("s1", "a", "train"), ("s1", "b", "train")])
-        with pytest.raises(ValueError, match="fused"):
-            enroll(manifest, RecordingFeatures(), n_states=1, n_mixtures=1,
-                   cfg=FAST, composite=False)
+    def test_plain_enrollment_ignores_composite(self, corpus):
+        manifest, features = corpus
+        claimant = manifest.claimants[0]
+        sub = CorpusManifest(
+            manifest.emotion_set, manifest.subset(speaker=claimant), {claimant: "claimant"})
+        default = enroll(sub, features, n_states=1, n_mixtures=1, cfg=FAST)
+        without = enroll(sub, features, n_states=1, n_mixtures=1, cfg=FAST, composite=False)
+        assert list(without.models) == list(default.models)
+        for key, model in default.models.items():
+            assert without.models[key].prosodic is None
+            assert hmm_bytes(without.models[key].acoustic) == hmm_bytes(model.acoustic), key
 
     def test_pooled_speaker_without_training_data(self):
         manifest = tiny_manifest(
