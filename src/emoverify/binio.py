@@ -1,6 +1,7 @@
-"""Every file the package writes, and checked reads for its little-endian
-binary files: each declared size is checked against the bytes left before
-anything is read.  A path the locale cannot encode is written in UTF-8."""
+"""Every file the package writes or deletes, and checked reads for its
+little-endian binary files: each declared size is checked against the bytes
+left before anything is read.  A path the locale cannot encode is written
+in UTF-8."""
 
 from __future__ import annotations
 
@@ -46,6 +47,14 @@ def exists(path) -> bool:
     return os.path.exists(_os_path(path))
 
 
+def remove(path) -> None:
+    """Delete path; a path that does not exist is left as it is."""
+    try:
+        os.remove(_os_path(path))
+    except FileNotFoundError:
+        pass
+
+
 def read_file(path, read):
     """read(fp) over the opened file; a FormatError names the path."""
     with open(_os_path(path), "rb") as fp:
@@ -56,11 +65,23 @@ def read_file(path, read):
 
 
 def write_file(path, write) -> None:
-    """write(fp) into memory, then the bytes to path; if write raises, path is left as it was."""
+    """write(fp) into memory, then the bytes to a temporary sibling that replaces path.
+
+    path holds its old bytes or all the new ones, never a part: if write
+    or the file write fails, path is left as it was and no temporary file
+    remains.
+    """
     buf = io.BytesIO()
     write(buf)
-    with open(_os_path(path), "wb") as fp:
-        fp.write(buf.getvalue())
+    target = os.fsencode(_os_path(path))
+    temporary = target + b".tmp"
+    try:
+        with open(temporary, "wb") as fp:
+            fp.write(buf.getvalue())
+        os.replace(temporary, target)
+    except BaseException:
+        remove(temporary)
+        raise
 
 
 def write_text(path, text: str) -> None:

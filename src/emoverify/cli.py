@@ -11,12 +11,11 @@ codes: 0 on success, 1 with a one-line diagnostic on a domain error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .binio import exists, write_text
+from .binio import exists, remove, write_text
 from .errors import EmoverifyError
 from .evaluation import (
     CRITICAL_T,
@@ -30,7 +29,7 @@ from .evaluation import (
 from .featureio import FeatureDir, features_path, save_features
 from .frontend import extract, load_wav
 from .hmm import TrainConfig, load_hmm, save_hmm
-from .manifest import CorpusManifest, load_manifest, save_manifest
+from .manifest import load_manifest, save_manifest
 from .sphmm import ModelSet, SphmmModel, load_sphmm, save_sphmm
 from .stage_a import confusion, train_emotion_models
 from .stage_b import (
@@ -60,58 +59,45 @@ def _echo(pairs: dict) -> None:
         print(f"{key} = {value!r}")
 
 
-def _workers(args) -> int:
-    """--workers, falling back to the EMOVERIFY_WORKERS environment variable."""
-    if args.workers is not None:
-        return args.workers
-    raw = os.environ.get("EMOVERIFY_WORKERS", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise EmoverifyError(f"EMOVERIFY_WORKERS must be an integer, got {raw!r}") from None
+def _stem(kind: str, label) -> str:
+    """A stored model's file stem: emotion_<e>, speaker_<s>__<e> or pooled_<s>."""
+    return f"{kind}_{'__'.join(label) if isinstance(label, tuple) else label}"
 
 
-def _emotion_stems(manifest: CorpusManifest) -> dict[str, str]:
-    return {emotion: f"emotion_{emotion}" for emotion in manifest.emotion_set}
+def _save_models(models_dir, kind: str, models: dict) -> None:
+    """Store each label's model under its stem: fused in .emvs, plain in .emvh.
+
+    The stem's file of the other kind is removed, so a model left by an
+    earlier run never shadows the one stored now.
+    """
+    Path(models_dir).mkdir(parents=True, exist_ok=True)
+    for label, model in models.items():
+        stem = Path(models_dir) / _stem(kind, label)
+        if model.prosodic is None:
+            save_hmm(model.acoustic, f"{stem}.emvh")
+            remove(f"{stem}.emvs")
+        else:
+            save_sphmm(model, f"{stem}.emvs")
+            remove(f"{stem}.emvh")
 
 
-def _speaker_stem(speaker: str, emotion: str) -> str:
-    return f"speaker_{speaker}__{emotion}"
-
-
-def _load_either(models_dir, stem: str) -> SphmmModel:
-    """Load <stem>.emvs (fused) or <stem>.emvh (plain), whichever exists."""
-    fused = Path(models_dir) / f"{stem}.emvs"
-    plain = Path(models_dir) / f"{stem}.emvh"
-    if exists(fused):
-        return load_sphmm(fused)
-    if exists(plain):
-        return SphmmModel(load_hmm(plain), None, alpha=0.0)
-    raise EmoverifyError(f"missing model file {plain} (or {fused})")
-
-
-def _save_either(model: SphmmModel, models_dir, stem: str) -> None:
-    """Store a model where _load_either finds it: fused in <stem>.emvs, plain in <stem>.emvh."""
-    if model.prosodic is None:
-        save_hmm(model.acoustic, Path(models_dir) / f"{stem}.emvh")
-    else:
-        save_sphmm(model, Path(models_dir) / f"{stem}.emvs")
-
-
-def _load_model_set(models_dir, stems: dict, alpha: float | None = None) -> ModelSet:
-    """The stored models of a label -> file stem map, set to weight alpha unless it is None."""
-    models = {label: _load_either(models_dir, stem) for label, stem in stems.items()}
-    if alpha is not None:
-        models = {label: replace(m, alpha=alpha) for label, m in models.items()}
-    return ModelSet(models)
-
-
-def _load_speaker_models(models_dir, manifest: CorpusManifest) -> SpeakerEmotionModelSet:
+def _load_models(models_dir, kind: str, labels, alpha: float | None = None) -> dict:
+    """label -> stored model, in the order of labels, set to weight alpha unless it is None."""
     models = {}
-    for speaker in manifest.claimants:
-        for emotion in manifest.emotion_set:
-            models[speaker, emotion] = _load_either(models_dir, _speaker_stem(speaker, emotion))
-    return SpeakerEmotionModelSet(manifest.emotion_set, models)
+    for label in labels:
+        stem = Path(models_dir) / _stem(kind, label)
+        fused, plain = f"{stem}.emvs", f"{stem}.emvh"
+        has_fused, has_plain = exists(fused), exists(plain)
+        if has_fused and has_plain:
+            raise EmoverifyError(f"model {stem} is stored twice: {plain} and {fused}")
+        if has_fused:
+            model = load_sphmm(fused)
+        elif has_plain:
+            model = SphmmModel(load_hmm(plain), None, alpha=0.0)
+        else:
+            raise EmoverifyError(f"missing model file {plain} (or {fused})")
+        models[label] = model if alpha is None else replace(model, alpha=alpha)
+    return models
 
 
 def _train_config(args) -> TrainConfig:
@@ -199,11 +185,7 @@ def _cmd_train_emotions(args) -> int:
         manifest, features, args.states, args.mixtures,
         alpha=args.alpha, cfg=_train_config(args),
     )
-    models_dir = Path(args.models_dir)
-    models_dir.mkdir(parents=True, exist_ok=True)
-    stems = _emotion_stems(manifest)
-    for emotion, model in models.models.items():
-        _save_either(model, models_dir, stems[emotion])
+    _save_models(args.models_dir, "emotion", models.models)
     print(f"wrote {len(models.models)} emotion models")
     return 0
 
@@ -224,11 +206,8 @@ def _cmd_train_speakers(args) -> int:
     training = dict(cfg=_train_config(args), fused=args.fused, alpha=args.alpha)
     speaker_models = enroll(*common, **training)
     pooled = enroll_pooled(*common, **training)
-    models_dir = Path(args.models_dir)
-    models_dir.mkdir(parents=True, exist_ok=True)
-    stems = [(_speaker_stem(*key), m) for key, m in speaker_models.models.items()]
-    for stem, model in stems + [(f"pooled_{sp}", m) for sp, m in pooled.models.items()]:
-        _save_either(model, models_dir, stem)
+    _save_models(args.models_dir, "speaker", speaker_models.models)
+    _save_models(args.models_dir, "pooled", pooled.models)
     print(
         f"wrote {len(speaker_models.models)} speaker-emotion models "
         f"and {len(pooled.models)} pooled models"
@@ -240,7 +219,7 @@ def _cmd_identify(args) -> int:
     manifest = load_manifest(args.manifest)
     features = FeatureDir(args.features_dir)
     stage_a_alpha = EXPERIMENTS[_MODES[args.mode]][1]
-    models = _load_model_set(args.models_dir, _emotion_stems(manifest), stage_a_alpha)
+    models = ModelSet(_load_models(args.models_dir, "emotion", manifest.emotion_set, stage_a_alpha))
     _echo({"subcommand": "identify", "mode": args.mode, "alpha": models.alpha})
     labeled = ((u.emotion, features[u.id]) for u in manifest.subset(split="test"))
     matrix = confusion(models, labeled)
@@ -259,7 +238,7 @@ def _cmd_trials(args) -> int:
         adapt_window=args.adapt_window,
         imposters_per_utterance=args.imposters_per_utterance,
         seed=args.seed,
-        workers=_workers(args),
+        workers=args.workers,
     )
     _echo({
         "subcommand": "trials",
@@ -272,12 +251,14 @@ def _cmd_trials(args) -> int:
     trial_mode, stage_a_alpha, _ = EXPERIMENTS[_MODES[args.mode]]
     emotion_models = None
     if trial_mode == "one_stage":
-        models = _load_model_set(args.models_dir, {sp: f"pooled_{sp}" for sp in manifest.claimants})
+        models = ModelSet(_load_models(args.models_dir, "pooled", manifest.claimants))
     else:
-        models = _load_speaker_models(args.models_dir, manifest)
+        pairs = [(sp, e) for sp in manifest.claimants for e in manifest.emotion_set]
+        models = SpeakerEmotionModelSet(
+            manifest.emotion_set, _load_models(args.models_dir, "speaker", pairs))
         if trial_mode == "two_stage":
-            emotion_models = _load_model_set(
-                args.models_dir, _emotion_stems(manifest), stage_a_alpha)
+            emotion_models = ModelSet(
+                _load_models(args.models_dir, "emotion", manifest.emotion_set, stage_a_alpha))
     records = run_trials(models, emotion_models, manifest, features, mode=trial_mode, cfg=cfg)
     report_dir = Path(args.report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
@@ -297,7 +278,7 @@ def _experiment_config(args) -> ExperimentConfig:
         adapt_window=args.adapt_window,
         imposters_per_utterance=args.imposters_per_utterance,
         seed=args.seed,
-        workers=_workers(args),
+        workers=args.workers,
         train=TrainConfig(max_iterations=args.max_iterations),
     )
 
@@ -385,8 +366,7 @@ def _add_trial_knobs(p):
                    help="adapt the threshold to the mean of this many recent scores")
     p.add_argument("--imposters-per-utterance", type=int, default=1,
                    help="false claims drawn per test utterance")
-    p.add_argument("--workers", type=int, default=None,
-                   help="scoring processes (default: EMOVERIFY_WORKERS or 0)")
+    p.add_argument("--workers", type=int, default=0, help="scoring processes")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -238,19 +239,9 @@ class ScoreTable:
     scores: dict
 
 
-# Scoring tasks run in worker processes; the models travel once per worker
-# through the initializer instead of once per task.
-_WORKER: dict = {}
-
-
-def _init_worker(models) -> None:
-    _WORKER["models"] = models
-
-
-def _score_utterance(task, models=None):
-    """One utterance's scores under models, by default the worker's set."""
+def _score_utterance(models, task):
+    """One utterance's scores under models."""
     utt_id, obs, claims = task
-    models = models or _WORKER["models"]
     keys = models.models
     if isinstance(models, SpeakerEmotionModelSet):
         keys = [(c, e) for c in claims for e in models.emotion_set]
@@ -276,14 +267,13 @@ def score_trials(
     for utt, claimed in plan:
         claims_by_utt.setdefault(utt.id, []).append(claimed)
     tasks = [(utt_id, features[utt_id], tuple(c)) for utt_id, c in claims_by_utt.items()]
+    score = partial(_score_utterance, models)
     if cfg.workers == 0 or not tasks:
-        results = [_score_utterance(t, models) for t in tasks]
+        results = list(map(score, tasks))
     else:
         chunk = max(1, len(tasks) // (4 * cfg.workers))
-        with ProcessPoolExecutor(
-            max_workers=cfg.workers, initializer=_init_worker, initargs=(models,)
-        ) as pool:
-            results = list(pool.map(_score_utterance, tasks, chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            results = list(pool.map(score, tasks, chunksize=chunk))
     return ScoreTable(tuple(plan), manifest.emotion_set, dict(results))
 
 

@@ -1,5 +1,6 @@
 """Binary file boundaries: every read returns a valid object or raises FormatError."""
 
+import errno
 import io
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emoverify import binio
 from emoverify.errors import FormatError
 from emoverify.featureio import load_features, read_features, write_features
 from emoverify.frontend import ObservationPair
@@ -188,3 +190,34 @@ def test_refused_save_leaves_no_file_and_keeps_an_old_one(tmp_path):
     with pytest.raises(ValueError):
         save_hmm(ragged, path)
     assert path.read_bytes() == before
+
+
+def test_failed_write_keeps_the_old_file_and_leaves_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "model.emvh"
+    save_hmm(HMM, path)
+    before = path.read_bytes()
+
+    class DiskFull:
+        """A file whose write stores one byte, then fails as a full disk does."""
+
+        def __init__(self, fp):
+            self.fp = fp
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fp.close()
+
+        def write(self, data):
+            self.fp.write(data[:1])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    real_open = open
+    monkeypatch.setattr(binio, "open", lambda *a, **k: DiskFull(real_open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError) as caught:
+        save_hmm(_hmm(np.random.default_rng(3), 2, 1, 1), path)
+    assert caught.value.errno == errno.ENOSPC
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.emvh"]

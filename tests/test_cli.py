@@ -98,18 +98,21 @@ class TestTraining:
         run_ok(["train-speakers", "--manifest", workspace["manifest"],
                 "--features-dir", workspace["features"], "--models-dir", str(fused_dir),
                 "--fused"] + TRAIN_ARGS)
+        manifest = load_manifest(workspace["manifest"])
+        labels = {"speaker": [(s, e) for s in manifest.claimants for e in manifest.emotion_set],
+                  "pooled": manifest.claimants}
         for models_dir, suffix, write in (
             (workspace["root"] / "models", "emvh", lambda fp, m: write_hmm(fp, m.acoustic)),
             (fused_dir, "emvs", write_sphmm),
         ):
-            paths = sorted(models_dir.glob(f"*_*.{suffix}"))
-            assert len(paths) == 12
-            for path in paths:
-                buf = io.BytesIO()
-                write(buf, cli._load_either(models_dir, path.stem))
-                assert buf.getvalue() == path.read_bytes(), path.name
+            assert len(list(models_dir.glob(f"*_*.{suffix}"))) == 12
+            for kind, kind_labels in labels.items():
+                for label, model in cli._load_models(models_dir, kind, kind_labels).items():
+                    path = models_dir / f"{cli._stem(kind, label)}.{suffix}"
+                    buf = io.BytesIO()
+                    write(buf, model)
+                    assert buf.getvalue() == path.read_bytes(), path.name
 
-        manifest = load_manifest(workspace["manifest"])
         enrolled = enroll(manifest, FeatureDir(workspace["features"]), n_states=1, n_mixtures=2,
                           cfg=TrainConfig(max_iterations=3, seed=5))
         for (speaker, emotion), model in enrolled.models.items():
@@ -117,6 +120,59 @@ class TestTraining:
             write_hmm(buf, model.acoustic)
             path = workspace["root"] / "models" / f"speaker_{speaker}__{emotion}.emvh"
             assert buf.getvalue() == path.read_bytes(), path.name
+
+
+class TestRetraining:
+    """Retraining into a models dir replaces each stored model, whatever its kind."""
+
+    ORDERS = {"plain": [[]], "fused": [["--fused"]],
+              "fused_then_plain": [["--fused"], []], "plain_then_fused": [[], ["--fused"]]}
+
+    @pytest.fixture(scope="class")
+    def dirs(self, workspace, tmp_path_factory):
+        root = tmp_path_factory.mktemp("retrain")
+        dirs = {}
+        for name, runs in self.ORDERS.items():
+            models = root / name
+            models.mkdir()
+            for path in (workspace["root"] / "models").glob("emotion_*.emvs"):
+                shutil.copy(path, models)
+            for extra in runs:
+                run_ok(["train-speakers", "--manifest", workspace["manifest"],
+                        "--features-dir", workspace["features"], "--models-dir", str(models)]
+                       + TRAIN_ARGS + extra)
+            dirs[name] = models
+        return dirs
+
+    def trials(self, workspace, models, report):
+        return main(["trials", "--manifest", workspace["manifest"],
+                     "--features-dir", workspace["features"], "--models-dir", str(models),
+                     "--report-dir", str(report), "--seed", "1"])
+
+    @pytest.mark.parametrize("retrained, clean", [("fused_then_plain", "plain"),
+                                                  ("plain_then_fused", "fused")])
+    def test_retrain_leaves_only_the_new_kind(self, dirs, retrained, clean):
+        names = sorted(p.name for p in dirs[retrained].iterdir())
+        assert names == sorted(p.name for p in dirs[clean].iterdir())
+
+    def test_trials_after_retrain_match_a_clean_dir(self, workspace, dirs, tmp_path):
+        for retrained, clean in (("fused_then_plain", "plain"), ("plain_then_fused", "fused")):
+            for name in (retrained, clean):
+                assert self.trials(workspace, dirs[name], tmp_path / name) == 0
+            want = (tmp_path / clean / "trials.csv").read_bytes()
+            assert (tmp_path / retrained / "trials.csv").read_bytes() == want, retrained
+
+    def test_model_stored_twice_is_domain_error(self, workspace, dirs, tmp_path, capsys):
+        models = tmp_path / "models"
+        shutil.copytree(dirs["plain"], models)
+        speaker, emotion = load_manifest(workspace["manifest"]).claimants[0], "angry"
+        stem = f"speaker_{speaker}__{emotion}"
+        shutil.copy(dirs["fused"] / f"{stem}.emvs", models)
+        report = tmp_path / "report"
+        assert self.trials(workspace, models, report) == 1
+        err = capsys.readouterr().err
+        assert f"{models / stem}.emvh" in err and f"{models / stem}.emvs" in err
+        assert not report.exists()
 
 
 class TestIdentify:
@@ -164,25 +220,14 @@ class TestTrials:
             utterance, _, _, e_star = line.split(",")[:4]
             assert e_star == utterance.split("_")[1]
 
-    def test_workers_env_fallback_keeps_bytes(self, workspace, tmp_path, monkeypatch):
+    def test_worker_pool_keeps_bytes(self, workspace, tmp_path):
         base = ["trials", "--manifest", workspace["manifest"],
                 "--features-dir", workspace["features"], "--models-dir", workspace["models"],
                 "--seed", "3"]
-        monkeypatch.delenv("EMOVERIFY_WORKERS", raising=False)
-        run_ok(base + ["--report-dir", str(tmp_path / "serial"), "--workers", "0"])
-        monkeypatch.setenv("EMOVERIFY_WORKERS", "2")
-        run_ok(base + ["--report-dir", str(tmp_path / "env")])
-        serial = (tmp_path / "serial" / "trials.csv").read_bytes()
-        assert (tmp_path / "env" / "trials.csv").read_bytes() == serial
-
-    def test_bad_workers_env_is_domain_error(self, workspace, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("EMOVERIFY_WORKERS", "many")
-        code = main(["trials", "--manifest", workspace["manifest"],
-                     "--features-dir", workspace["features"], "--models-dir", workspace["models"],
-                     "--report-dir", str(tmp_path), "--seed", "3"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.err.startswith("error: EMOVERIFY_WORKERS")
+        for workers in ("0", "2"):
+            run_ok(base + ["--report-dir", str(tmp_path / workers), "--workers", workers])
+        serial = (tmp_path / "0" / "trials.csv").read_bytes()
+        assert (tmp_path / "2" / "trials.csv").read_bytes() == serial
 
     def test_non_finite_score_is_domain_error(self, workspace, tmp_path, capsys):
         # A stored model with a tiny variance far from every frame scores

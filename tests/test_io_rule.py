@@ -1,8 +1,9 @@
 """The package's I/O rule, read from its source.
 
-Only binio.py opens a file for writing, so every output goes through one
-writer that formats in memory first, and every text-mode open names
-encoding="utf-8", so no output or read depends on the locale.
+Only binio.py opens a file for writing, deletes or renames one, so every
+output goes through one writer that formats in memory first and replaces
+its target whole, and every text-mode open names encoding="utf-8", so no
+output or read depends on the locale.
 """
 
 import ast
@@ -24,6 +25,14 @@ def violations(source: str, filename: str) -> list[str]:
         if isinstance(func, ast.Attribute) and name in ("write_text", "write_bytes"):
             if filename != "binio.py":
                 found.append(f"{where}: writes a file outside binio.py")
+            continue
+        # os.remove(p), os.replace(p, q) and Path(p).unlink(), not dataclasses.replace(obj)
+        on_os = getattr(getattr(func, "value", None), "id", None) == "os"
+        if (isinstance(func, ast.Attribute) and name in ("unlink", "rename")) or (
+            on_os and name in ("remove", "replace")
+        ):
+            if filename != "binio.py":
+                found.append(f"{where}: deletes or renames a file outside binio.py")
             continue
         if name != "open":
             continue
@@ -60,6 +69,12 @@ def test_only_binio_writes_and_text_is_utf8():
     'open(p, "r", encoding="latin-1")',
     'open(p, mode)',
     'Path(p).write_text("x", encoding="utf-8")',
+    'os.remove(p)',
+    'os.unlink(p)',
+    'os.rename(p, q)',
+    'os.replace(p, q)',
+    'Path(p).unlink()',
+    'Path(p).rename(q)',
 ])
 def test_rule_flags(source):
     assert violations(source, "module.py")
@@ -70,6 +85,11 @@ def test_rule_flags(source):
     'open(p, "r", encoding="utf-8")',
     'wave.open(str(p), "rb")',
     'open(p, "wb")',
+    'replace(model, alpha=0.0)',
+    'dataclasses.replace(model, alpha=0.0)',
+    'text.replace("a", "b")',
+    'os.replace(p, q)',
 ])
 def test_rule_allows(source):
-    assert violations(source, "binio.py" if "w" in source else "module.py") == []
+    in_binio = "w" in source or source.startswith("os.")
+    assert violations(source, "binio.py" if in_binio else "module.py") == []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from corpus_util import make_corpus
-from emoverify import sphmm, stage_b
+from emoverify import sphmm
 from emoverify.evaluation import ALPHA_GRID
 from emoverify.hmm import GmmEmission, HmmModel, TrainConfig, avg_frame_ll, write_hmm
 from emoverify.manifest import CorpusManifest, UtteranceRef, grid_manifest
@@ -609,11 +609,6 @@ class TestScoreOnceDecideMany:
         assert all(tuple(table.scores[u]) == manifest.emotion_set for u in utt_ids)
         # both streams of every stage-a model, once per test utterance
         assert len(calls) == 2 * len(emotion_models.models) * len(utt_ids)
-
-    def test_serial_pass_keeps_no_models(self, fused_sets):
-        manifest, features, enrolled, _, emotion_models = fused_sets
-        run_trials(enrolled, emotion_models, manifest, features, "two_stage", TrialConfig(seed=3))
-        assert stage_b._WORKER == {}
 
 
 class TestWriteTrials:
