@@ -1,7 +1,7 @@
-"""Every file the package writes or deletes, and checked reads for its
+"""Every file the package reads, writes or deletes, and checked reads for its
 little-endian binary files: each declared size is checked against the bytes
-left before anything is read.  A path the locale cannot encode is written
-in UTF-8."""
+left before anything is read.  A path the locale cannot encode is opened
+by its UTF-8 bytes."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import EmoverifyError, FormatError
 
 
 def read_exact(fp, count: int, what: str) -> bytes:
@@ -56,17 +56,19 @@ def remove(path) -> None:
 
 
 def read_file(path, read):
-    """read(fp) over the opened file; a FormatError names the path."""
+    """read(fp) over the file opened in binary; an EmoverifyError it raises
+    is raised again with its type and the path named."""
     with open(_os_path(path), "rb") as fp:
         try:
             return read(fp)
-        except FormatError as exc:
-            raise FormatError(f"{path}: {exc}") from None
+        except EmoverifyError as exc:
+            raise type(exc)(f"{path}: {exc}") from None
 
 
 def write_file(path, write) -> None:
     """write(fp) into memory, then the bytes to a temporary sibling that replaces path.
 
+    path's directory is created if it is missing, after write succeeds.
     path holds its old bytes or all the new ones, never a part: if write
     or the file write fails, path is left as it was and no temporary file
     remains.
@@ -74,6 +76,7 @@ def write_file(path, write) -> None:
     buf = io.BytesIO()
     write(buf)
     target = os.fsencode(_os_path(path))
+    os.makedirs(os.path.dirname(target) or b".", exist_ok=True)
     temporary = target + b".tmp"
     try:
         with open(temporary, "wb") as fp:

@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .binio import exists, remove, write_text
+from .binio import exists, read_file, remove, write_text
 from .errors import EmoverifyError
 from .evaluation import (
     CRITICAL_T,
@@ -70,7 +70,6 @@ def _save_models(models_dir, kind: str, models: dict) -> None:
     The stem's file of the other kind is removed, so a model left by an
     earlier run never shadows the one stored now.
     """
-    Path(models_dir).mkdir(parents=True, exist_ok=True)
     for label, model in models.items():
         stem = Path(models_dir) / _stem(kind, label)
         if model.prosodic is None:
@@ -108,7 +107,6 @@ def _cmd_features(args) -> int:
     manifest = load_manifest(args.manifest)
     base = Path(args.manifest).resolve().parent
     features_dir = Path(args.features_dir)
-    features_dir.mkdir(parents=True, exist_ok=True)
     _echo({
         "subcommand": "features",
         "manifest": str(args.manifest),
@@ -163,7 +161,6 @@ def _cmd_synth(args) -> int:
         "floor_weight": spec.floor_weight,
         "seed": spec.seed,
     })
-    Path(args.features_dir).mkdir(parents=True, exist_ok=True)
     manifest = generate_synthetic(spec, args.features_dir)
     save_manifest(manifest, args.manifest)
     print(f"wrote {len(manifest.utterances)} utterances")
@@ -223,9 +220,7 @@ def _cmd_identify(args) -> int:
     _echo({"subcommand": "identify", "mode": args.mode, "alpha": models.alpha})
     labeled = ((u.emotion, features[u.id]) for u in manifest.subset(split="test"))
     matrix = confusion(models, labeled)
-    report_dir = Path(args.report_dir)
-    report_dir.mkdir(parents=True, exist_ok=True)
-    write_text(report_dir / "confusion.csv", matrix.to_csv())
+    write_text(Path(args.report_dir) / "confusion.csv", matrix.to_csv())
     print(f"accuracy = {matrix.accuracy!r}")
     return 0
 
@@ -260,9 +255,7 @@ def _cmd_trials(args) -> int:
             emotion_models = ModelSet(
                 _load_models(args.models_dir, "emotion", manifest.emotion_set, stage_a_alpha))
     records = run_trials(models, emotion_models, manifest, features, mode=trial_mode, cfg=cfg)
-    report_dir = Path(args.report_dir)
-    report_dir.mkdir(parents=True, exist_ok=True)
-    write_trials(records, report_dir / "trials.csv")
+    write_trials(records, Path(args.report_dir) / "trials.csv")
     targets = sum(1 for r in records if r.truth == "target")
     print(f"wrote {len(records)} trials ({targets} target, {len(records) - targets} nontarget)")
     return 0
@@ -305,24 +298,18 @@ def _cmd_sweep_alpha(args) -> int:
     return _run_and_write("alpha_sweep", args)
 
 
-def _read_vector(path) -> list[float]:
-    values = []
-    with open(path, "r", encoding="utf-8") as fp:
-        for line in fp:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(float(line))
-            except ValueError:
-                raise EmoverifyError(f"{path}: every line must hold one number") from None
-    return values
+def _read_vector(fp) -> list[float]:
+    """One number per line of UTF-8 text; blank lines are skipped."""
+    try:
+        return [float(line) for line in fp.read().decode("utf-8").splitlines() if line.strip()]
+    except ValueError:  # UnicodeDecodeError included
+        raise EmoverifyError("every line must hold one number") from None
 
 
 def _cmd_ttest(args) -> int:
     _echo({"subcommand": "ttest", "first": str(args.first), "second": str(args.second)})
-    result = t_statistic(stat_summary(_read_vector(args.first)),
-                         stat_summary(_read_vector(args.second)))
+    result = t_statistic(stat_summary(read_file(args.first, _read_vector)),
+                         stat_summary(read_file(args.second, _read_vector)))
     print(f"t = {result.t:.3f}")
     print(f"larger = {result.larger}")
     print(f"significant at {CRITICAL_T} = {result.significant}")

@@ -453,7 +453,6 @@ def write_report(report: EvalReport, directory) -> tuple[Path, ...]:
         rows += [f"{a!r},{v!r}" for a, v in report.alpha_rows]
         files["alpha_sweep.csv"] = text(rows)
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
         write_text(directory / name, content)
     return tuple(directory / name for name in files)

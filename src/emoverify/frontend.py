@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .binio import read_file
 from .errors import FormatError
 
 PRE_EMPHASIS = 0.97
@@ -84,20 +85,27 @@ class ObservationPair:
 
 def load_wav(path) -> AudioClip:
     """Read a mono 16-bit PCM RIFF/WAVE file; samples scaled to [-1, 1)."""
+    return read_file(path, _read_wav)
+
+
+def _read_wav(fp) -> AudioClip:
     try:
-        with wave.open(str(path), "rb") as wav:
+        with wave.Wave_read(fp) as wav:
             if wav.getcomptype() != "NONE":
-                raise FormatError(f"{path}: compression={wav.getcomptype()!r} unsupported")
+                raise FormatError(f"compression={wav.getcomptype()!r} unsupported")
             if wav.getnchannels() != 1:
-                raise FormatError(f"{path}: channels={wav.getnchannels()} unsupported")
+                raise FormatError(f"channels={wav.getnchannels()} unsupported")
             if wav.getsampwidth() != 2:
-                raise FormatError(f"{path}: sample_width={wav.getsampwidth() * 8} bits unsupported")
-            rate = wav.getframerate()
-            raw = wav.readframes(wav.getnframes())
+                raise FormatError(f"sample_width={wav.getsampwidth() * 8} bits unsupported")
+            rate, declared = wav.getframerate(), wav.getnframes()
+            raw = wav.readframes(declared)
     except (wave.Error, EOFError) as exc:  # EOFError: a file shorter than its RIFF header
-        raise FormatError(f"{path}: not a readable WAV file: {exc}") from None
+        raise FormatError(f"not a readable WAV file: {exc}") from None
     if rate == 0:
-        raise FormatError(f"{path}: not a readable WAV file: its header declares 0 Hz")
+        raise FormatError("not a readable WAV file: its header declares 0 Hz")
+    if len(raw) < 2 * declared:
+        raise FormatError(
+            f"truncated WAV file: {2 * declared} sample bytes declared, {len(raw)} left")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return AudioClip(samples, rate)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .binio import write_text
+from .binio import read_file, write_text
 from .errors import ManifestError
 
 DEFAULT_EMOTIONS = ("neutral", "angry", "sad", "happy", "disgust", "fear")
@@ -93,18 +93,30 @@ class CorpusManifest:
         return out
 
 
+def _check_text(what: str, value: str, file_name: bool = True) -> None:
+    """value fits in one manifest column, so a saved row splits back into its columns;
+    a file_name value (an id or label) also names files, so it must not leave their directory."""
+    if "," in value or "".join(value.splitlines()) != value:
+        raise ManifestError(f"{what} {value!r} holds a comma or a line break")
+    if file_name and (value in ("", ".", "..") or "/" in value or "\\" in value):
+        raise ManifestError(f"{what} {value!r} is not a plain file name")
+
+
 def _validate(manifest: CorpusManifest) -> None:
     if len(manifest.emotion_set) < 2:
         raise ManifestError("emotion set must name at least 2 emotions")
     if len(set(manifest.emotion_set)) != len(manifest.emotion_set):
         raise ManifestError("emotion set contains duplicates")
-    for role in manifest.roles.values():
+    for emotion in manifest.emotion_set:
+        _check_text("emotion", emotion)
+    for speaker, role in manifest.roles.items():
+        _check_text("speaker id", speaker)
         if role not in ROLES:
             raise ManifestError(f"unknown role {role!r}")
     seen: set[str] = set()
     for u in manifest.utterances:
-        if u.id in ("", ".", "..") or "/" in u.id or "\\" in u.id:
-            raise ManifestError(f"utterance id {u.id!r} is not a plain file name")
+        _check_text("utterance id", u.id)
+        _check_text(f"utterance {u.id!r}: source", u.source, file_name=False)
         if u.id in seen:
             raise ManifestError(f"duplicate utterance id {u.id!r}")
         seen.add(u.id)
@@ -123,9 +135,15 @@ def _validate(manifest: CorpusManifest) -> None:
 
 
 def load_manifest(path) -> CorpusManifest:
-    """Parse and validate a manifest file; errors carry 1-based line numbers."""
-    with open(path, "r", encoding="utf-8") as fp:
-        lines = fp.read().splitlines()
+    """Parse and validate a UTF-8 manifest file; errors name it and carry 1-based line numbers."""
+    return read_file(path, _read_manifest)
+
+
+def _read_manifest(fp) -> CorpusManifest:
+    try:
+        lines = fp.read().decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"not UTF-8 text: {exc}") from None
 
     emotions: tuple[str, ...] | None = None
     audio = AudioFormat()
@@ -182,10 +200,7 @@ def load_manifest(path) -> CorpusManifest:
         utterances.append(
             UtteranceRef(uid, source, speaker, emotion, group_i, rep_i, split)
         )
-    try:
-        return CorpusManifest(emotions, tuple(utterances), roles, audio)
-    except ManifestError as exc:
-        raise ManifestError(f"{path}: {exc}") from None
+    return CorpusManifest(emotions, tuple(utterances), roles, audio)
 
 
 def save_manifest(manifest: CorpusManifest, path) -> None:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emoverify import binio
-from emoverify.errors import FormatError
+from emoverify.errors import FormatError, ManifestError
 from emoverify.featureio import load_features, read_features, write_features
 from emoverify.frontend import ObservationPair
 from emoverify.hmm import GmmEmission, HmmModel, load_hmm, read_hmm, save_hmm, validate, write_hmm
@@ -221,3 +221,31 @@ def test_failed_write_keeps_the_old_file_and_leaves_no_temporary(tmp_path, monke
     assert caught.value.errno == errno.ENOSPC
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.emvh"]
+
+
+def test_write_makes_the_missing_directories_once_the_bytes_are_ready(tmp_path, monkeypatch):
+    path = tmp_path / "a" / "b" / "out.csv"
+
+    def refuse(fp):
+        raise ValueError("refused")
+
+    with pytest.raises(ValueError):
+        binio.write_file(path, refuse)
+    assert list(tmp_path.iterdir()) == []
+    binio.write_text(path, "x\n")
+    assert path.read_bytes() == b"x\n"
+    monkeypatch.chdir(tmp_path)
+    binio.write_text("here.csv", "y\n")  # a bare file name: its directory is the working one
+    assert (tmp_path / "here.csv").read_bytes() == b"y\n"
+
+
+def test_read_file_names_the_path_and_keeps_the_error_type(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"")
+
+    def refuse(fp):
+        raise ManifestError("bad row")
+
+    with pytest.raises(ManifestError) as info:
+        binio.read_file(path, refuse)
+    assert str(info.value) == f"{path}: bad row"

@@ -122,6 +122,22 @@ class TestTraining:
             assert buf.getvalue() == path.read_bytes(), path.name
 
 
+class TestLabelsNameFiles:
+    def test_speaker_outside_the_models_dir_is_domain_error(self, workspace, tmp_path, capsys):
+        # speaker_<s>__<e> with s = x/../../esc would land two levels above the models
+        text = Path(workspace["manifest"]).read_text(encoding="utf-8")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(text.replace(",s1,", ",x/../../esc,"), encoding="utf-8")
+        code = main(["train-speakers", "--manifest", str(manifest),
+                     "--features-dir", workspace["features"],
+                     "--models-dir", str(tmp_path / "a" / "models")] + TRAIN_ARGS)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "speaker id 'x/../../esc' is not a plain file name" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.csv"]
+
+
 class TestRetraining:
     """Retraining into a models dir replaces each stored model, whatever its kind."""
 
@@ -198,6 +214,34 @@ class TestIdentify:
         })
         labeled = [(u.emotion, features[u.id]) for u in manifest.subset(split="test")]
         assert (tmp_path / "confusion.csv").read_text() == confusion(alpha_zero, labeled).to_csv()
+
+
+@pytest.fixture(scope="module")
+def blurred(tmp_path_factory):
+    """A corpus whose emotions overlap, with stored emotion models: stage a errs on it."""
+    root = tmp_path_factory.mktemp("blurred")
+    common = ["--manifest", str(root / "manifest.csv"), "--features-dir", str(root / "features")]
+    run_ok(["synth"] + common + [
+        "--speakers", "3", "--emotions", "neutral,angry,sad", "--groups", "3", "--reps", "2",
+        "--train-groups", "1", "--states", "2", "--separability", "0.3", "--seed", "3"])
+    shape = ["--states", "2", "--mixtures", "1", "--max-iterations", "4", "--seed", "5"]
+    run_ok(["train-emotions", "--models-dir", str(root / "models")] + common + shape)
+    return root, common, shape
+
+
+class TestIdentifyMatchesEval:
+    """identify (stage_a.confusion) and eval (score table, then tally) identify alike."""
+
+    @pytest.mark.parametrize("mode", ["two_stage", "hmm_only"])
+    def test_same_confusion(self, blurred, mode, capsys):
+        root, common, shape = blurred
+        run_ok(["identify", "--models-dir", str(root / "models"), "--mode", mode,
+                "--report-dir", str(root / f"identify_{mode}")] + common)
+        assert "accuracy = 100.0\n" not in capsys.readouterr().out  # the matrix is not diagonal
+        run_ok(["eval", "--mode", mode, "--report-dir", str(root / f"eval_{mode}")]
+               + common + shape)
+        identified = (root / f"identify_{mode}" / "confusion.csv").read_bytes()
+        assert identified == (root / f"eval_{mode}" / "confusion.csv").read_bytes()
 
 
 class TestTrials:
@@ -336,8 +380,32 @@ class TestEval:
         ]
 
 
+def run_in_c_locale(argv):
+    """The CLI in a child process whose locale encodes file names as ASCII."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "emoverify.cli", *argv],
+                          env=env, capture_output=True, text=True, errors="replace")
+
+
 class TestLocale:
-    """Every output is UTF-8 with UTF-8 file names, whatever the locale says."""
+    """Every input and output is UTF-8 with UTF-8 file names, whatever the locale says."""
+
+    def test_c_locale_reads_a_non_ascii_wav_name(self, tmp_path):
+        (tmp_path / "audio").mkdir()
+        write_wav(tmp_path / "audio" / "col\u00e8re_a.wav", seed=0)
+        write_wav(tmp_path / "audio" / "calm_a.wav", seed=1)
+        manifest = wav_manifest(tmp_path, [("u0", "audio/calm_a.wav", "s1", "calm"),
+                                           ("u1", "audio/col\u00e8re_a.wav", "s1", "angry")])
+        argv = ["features", "--manifest", str(manifest), "--features-dir"]
+        run_ok(argv + [str(tmp_path / "utf8")])
+        done = run_in_c_locale(argv + [str(tmp_path / "c")])
+        assert done.returncode == 0, done.stderr
+        want = sorted((tmp_path / "utf8").iterdir())
+        got = sorted((tmp_path / "c").iterdir())
+        assert [p.name for p in got] == [p.name for p in want] == ["u0.emvf", "u1.emvf"]
+        assert [p.read_bytes() for p in got] == [p.read_bytes() for p in want]
 
     def test_c_locale_writes_the_same_bytes(self, tmp_path):
         synth = tmp_path / "synth.csv"
@@ -361,16 +429,9 @@ class TestLocale:
             "trials": ["trials", "--models-dir", models, "--mode", "oracle"] + common,
             "identify": ["identify", "--models-dir", models] + common,
         }
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         for name, argv in commands.items():
             run_ok(argv + ["--report-dir", str(tmp_path / "utf8" / name)])
-            done = subprocess.run(
-                [sys.executable, "-m", "emoverify.cli", *argv,
-                 "--report-dir", str(tmp_path / "c" / name)],
-                env=env, capture_output=True, text=True, errors="replace",
-            )
+            done = run_in_c_locale(argv + ["--report-dir", str(tmp_path / "c" / name)])
             assert done.returncode == 0, (name, done.stderr)
             want = sorted((tmp_path / "utf8" / name).iterdir())
             got = sorted((tmp_path / "c" / name).iterdir())
@@ -412,15 +473,16 @@ def write_wav(path, rate=16000, seconds=0.3, seed=0):
         fp.writeframes(samples.astype("<i2").tobytes())
 
 
-class TestFeatures:
-    def write_manifest(self, root, rows, rate=16000):
-        lines = ["#emotions: calm,angry", f"#audio: {rate},16",
-                 "id,source,speaker,emotion,sentence_group,repetition,split,role"]
-        lines += [f"{uid},{src},{sp},{emo},1,1,train,claimant" for uid, src, sp, emo in rows]
-        path = root / "manifest.csv"
-        path.write_text("\n".join(lines) + "\n")
-        return path
+def wav_manifest(root, rows, rate=16000):
+    lines = ["#emotions: calm,angry", f"#audio: {rate},16",
+             "id,source,speaker,emotion,sentence_group,repetition,split,role"]
+    lines += [f"{uid},{src},{sp},{emo},1,1,train,claimant" for uid, src, sp, emo in rows]
+    path = root / "manifest.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
+
+class TestFeatures:
     def test_sources_resolve_relative_to_manifest(self, tmp_path, capsys):
         (tmp_path / "audio").mkdir()
         rows = []
@@ -428,7 +490,7 @@ class TestFeatures:
                                        ("s2", "calm"), ("s2", "angry")]):
             write_wav(tmp_path / "audio" / f"u{i}.wav", seed=i)
             rows.append((f"u{i}", f"audio/u{i}.wav", sp, emo))
-        manifest = self.write_manifest(tmp_path, rows)
+        manifest = wav_manifest(tmp_path, rows)
         run_ok(["features", "--manifest", str(manifest),
                 "--features-dir", str(tmp_path / "feats")])
         assert "wrote 4 feature files" in capsys.readouterr().out
@@ -437,8 +499,8 @@ class TestFeatures:
 
     def test_sample_rate_mismatch_is_domain_error(self, tmp_path, capsys):
         write_wav(tmp_path / "slow.wav", rate=8000)
-        manifest = self.write_manifest(tmp_path, [("u0", "slow.wav", "s1", "calm"),
-                                                  ("u1", "slow.wav", "s1", "angry")])
+        manifest = wav_manifest(tmp_path, [("u0", "slow.wav", "s1", "calm"),
+                                           ("u1", "slow.wav", "s1", "angry")])
         code = main(["features", "--manifest", str(manifest),
                      "--features-dir", str(tmp_path / "feats")])
         captured = capsys.readouterr()
@@ -447,8 +509,8 @@ class TestFeatures:
 
     def test_short_clip_names_its_source(self, tmp_path, capsys):
         write_wav(tmp_path / "short.wav", seconds=100 / 16000)
-        manifest = self.write_manifest(tmp_path, [("u0", "short.wav", "s1", "calm"),
-                                                  ("u1", "short.wav", "s1", "angry")])
+        manifest = wav_manifest(tmp_path, [("u0", "short.wav", "s1", "calm"),
+                                           ("u1", "short.wav", "s1", "angry")])
         code = main(["features", "--manifest", str(manifest),
                      "--features-dir", str(tmp_path / "feats")])
         assert code == 1
@@ -458,8 +520,8 @@ class TestFeatures:
     def test_failing_clip_writes_no_feature_file(self, tmp_path, capsys):
         write_wav(tmp_path / "good.wav", seconds=0.5)
         write_wav(tmp_path / "short.wav", seconds=100 / 16000)
-        manifest = self.write_manifest(tmp_path, [("u0", "good.wav", "s1", "calm"),
-                                                  ("u1", "short.wav", "s1", "angry")])
+        manifest = wav_manifest(tmp_path, [("u0", "good.wav", "s1", "calm"),
+                                           ("u1", "short.wav", "s1", "angry")])
         feats = tmp_path / "feats"
         code = main(["features", "--manifest", str(manifest), "--features-dir", str(feats)])
         assert code == 1
@@ -469,8 +531,8 @@ class TestFeatures:
 
     def test_rate_too_low_to_frame_names_its_source(self, tmp_path, capsys):
         write_wav(tmp_path / "hum.wav", rate=60, seconds=1.0)
-        manifest = self.write_manifest(tmp_path, [("u0", "hum.wav", "s1", "calm"),
-                                                  ("u1", "hum.wav", "s1", "angry")], rate=60)
+        manifest = wav_manifest(tmp_path, [("u0", "hum.wav", "s1", "calm"),
+                                           ("u1", "hum.wav", "s1", "angry")], rate=60)
         code = main(["features", "--manifest", str(manifest),
                      "--features-dir", str(tmp_path / "feats")])
         assert code == 1
@@ -481,8 +543,8 @@ class TestFeatures:
 
     def test_id_outside_the_features_dir_is_domain_error(self, tmp_path, capsys):
         write_wav(tmp_path / "u.wav")
-        manifest = self.write_manifest(tmp_path, [("../escaped", "u.wav", "s1", "calm"),
-                                                  ("u1", "u.wav", "s1", "angry")])
+        manifest = wav_manifest(tmp_path, [("../escaped", "u.wav", "s1", "calm"),
+                                           ("u1", "u.wav", "s1", "angry")])
         code = main(["features", "--manifest", str(manifest),
                      "--features-dir", str(tmp_path / "feats")])
         assert code == 1

@@ -86,6 +86,17 @@ class TestLoadWav:
             load_wav(p)
         assert str(info.value).startswith(f"{p}: not a readable WAV file")
 
+    @pytest.mark.parametrize("keep", [1000, 1001])
+    def test_truncated_samples_name_the_file(self, tmp_path, keep):
+        # the header declares 8000 samples (16000 bytes); the file keeps 956 or 957 of them
+        p = tmp_path / "cut.wav"
+        write_wav(p, np.zeros(RATE // 2, dtype="<i2"))
+        p.write_bytes(p.read_bytes()[:keep])
+        with pytest.raises(FormatError) as info:
+            load_wav(p)
+        assert str(info.value) == (
+            f"{p}: truncated WAV file: 16000 sample bytes declared, {keep - 44} left")
+
     def test_full_scale_sine_amplitude(self, tmp_path):
         t = np.arange(RATE) / RATE
         ints = np.round(32767 * np.sin(2 * np.pi * 200.0 * t)).astype("<i2")

@@ -1,9 +1,11 @@
 """The package's I/O rule, read from its source.
 
-Only binio.py opens a file for writing, deletes or renames one, so every
-output goes through one writer that formats in memory first and replaces
-its target whole, and every text-mode open names encoding="utf-8", so no
-output or read depends on the locale.
+Only binio.py touches the file system: no other module opens a path, makes
+a directory, reads or writes a file's contents, or deletes or renames a
+file.  So every read goes through one loader that names the failing file,
+every output through one writer that formats in memory first, makes the
+target's directory and replaces the target whole, and no path or content
+depends on the locale.  Inside binio.py every open is binary.
 """
 
 import ast
@@ -12,6 +14,16 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "emoverify"
+
+# method calls that read, write, delete or rename a file's contents
+_FILE_METHODS = ("read_text", "read_bytes", "write_text", "write_bytes", "unlink", "rename")
+
+
+def _mode(node: ast.Call, func) -> ast.expr:
+    """The mode argument of open(path, mode), wave.open(path, mode) or Path.open(mode)."""
+    args = node.args if isinstance(func, ast.Name) or len(node.args) > 1 else [None] + node.args
+    modes = [k.value for k in node.keywords if k.arg == "mode"] + args[1:2]
+    return modes[0] if modes else ast.Constant("r")
 
 
 def violations(source: str, filename: str) -> list[str]:
@@ -22,38 +34,23 @@ def violations(source: str, filename: str) -> list[str]:
         func = node.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
         where = f"{filename}:{node.lineno}"
-        if isinstance(func, ast.Attribute) and name in ("write_text", "write_bytes"):
-            if filename != "binio.py":
-                found.append(f"{where}: writes a file outside binio.py")
+        if filename == "binio.py":
+            if name == "open":
+                mode = _mode(node, func)
+                if not (isinstance(mode, ast.Constant) and "b" in str(mode.value)):
+                    found.append(f"{where}: open is not binary")
             continue
-        # os.remove(p), os.replace(p, q) and Path(p).unlink(), not dataclasses.replace(obj)
-        on_os = getattr(getattr(func, "value", None), "id", None) == "os"
-        if (isinstance(func, ast.Attribute) and name in ("unlink", "rename")) or (
-            on_os and name in ("remove", "replace")
-        ):
-            if filename != "binio.py":
-                found.append(f"{where}: deletes or renames a file outside binio.py")
-            continue
-        if name != "open":
-            continue
-        # open(path, mode) and wave.open(path, mode), or Path.open(mode)
-        args = node.args if isinstance(func, ast.Name) or len(node.args) > 1 else [None] + node.args
-        modes = [k.value for k in node.keywords if k.arg == "mode"] + args[1:2]
-        mode = modes[0] if modes else ast.Constant("r")
-        if not isinstance(mode, ast.Constant):
-            found.append(f"{where}: open mode is not a literal")
-            continue
-        if set(mode.value) & set("wax+") and filename != "binio.py":
-            found.append(f"{where}: opens a file for writing outside binio.py")
-        encoding = [k.value for k in node.keywords if k.arg == "encoding"]
-        if "b" not in mode.value and not (
-            encoding and isinstance(encoding[0], ast.Constant) and encoding[0].value == "utf-8"
-        ):
-            found.append(f"{where}: text-mode open without encoding=\"utf-8\"")
+        # os.remove(p), os.replace(p, q) and Path(p).unlink(), not dataclasses.replace(obj);
+        # Path(p).write_text(...), not binio's write_text(p, text)
+        method = isinstance(func, ast.Attribute)
+        on_os = method and getattr(func.value, "id", None) == "os"
+        if (name in ("open", "mkdir", "makedirs") or (method and name in _FILE_METHODS)
+                or (on_os and name in ("remove", "replace"))):
+            found.append(f"{where}: {name} outside binio.py")
     return found
 
 
-def test_only_binio_writes_and_text_is_utf8():
+def test_only_binio_touches_the_file_system():
     found = []
     for path in sorted(SRC.glob("*.py")):
         found += violations(path.read_text(encoding="utf-8"), path.name)
@@ -75,21 +72,45 @@ def test_only_binio_writes_and_text_is_utf8():
     'os.replace(p, q)',
     'Path(p).unlink()',
     'Path(p).rename(q)',
+    'open(p, "rb")',
+    'open(p, "r", encoding="utf-8")',
+    'Path(p).open("rb")',
+    'wave.open(str(p), "rb")',
+    'io.open(p, "rb")',
+    'Path(p).mkdir(parents=True, exist_ok=True)',
+    'os.makedirs(p, exist_ok=True)',
+    'os.mkdir(p)',
+    'Path(p).read_text(encoding="utf-8")',
+    'Path(p).read_bytes()',
 ])
 def test_rule_flags(source):
     assert violations(source, "module.py")
 
 
 @pytest.mark.parametrize("source", [
-    'open(p, "rb")',
     'open(p, "r", encoding="utf-8")',
+    'open(p)',
+    'open(p, mode)',
+    'Path(p).open("w", encoding="utf-8")',
+])
+def test_rule_flags_a_text_open_in_binio(source):
+    assert violations(source, "binio.py")
+
+
+@pytest.mark.parametrize("source", [
+    'open(p, "rb")',
+    'read_file(p, parse)',
     'wave.open(str(p), "rb")',
+    'wave.Wave_read(fp)',
     'open(p, "wb")',
     'replace(model, alpha=0.0)',
     'dataclasses.replace(model, alpha=0.0)',
     'text.replace("a", "b")',
     'os.replace(p, q)',
+    'os.makedirs(d, exist_ok=True)',
+    'write_text(p, text)',
+    'open(p, mode="rb")',
 ])
 def test_rule_allows(source):
-    in_binio = "w" in source or source.startswith("os.")
+    in_binio = "open(" in source or source.startswith("os.")
     assert violations(source, "binio.py" if in_binio else "module.py") == []

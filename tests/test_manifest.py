@@ -1,5 +1,7 @@
 """Manifest parsing, validation, splitting, and the factorial factory."""
 
+from dataclasses import replace
+
 import pytest
 
 from emoverify.errors import ManifestError
@@ -21,6 +23,7 @@ u2,x.wav,s1,angry,1,1,train,claimant
 u3,y.wav,s2,neutral,2,1,test,claimant
 u4,y.wav,s2,angry,2,1,test,imposter
 """
+GOOD = MINIMAL.replace("s2,angry,2,1,test,imposter", "s2,angry,2,1,test,claimant")
 
 
 def write(tmp_path, text, name="m.csv"):
@@ -61,6 +64,33 @@ class TestLoad:
                                                                    "s2,angry,2,1,test,claimant")
         with pytest.raises(ManifestError, match="is not a plain file name"):
             load_manifest(write(tmp_path, bad))
+
+    @pytest.mark.parametrize("speaker", ["x/../../esc", "a/b", "..", ".", "", "a\\b"])
+    def test_speaker_that_is_not_a_plain_file_name_rejected(self, tmp_path, speaker):
+        # speaker ids name model files (speaker_<s>__<e>, pooled_<s>)
+        bad = GOOD.replace(",s1,", f",{speaker},")
+        with pytest.raises(ManifestError, match="speaker id .* is not a plain file name"):
+            load_manifest(write(tmp_path, bad))
+
+    @pytest.mark.parametrize("emotion", ["a/b", "..", ".", "a\\b"])
+    def test_emotion_that_is_not_a_plain_file_name_rejected(self, tmp_path, emotion):
+        # emotion labels name model and report files (emotion_<e>, det_<e>.csv)
+        bad = GOOD.replace("angry", emotion)
+        with pytest.raises(ManifestError, match="emotion .* is not a plain file name"):
+            load_manifest(write(tmp_path, bad))
+
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes(GOOD.encode("utf-8").replace(b"x.wav", b"x\xff.wav"))
+        with pytest.raises(ManifestError) as info:
+            load_manifest(p)
+        assert str(info.value).startswith(f"{p}: not UTF-8 text")
+
+    def test_row_error_names_the_file(self, tmp_path):
+        p = write(tmp_path, MINIMAL)
+        with pytest.raises(ManifestError) as info:
+            load_manifest(p)
+        assert str(info.value).startswith(f"{p}: line 7: ")
 
     def test_missing_emotions_pragma(self, tmp_path):
         bad = MINIMAL.split("\n", 1)[1]
@@ -107,6 +137,37 @@ class TestValidation:
         u = UtteranceRef(uid, "x", "s1", "neutral", 1, 1, "train")
         with pytest.raises(ManifestError, match="is not a plain file name"):
             CorpusManifest(("neutral", "angry"), (u,), {"s1": "claimant"})
+
+    @pytest.mark.parametrize("speaker", ["x/../../esc", "..", ".", "", "a\\b"])
+    def test_speaker_that_is_not_a_plain_file_name_rejected(self, speaker):
+        u = UtteranceRef("u1", "x", speaker, "neutral", 1, 1, "train")
+        with pytest.raises(ManifestError, match="speaker id .* is not a plain file name"):
+            CorpusManifest(("neutral", "angry"), (u,), {speaker: "claimant"})
+
+    @pytest.mark.parametrize("emotion", ["../x", "a/b", "..", ".", "", "a\\b"])
+    def test_emotion_that_is_not_a_plain_file_name_rejected(self, emotion):
+        with pytest.raises(ManifestError, match="emotion .* is not a plain file name"):
+            CorpusManifest(("neutral", emotion), (), {})
+
+    @pytest.mark.parametrize("field", ["id", "source", "speaker_id", "emotion"])
+    @pytest.mark.parametrize("mark", [",", "\n", "\r", "\u2028"])
+    def test_comma_or_line_break_in_a_text_field_rejected(self, field, mark):
+        # save_manifest would write a row that load_manifest splits differently
+        u = replace(UtteranceRef("u1", "x", "s1", "neutral", 1, 1, "train"),
+                    **{field: f"a{mark}b"})
+        emotions = ("neutral", "angry") if field != "emotion" else ("neutral", f"a{mark}b")
+        with pytest.raises(ManifestError, match="holds a comma or a line break"):
+            CorpusManifest(emotions, (u,), {u.speaker_id: "claimant"})
+
+    def test_comma_in_an_unused_emotion_rejected(self):
+        with pytest.raises(ManifestError, match="holds a comma or a line break"):
+            CorpusManifest(("a,b", "c"), (), {})
+
+    def test_valid_manifest_round_trips(self, tmp_path):
+        u = UtteranceRef("u 1;#", "audio/col\u00e8re a.wav", "sp-1", "col\u00e8re", 1, 1, "test")
+        m = CorpusManifest(("neutral", "col\u00e8re"), (u,), {"sp-1": "imposter"})
+        save_manifest(m, tmp_path / "m.csv")
+        assert load_manifest(tmp_path / "m.csv") == m
 
     def test_unknown_split_rejected(self):
         u = UtteranceRef("u1", "x", "s1", "neutral", 1, 1, "dev")
