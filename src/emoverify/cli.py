@@ -261,25 +261,19 @@ def _cmd_trials(args) -> int:
     return 0
 
 
-def _experiment_config(args) -> ExperimentConfig:
-    return ExperimentConfig(
+def _run_and_write(kind: str, args, stage_b_fused: bool) -> int:
+    manifest = load_manifest(args.manifest)
+    features = FeatureDir(args.features_dir)
+    cfg = ExperimentConfig(
         n_states=args.states,
         n_mixtures=args.mixtures,
         alpha=args.alpha,
-        stage_b_fused=args.fused,
-        theta=args.theta,
-        adapt_window=args.adapt_window,
+        stage_b_fused=stage_b_fused,
         imposters_per_utterance=args.imposters_per_utterance,
         seed=args.seed,
         workers=args.workers,
         train=TrainConfig(max_iterations=args.max_iterations),
     )
-
-
-def _run_and_write(kind: str, args) -> int:
-    manifest = load_manifest(args.manifest)
-    features = FeatureDir(args.features_dir)
-    cfg = _experiment_config(args)
     _echo(cfg.echo(kind))
     report = run_experiment(kind, manifest, features, cfg)
     written = write_report(report, args.report_dir)
@@ -291,11 +285,12 @@ def _run_and_write(kind: str, args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    return _run_and_write(_MODES[args.mode], args)
+    return _run_and_write(_MODES[args.mode], args, stage_b_fused=args.fused)
 
 
 def _cmd_sweep_alpha(args) -> int:
-    return _run_and_write("alpha_sweep", args)
+    # a sweep always enrolls fused stage-b models, so it takes no --fused
+    return _run_and_write("alpha_sweep", args, stage_b_fused=False)
 
 
 def _read_vector(fp) -> list[float]:
@@ -347,10 +342,7 @@ def _add_training(p):
     p.add_argument("--max-iterations", type=int, default=20, help="EM iteration cap")
 
 
-def _add_trial_knobs(p):
-    p.add_argument("--theta", type=float, default=0.0, help="decision threshold")
-    p.add_argument("--adapt-window", type=int, default=None,
-                   help="adapt the threshold to the mean of this many recent scores")
+def _add_trial_plan(p):
     p.add_argument("--imposters-per-utterance", type=int, default=1,
                    help="false claims drawn per test utterance")
     p.add_argument("--workers", type=int, default=0, help="scoring processes")
@@ -423,7 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_models_dir(p)
     _add_report_dir(p)
     p.add_argument("--mode", choices=CLI_MODES, default="two_stage", help="trial mode")
-    _add_trial_knobs(p)
+    p.add_argument("--theta", type=float, default=0.0, help="decision threshold")
+    p.add_argument("--adapt-window", type=int, default=None,
+                   help="adapt the threshold to the mean of this many recent scores")
+    _add_trial_plan(p)
     _add_seed(p, required=False)
     p.set_defaults(func=_cmd_trials)
 
@@ -439,11 +434,11 @@ def build_parser() -> argparse.ArgumentParser:
         if with_mode:
             p.add_argument("--mode", choices=CLI_MODES, default="two_stage",
                            help="experiment kind")
+            p.add_argument("--fused", action="store_true",
+                           help="verify with two-stream speaker models")
         _add_model_shape(p)
         _add_training(p)
-        p.add_argument("--fused", action="store_true",
-                       help="verify with two-stream speaker models")
-        _add_trial_knobs(p)
+        _add_trial_plan(p)
         _add_seed(p, required=True)
         p.set_defaults(func=fn)
 

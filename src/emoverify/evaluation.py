@@ -103,7 +103,8 @@ class ExperimentConfig:
     scheduled, never what it computes, and is left out of report echoes.
     The prosodic mixture count, the variance and weight floors and the
     k-means iteration count are fixed (sphmm.DEFAULT_PROSODIC_MIXTURES and
-    the hmm module's constants); echo still reports them.
+    the hmm module's constants); echo still reports them, and the fixed
+    TrialConfig threshold too, since a report's EERs sweep every threshold.
     """
 
     n_states: int = 2
@@ -111,8 +112,6 @@ class ExperimentConfig:
     alpha: float = 0.5
     stage_b_fused: bool = False
     composite: bool = True
-    theta: float = 0.0
-    adapt_window: int | None = None
     imposters_per_utterance: int = 1
     seed: int = 0
     workers: int = 0
@@ -127,7 +126,7 @@ class ExperimentConfig:
             raise ValueError("seed must be nonnegative")
         if self.imposters_per_utterance < 1:
             raise ValueError("imposters_per_utterance must be >= 1: EERs need nontarget trials")
-        self.trial_config  # fail fast on bad theta/window/imposters/workers
+        self.trial_config  # fail fast on bad workers
 
     @property
     def train_config(self) -> TrainConfig:
@@ -136,8 +135,6 @@ class ExperimentConfig:
     @property
     def trial_config(self) -> TrialConfig:
         return TrialConfig(
-            theta=self.theta,
-            adapt_window=self.adapt_window,
             imposters_per_utterance=self.imposters_per_utterance,
             seed=self.seed,
             workers=self.workers,
@@ -145,6 +142,7 @@ class ExperimentConfig:
 
     def echo(self, kind: str) -> dict[str, object]:
         """Report header: the full result-affecting config, in a fixed order."""
+        trials = self.trial_config
         return {
             "kind": kind,
             "n_states": self.n_states,
@@ -153,8 +151,8 @@ class ExperimentConfig:
             "stage_b_fused": self.stage_b_fused,
             "prosodic_mixtures": DEFAULT_PROSODIC_MIXTURES,
             "composite": self.composite,
-            "theta": self.theta,
-            "adapt_window": self.adapt_window,
+            "theta": trials.theta,
+            "adapt_window": trials.adapt_window,
             "imposters_per_utterance": self.imposters_per_utterance,
             "max_iterations": self.train.max_iterations,
             "convergence_delta": self.train.convergence_delta,
@@ -236,10 +234,12 @@ def eer(scores: ScoreSet) -> tuple[float, float]:
 
 
 def stat_summary(values: Sequence[float]) -> StatSummary:
-    """Mean and population standard deviation (divisor n) of a sample."""
+    """Mean and population standard deviation (divisor n) of a finite sample."""
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise ValueError("cannot summarize an empty sample")
+    if not np.isfinite(arr).all():
+        raise ValueError("sample values must be finite")
     return StatSummary(float(arr.mean()), float(arr.std()), int(arr.size))
 
 

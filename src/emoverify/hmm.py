@@ -478,6 +478,8 @@ def init_model(
     probability 1).
     """
     cfg = cfg or TrainConfig()
+    if n_states < 1 or n_mixtures < 1:
+        raise ValueError("model sizes must be positive")
     if not utterances:
         raise ValueError("training set is empty")
     utterances = [np.asarray(u, dtype=np.float64) for u in utterances]

@@ -109,8 +109,14 @@ def _validate(manifest: CorpusManifest) -> None:
         raise ManifestError("emotion set contains duplicates")
     for emotion in manifest.emotion_set:
         _check_text("emotion", emotion)
+        if emotion != emotion.strip():  # the #emotions: pragma is read back stripped
+            raise ManifestError(f"emotion {emotion!r} has leading or trailing whitespace")
     for speaker, role in manifest.roles.items():
         _check_text("speaker id", speaker)
+        # then the first "__" of a model stem speaker_<s>__<e> is where the speaker ends
+        if "__" in speaker or speaker.endswith("_"):
+            raise ManifestError(f"speaker id {speaker!r} holds '__' or ends in '_': '__' "
+                                "separates speaker and emotion in model file names")
         if role not in ROLES:
             raise ManifestError(f"unknown role {role!r}")
     seen: set[str] = set()
@@ -132,6 +138,10 @@ def _validate(manifest: CorpusManifest) -> None:
             raise ManifestError(
                 f"utterance {u.id!r}: sentence_group and repetition must be >= 1"
             )
+    spoken = {u.speaker_id for u in manifest.utterances}
+    for speaker in manifest.roles:
+        if speaker not in spoken:  # save_manifest keeps roles only in utterance rows
+            raise ManifestError(f"speaker {speaker!r} has a role but no utterance")
 
 
 def load_manifest(path) -> CorpusManifest:

@@ -1,5 +1,6 @@
 """Command-line subcommands: determinism, exit codes, file outputs."""
 
+import argparse
 import io
 import os
 import re
@@ -91,6 +92,16 @@ class TestTraining:
         assert len(list((tmp_path / "fused").glob("speaker_*__*.emvs"))) == 9
         assert len(list((tmp_path / "fused").glob("pooled_*.emvs"))) == 3
 
+    @pytest.mark.parametrize("command", ["train-emotions", "train-speakers"])
+    @pytest.mark.parametrize("size", ["--states", "--mixtures"])
+    def test_zero_model_size_is_domain_error(self, workspace, tmp_path, capsys, command, size):
+        code = main([command, "--manifest", workspace["manifest"],
+                     "--features-dir", workspace["features"],
+                     "--models-dir", str(tmp_path / "models")] + TRAIN_ARGS + [size, "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: model sizes must be positive\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_stored_models_round_trip_byte_for_byte(self, workspace, tmp_path):
         # In memory every stage-b model is an SphmmModel; on disk a plain one
         # is still the acoustic stream's .emvh and a fused one an .emvs.
@@ -135,6 +146,22 @@ class TestLabelsNameFiles:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "speaker id 'x/../../esc' is not a plain file name" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.csv"]
+
+    def test_speaker_holding_the_stem_separator_is_domain_error(self, workspace, tmp_path,
+                                                                 monkeypatch, capsys):
+        # speaker a__b's model for emotion c and speaker a's for b__c would share one file
+        monkeypatch.setattr(cli, "enroll", lambda *a, **k: pytest.fail("enrollment ran"))
+        text = Path(workspace["manifest"]).read_text(encoding="utf-8")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(text.replace(",s1,", ",s__1,"), encoding="utf-8")
+        code = main(["train-speakers", "--manifest", str(manifest),
+                     "--features-dir", workspace["features"],
+                     "--models-dir", str(tmp_path / "models")] + TRAIN_ARGS)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "speaker id 's__1' holds '__'" in err
         assert [p.name for p in tmp_path.iterdir()] == ["manifest.csv"]
 
 
@@ -462,6 +489,19 @@ class TestTTest:
         assert code == 1
         assert "every line must hold one number" in captured.err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_line_is_domain_error(self, tmp_path, capsys, bad):
+        first = tmp_path / "first.txt"
+        second = tmp_path / "second.txt"
+        first.write_text(f"1\n{bad}\n3\n")
+        second.write_text("1\n2\n3\n")
+        code = main(["ttest", str(first), str(second)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: sample values must be finite\n"
+        assert not any(line.startswith("t = ") for line in captured.out.splitlines())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["first.txt", "second.txt"]
+
 
 def write_wav(path, rate=16000, seconds=0.3, seed=0):
     rng = np.random.default_rng(seed)
@@ -552,6 +592,46 @@ class TestFeatures:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "utterance id '../escaped' is not a plain file name" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.csv", "u.wav"]
+
+
+def parser_options(subcommand):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {o for a in sub.choices[subcommand]._actions for o in a.option_strings}
+
+
+EXPERIMENT_OPTIONS = {"-h", "--help", "--manifest", "--features-dir", "--report-dir",
+                      "--states", "--mixtures", "--alpha", "--max-iterations",
+                      "--imposters-per-utterance", "--workers", "--seed"}
+
+
+class TestOptionSurface:
+    """Every option of the experiment and trial commands, so a new knob shows in review."""
+
+    @pytest.mark.parametrize("subcommand, options", [
+        ("eval", EXPERIMENT_OPTIONS | {"--mode", "--fused"}),
+        ("sweep-alpha", EXPERIMENT_OPTIONS),
+        ("trials", {"-h", "--help", "--manifest", "--features-dir", "--models-dir",
+                    "--report-dir", "--mode", "--theta", "--adapt-window",
+                    "--imposters-per-utterance", "--workers", "--seed"}),
+    ])
+    def test_exact_options(self, subcommand, options):
+        assert parser_options(subcommand) == options
+
+    # a report's EERs sweep every threshold, and a sweep always enrolls fused models
+    @pytest.mark.parametrize("subcommand, flag", [
+        ("eval", ["--theta", "1"]), ("eval", ["--adapt-window", "3"]),
+        ("sweep-alpha", ["--theta", "1"]), ("sweep-alpha", ["--adapt-window", "3"]),
+        ("sweep-alpha", ["--fused"]),
+    ])
+    def test_setting_that_changes_no_report_is_usage_error(self, workspace, tmp_path, capsys,
+                                                           subcommand, flag):
+        code = main([subcommand, "--manifest", workspace["manifest"],
+                     "--features-dir", workspace["features"],
+                     "--report-dir", str(tmp_path / "report")] + TRAIN_ARGS + flag)
+        assert code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestUsageErrors:

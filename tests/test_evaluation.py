@@ -225,6 +225,11 @@ class TestStatSummary:
         with pytest.raises(ValueError, match="empty"):
             stat_summary([])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="^sample values must be finite$"):
+            stat_summary([1.0, bad, 3.0])
+
     def test_summary_validation(self):
         with pytest.raises(ValueError, match=">= 0"):
             StatSummary(1.0, -0.1, 3)
@@ -328,7 +333,7 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="positive"):
             ExperimentConfig(n_states=0)
         with pytest.raises(ValueError, match="finite"):
-            ExperimentConfig(theta=math.inf)
+            TrialConfig(theta=math.inf)  # the threshold is a trial setting only
         with pytest.raises(ValueError, match="seed"):
             ExperimentConfig(seed=-1)
 

@@ -2,12 +2,12 @@
 
 On one tiny seeded corpus (3 speakers x 3 emotions, 18 test utterances)
 the record holds every experiment kind's write_report files, plus a
-fused-stage-b run with an adaptive threshold and two imposter claims per
-utterance, all on single-state models, and the two_stage and alpha_sweep
-reports again on three-state models.  It also holds the trials.csv of
-every CLI trial mode on stored two-state plain models, and of the
-two_stage and one_stage modes on fused models with that adaptive
-threshold, so the forward recursion is pinned too, and the identify
+fused-stage-b run with two imposter claims per utterance, all on
+single-state models, and the two_stage and alpha_sweep reports again on
+three-state models.  It also holds the trials.csv of every CLI trial mode
+on stored two-state plain models, and of the two_stage and one_stage
+modes on fused models with an adaptive threshold and two imposter
+claims, so the forward recursion is pinned too, and the identify
 command's confusion.csv in both of its modes on the stored plain models.
 Three fixed seeded 16 kHz clips (two noisy four-harmonic tones and one
 noise-only clip) pin the front end's extract output.  A test rebuilds
@@ -67,11 +67,11 @@ GOLDEN_SPEC = SyntheticSpec(
 )
 
 BASE_CFG = ExperimentConfig(n_states=1, n_mixtures=2, seed=5, train=TrainConfig(max_iterations=3))
-FUSED_CFG = replace(BASE_CFG, stage_b_fused=True, adapt_window=3, imposters_per_utterance=2)
+FUSED_CFG = replace(BASE_CFG, stage_b_fused=True, imposters_per_utterance=2)
 
 # report case -> (experiment kind, config)
 REPORT_CASES = {kind: (kind, BASE_CFG) for kind in KINDS}
-REPORT_CASES["worst_case_fused_adaptive"] = ("worst_case", FUSED_CFG)
+REPORT_CASES["worst_case_fused"] = ("worst_case", FUSED_CFG)
 # multi-state EM, so the forward/backward recursion of training is pinned too
 STATE3_CFG = replace(BASE_CFG, n_states=3)
 REPORT_CASES["two_stage_3state"] = ("two_stage", STATE3_CFG)

@@ -374,6 +374,12 @@ class TestTraining:
         with pytest.raises(ValueError, match="empty"):
             init_model([], 2, 2)
 
+    @pytest.mark.parametrize("n_states, n_mixtures", [(0, 1), (1, 0), (-1, 2)])
+    def test_non_positive_model_size_rejected(self, n_states, n_mixtures):
+        utts = [np.random.default_rng(0).normal(size=(6, 2))]
+        with pytest.raises(ValueError, match="^model sizes must be positive$"):
+            init_model(utts, n_states, n_mixtures)
+
 
 class TestDegenerateInputs:
     def test_utterances_shorter_than_state_count(self):

@@ -72,6 +72,14 @@ class TestLoad:
         with pytest.raises(ManifestError, match="speaker id .* is not a plain file name"):
             load_manifest(write(tmp_path, bad))
 
+    @pytest.mark.parametrize("speaker", ["a__b", "__", "s__", "a_"])
+    def test_speaker_holding_the_stem_separator_rejected(self, tmp_path, speaker):
+        # speaker_a__b__c would be the stem of both (a__b, c) and (a, b__c),
+        # and speaker_a___b of both (a_, b) and (a, _b)
+        bad = GOOD.replace(",s1,", f",{speaker},")
+        with pytest.raises(ManifestError, match="speaker id .* holds '__'"):
+            load_manifest(write(tmp_path, bad))
+
     @pytest.mark.parametrize("emotion", ["a/b", "..", ".", "a\\b"])
     def test_emotion_that_is_not_a_plain_file_name_rejected(self, tmp_path, emotion):
         # emotion labels name model and report files (emotion_<e>, det_<e>.csv)
@@ -144,10 +152,29 @@ class TestValidation:
         with pytest.raises(ManifestError, match="speaker id .* is not a plain file name"):
             CorpusManifest(("neutral", "angry"), (u,), {speaker: "claimant"})
 
+    @pytest.mark.parametrize("speaker", ["a__b", "__", "s__", "a_"])
+    def test_speaker_holding_the_stem_separator_rejected(self, speaker):
+        u = UtteranceRef("u1", "x", speaker, "neutral", 1, 1, "train")
+        with pytest.raises(ManifestError, match="speaker id .* holds '__'"):
+            CorpusManifest(("neutral", "angry"), (u,), {speaker: "claimant"})
+
     @pytest.mark.parametrize("emotion", ["../x", "a/b", "..", ".", "", "a\\b"])
     def test_emotion_that_is_not_a_plain_file_name_rejected(self, emotion):
         with pytest.raises(ManifestError, match="emotion .* is not a plain file name"):
             CorpusManifest(("neutral", emotion), (), {})
+
+    @pytest.mark.parametrize("emotion", [" angry", "angry ", "\tangry", "an gry "])
+    def test_emotion_with_surrounding_whitespace_rejected(self, emotion):
+        # the #emotions: pragma is read back stripped, so the label would not load back
+        with pytest.raises(ManifestError, match="leading or trailing whitespace"):
+            CorpusManifest(("neutral", emotion), (), {})
+
+    def test_role_of_a_speaker_with_no_utterance_rejected(self):
+        # save_manifest writes roles only in utterance rows, so this one would be lost
+        u = UtteranceRef("u1", "x", "s1", "neutral", 1, 1, "train")
+        with pytest.raises(ManifestError, match="^speaker 's9' has a role but no utterance$"):
+            CorpusManifest(("neutral", "angry"), (u,), {"s1": "claimant", "s9": "imposter"})
+        assert CorpusManifest(("neutral", "angry"), (), {}).speakers == ()
 
     @pytest.mark.parametrize("field", ["id", "source", "speaker_id", "emotion"])
     @pytest.mark.parametrize("mark", [",", "\n", "\r", "\u2028"])
