@@ -6,11 +6,9 @@ The corpus carries weak emotion cues in the acoustic stream, so the
 acoustic-only identifier misreads utterances the fused one gets right.
 """
 
-from dataclasses import replace
-
 from emoverify.hmm import TrainConfig
-from emoverify.sphmm import ModelSet
-from emoverify.stage_a import confusion, identify_emotion, train_emotion_models
+from emoverify.stage_a import identify_emotion, tally, train_emotion_models
+from emoverify.stage_b import TrialConfig, best_labels, score_trials
 from emoverify.synthetic import SyntheticSpec, base_manifest, generator_models, synthesize_utterance
 
 spec = SyntheticSpec(
@@ -47,13 +45,17 @@ print(f"{probe.id}: identified {label!r} (true {probe.emotion!r})")
 for emotion, score in sorted(scores.items(), key=lambda kv: -kv[1]):
     print(f"  {emotion:<8} {score:8.3f}")
 
-# whole test split: confusion matrix with column percentages
-held_out = [(u.emotion, features[u.id]) for u in manifest.utterances if u.split == "test"]
-matrix = confusion(emotion_models, held_out)
+# whole test split: one score table (every stream of every emotion model
+# per utterance), identified at a fusion weight and tallied into a
+# confusion matrix with column percentages
+test = [(u, u.speaker_id) for u in manifest.utterances if u.split == "test"]
+table = score_trials(test, emotion_models, features, TrialConfig())
+portrayed = [u.emotion for u, _ in test]
+matrix = tally(emotion_models.labels, zip(best_labels(table, emotion_models.alpha), portrayed))
 print()
 print(matrix.to_csv())
 print(f"fused accuracy: {matrix.accuracy:.1f}%")
 
-alpha_zero = ModelSet({e: replace(m, alpha=0.0) for e, m in emotion_models.models.items()})
-acoustic_only = confusion(alpha_zero, held_out)
+# the same table at weight 0 is the acoustic-only identifier, with no rescoring
+acoustic_only = tally(emotion_models.labels, zip(best_labels(table, 0.0), portrayed))
 print(f"acoustic-only accuracy: {acoustic_only.accuracy:.1f}%")

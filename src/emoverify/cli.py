@@ -31,13 +31,15 @@ from .frontend import extract, load_wav
 from .hmm import TrainConfig, load_hmm, save_hmm
 from .manifest import load_manifest, save_manifest
 from .sphmm import ModelSet, SphmmModel, load_sphmm, save_sphmm
-from .stage_a import confusion, train_emotion_models
+from .stage_a import tally, train_emotion_models
 from .stage_b import (
     SpeakerEmotionModelSet,
     TrialConfig,
+    best_labels,
     enroll,
     enroll_pooled,
     run_trials,
+    score_trials,
     write_trials,
 )
 from .synthetic import SyntheticSpec, generate_synthetic
@@ -218,8 +220,9 @@ def _cmd_identify(args) -> int:
     stage_a_alpha = EXPERIMENTS[_MODES[args.mode]][1]
     models = ModelSet(_load_models(args.models_dir, "emotion", manifest.emotion_set, stage_a_alpha))
     _echo({"subcommand": "identify", "mode": args.mode, "alpha": models.alpha})
-    labeled = ((u.emotion, features[u.id]) for u in manifest.subset(split="test"))
-    matrix = confusion(models, labeled)
+    test = [(u, u.speaker_id) for u in manifest.subset(split="test")]
+    identified = best_labels(score_trials(test, models, features, TrialConfig()), models.alpha)
+    matrix = tally(models.labels, zip(identified, (u.emotion for u, _ in test)))
     write_text(Path(args.report_dir) / "confusion.csv", matrix.to_csv())
     print(f"accuracy = {matrix.accuracy!r}")
     return 0

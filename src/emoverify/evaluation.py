@@ -140,6 +140,9 @@ class ExperimentConfig:
             workers=self.workers,
         )
 
+    def fused_for(self, kind: str) -> bool:  # a sweep always enrolls fused stage-b models
+        return self.stage_b_fused or kind == "alpha_sweep"
+
     def echo(self, kind: str) -> dict[str, object]:
         """Report header: the full result-affecting config, in a fixed order."""
         trials = self.trial_config
@@ -148,7 +151,7 @@ class ExperimentConfig:
             "n_states": self.n_states,
             "n_mixtures": self.n_mixtures,
             "alpha": self.alpha,
-            "stage_b_fused": self.stage_b_fused,
+            "stage_b_fused": self.fused_for(kind),
             "prosodic_mixtures": DEFAULT_PROSODIC_MIXTURES,
             "composite": self.composite,
             "theta": trials.theta,
@@ -373,10 +376,9 @@ def run_experiment(kind: str, manifest: CorpusManifest, features, cfg: Experimen
         return once((name, fused), lambda: trainer(*common, fused=fused, **training))
 
     def scores(name, models):
-        return once(("scores", name), lambda: score_trials(
-            plan, models, manifest, features, trial_cfg))
+        return once(("scores", name), lambda: score_trials(plan, models, features, trial_cfg))
 
-    fused = cfg.stage_b_fused or bool(grid)
+    fused = cfg.fused_for(kind)
     speaker_models = stage_b_set("enroll", enroll, fused)
     plan = trial_plan(manifest, speaker_models.speakers, trial_cfg)
     table = scores(("enroll", fused), speaker_models)
@@ -385,8 +387,8 @@ def run_experiment(kind: str, manifest: CorpusManifest, features, cfg: Experimen
         stage_a = scores("stage_a", once(
             "stage_a", lambda: train_emotion_models(*common, **training)))
     if "one_stage" in modes:
-        pooled = stage_b_set("pooled", enroll_pooled, cfg.stage_b_fused)
-        pooled_table = scores(("pooled", cfg.stage_b_fused), pooled)
+        pooled = stage_b_set("pooled", enroll_pooled, fused)
+        pooled_table = scores(("pooled", fused), pooled)
 
     def decide(mode, a_alpha=cfg.alpha, b_alpha=speaker_models.alpha):
         if mode == "one_stage":

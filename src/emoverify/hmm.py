@@ -334,10 +334,12 @@ def _accumulate_stats(model: HmmModel, obs: np.ndarray, la: np.ndarray):
 
     comp, logb = _log_densities(model, obs)
     beta = np.zeros((t_len, n))
+    trans = np.zeros((n, n))
     if n == 1 and la[0, 0] == 0.0:
         # one state that never leaves: both recursions are running sums, the
         # same additions that a one-element logsumexp (which returns its
-        # input) and a 0.0 log-transition leave the general loops doing
+        # input) and a 0.0 log-transition leave the general loops doing.
+        # _reestimate pins the one row, so no transition count is taken.
         alpha = np.cumsum(logb, axis=0)
         beta[:-1, 0] = np.cumsum(logb[:0:-1, 0])[::-1]
         ll = float(alpha[-1, 0])
@@ -346,16 +348,14 @@ def _accumulate_stats(model: HmmModel, obs: np.ndarray, la: np.ndarray):
         ll = float(logsumexp(alpha[-1]))
         for t in range(t_len - 2, -1, -1):
             beta[t] = logsumexp(la + (logb[t + 1] + beta[t + 1])[None, :], axis=1)
+        for t in range(t_len - 1):
+            trans += np.exp(alpha[t][:, None] + la + (logb[t + 1] + beta[t + 1])[None, :] - ll)
 
     log_gamma = alpha + beta - ll  # (T, N)
     with np.errstate(invalid="ignore"):
         log_resp = comp - logb[:, :, None]  # within-state mixture responsibility
     log_resp[~np.isfinite(logb), :] = -np.inf
     gamma_m = np.exp(log_gamma[:, :, None] + log_resp)  # (T, N, M)
-
-    trans = np.zeros((n, n))
-    for t in range(t_len - 1):
-        trans += np.exp(alpha[t][:, None] + la + (logb[t + 1] + beta[t + 1])[None, :] - ll)
 
     occ = gamma_m.sum(axis=0)  # (N, M)
     first = np.einsum("tnm,td->nmd", gamma_m, obs)

@@ -146,6 +146,7 @@ def fuse_scores(alpha: float, acoustic: float, prosodic: float | None) -> float:
     The endpoints bypass arithmetic entirely: alpha 0 returns the acoustic
     score unchanged and alpha 1 the prosodic score, bit for bit.  A weight
     above 0 needs a prosodic score, which a plain model does not have.
+    Scores are floats, or a score table's equal-shape stream arrays.
     """
     if alpha == 0.0:
         return acoustic

@@ -107,8 +107,3 @@ def tally(emotions, pairs) -> ConfusionMatrix:
     matrix.percentages  # force the missing-emotion check
     return matrix
 
-
-def confusion(models: ModelSet, labeled) -> ConfusionMatrix:
-    """Classify (true_emotion, obs) pairs and tally the identifications."""
-    return tally(models.labels,
-                 ((identify_emotion(models, obs)[0], true) for true, obs in labeled))

@@ -12,11 +12,11 @@ stage a's form one keyed by emotion; a SpeakerEmotionModelSet keys its
 models (speaker, emotion) and checks them through a ModelSet.
 
 Trials run in two passes.  score_trials scores one model set over a
-trial plan: every stream of every model a planned utterance meets,
-acoustic and prosodic apart, with no fusion weight.  decide_trials fuses
-the stage-b table's streams, and for two_stage the stage-a table's, at
-their weights into one mode's records, so every mode and weight over the
-same models and plan is decided from one scoring pass per model set.
+trial plan into a ScoreTable, one (P, K) array per stream with no fusion
+weight.  decide_trials fuses the tables at their weights and decides all
+rows at once: two_stage's e* is a row's argmax over the stage-a table, and
+every ratio is the keyed column minus the mean of the row's others.  So
+every mode and weight is decided from one scoring pass per model set.
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .binio import write_text
-from .frontend import ObservationPair
 from .hmm import TrainConfig
 from .hmm import avg_frame_ll  # noqa: F401  benchmark/tracing.py wraps this name
 from .hmm import init_model, train_baum_welch  # noqa: F401  benchmark/tracing.py wraps this name
@@ -158,20 +157,6 @@ def enroll_pooled(manifest: CorpusManifest, features, n_states: int, n_mixtures:
     return ModelSet(train_set(groups, features, n_states, n_mixtures, cfg, fused, alpha, composite))
 
 
-def background_ratio(scores: Mapping, key) -> float:
-    """The keyed score (emotion e*, or claimed speaker) minus the other keys' mean."""
-    if key not in scores:
-        raise ValueError(f"no score for {key!r}")
-    others = [s for k, s in scores.items() if k != key]
-    if not others:
-        raise ValueError("need at least 2 scores for a background")
-    return scores[key] - float(np.mean(others))
-
-
-def _fused(streams: Mapping, alpha: float) -> dict:
-    return {key: fuse_scores(alpha, *pair) for key, pair in streams.items()}
-
-
 def decide(llr_value: float, theta: float) -> str:
     """Accept iff the ratio clears the threshold; the boundary accepts."""
     if not (math.isfinite(llr_value) and math.isfinite(theta)):
@@ -226,42 +211,42 @@ def _wrong_emotion(emotion_set: Sequence[str], utt: UtteranceRef, seed: int) -> 
 
 @dataclass(frozen=True)
 class ScoreTable:
-    """(acoustic, prosodic) stream scores of one model set over a trial plan.
+    """Stream scores of one model set over a trial plan, as (P, K) arrays.
 
-    scores[utt][key] is keyed (claimed speaker, emotion) for a
-    SpeakerEmotionModelSet and by label for a ModelSet: speaker for the
-    pooled set, emotion for the stage-a set.  The prosodic score is None
-    only for a plain model.
+    Row p holds plan row p's scores and column k label k's: the claimed
+    speaker's emotion models for a SpeakerEmotionModelSet, every model for
+    a ModelSet (speakers pooled, or stage a's emotions).  prosodic is None
+    only for a plain set.
     """
 
     plan: tuple[tuple[UtteranceRef, str], ...]
-    emotion_set: tuple[str, ...]
-    scores: dict
+    labels: tuple
+    acoustic: np.ndarray
+    prosodic: np.ndarray | None
 
 
 def _score_utterance(models, task):
-    """One utterance's scores under models."""
+    """One utterance's (acoustic, prosodic) score row per claim, in column order."""
     utt_id, obs, claims = task
-    keys = models.models
     if isinstance(models, SpeakerEmotionModelSet):
-        keys = [(c, e) for c in claims for e in models.emotion_set]
-    return utt_id, {key: stream_scores(models.models[key], obs) for key in keys}
+        return utt_id, {c: [stream_scores(models.models[c, e], obs) for e in models.emotion_set]
+                        for c in claims}
+    return utt_id, dict.fromkeys(claims, [stream_scores(m, obs) for m in models.models.values()])
 
 
 def score_trials(
     plan: Sequence[tuple[UtteranceRef, str]],
     models,
-    manifest: CorpusManifest,
     features,
     cfg: TrialConfig,
 ) -> ScoreTable:
     """Scoring pass: one model set over each planned utterance, read once.
 
     A SpeakerEmotionModelSet scores the claimed speakers' emotion models
-    only; a ModelSet (the pooled or the stage-a set) scores every model.
-    Every stream of every scored model is kept, so the table decides at
-    any fusion weight.  Results are keyed by utterance, so the worker
-    count never changes the outcome.
+    only; a ModelSet (the pooled or the stage-a set) scores every model
+    once per utterance, into each of that utterance's rows.  Every stream
+    is kept, so the table decides at any fusion weight.  Results are keyed
+    by utterance, so the worker count never changes the outcome.
     """
     claims_by_utt: dict[str, list[str]] = {}
     for utt, claimed in plan:
@@ -269,23 +254,23 @@ def score_trials(
     tasks = [(utt_id, features[utt_id], tuple(c)) for utt_id, c in claims_by_utt.items()]
     score = partial(_score_utterance, models)
     if cfg.workers == 0 or not tasks:
-        results = list(map(score, tasks))
+        rows = dict(map(score, tasks))
     else:
         chunk = max(1, len(tasks) // (4 * cfg.workers))
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(score, tasks, chunksize=chunk))
-    return ScoreTable(tuple(plan), manifest.emotion_set, dict(results))
+            rows = dict(pool.map(score, tasks, chunksize=chunk))
+    labels = models.emotion_set if isinstance(models, SpeakerEmotionModelSet) else models.labels
+    # (P, K, 2) pairs as two contiguous (P, K) streams; a plain set's None prosodic reads as nan
+    pairs = np.array([rows[utt.id][claimed] for utt, claimed in plan], dtype=np.float64)
+    acoustic, prosodic = np.moveaxis(pairs.reshape(len(plan), len(labels), 2), 2, 0).copy()
+    plain = next(iter(models.models.values())).prosodic is None
+    return ScoreTable(tuple(plan), labels, acoustic, None if plain else prosodic)
 
 
-def _e_star(mode: str, utt: UtteranceRef, seed: int, emotion_set, stage_a, emotion_alpha) -> str:
-    if mode == "oracle_emotion":
-        return utt.emotion
-    if mode == "worst_case":
-        return _wrong_emotion(emotion_set, utt, seed)
-    if stage_a is None or not stage_a.scores.get(utt.id) or emotion_alpha is None:
-        raise ValueError(f"two_stage mode needs stage-a scores and weight (utterance {utt.id})")
-    scores = _fused(stage_a.scores[utt.id], emotion_alpha)
-    return max(scores, key=lambda e: scores[e])  # max() keeps the earliest tie
+def best_labels(table: ScoreTable, alpha: float) -> list:
+    """Each row's label of highest score at weight alpha; a tie goes to the earlier label."""
+    fused = fuse_scores(alpha, table.acoustic, table.prosodic)
+    return [table.labels[k] for k in np.argmax(fused, axis=1)]
 
 
 def decide_trials(
@@ -299,22 +284,34 @@ def decide_trials(
     """Decision pass: one mode's trial records from a scored stage-b table.
 
     alpha fuses the stage-b streams; two_stage identifies e* from the
-    stage-a table fused at emotion_alpha and is undecidable without both.
-    The tables hold every stream, so any weight decides; a plain set
-    decides only at weight 0.  A non-finite score or threshold stops the
-    run with an error naming the trial, since dropping the trial would
-    move the error rates unseen.
+    stage-a table over the same plan fused at emotion_alpha and is
+    undecidable without both.  The tables hold every stream, so any weight
+    decides; a plain set decides only at weight 0.  A non-finite score or
+    threshold stops the run with an error naming the trial, since dropping
+    the trial would move the error rates unseen.
     """
+    plan, labels = table.plan, table.labels
+    if mode == "one_stage":
+        e_stars, keys = [""] * len(plan), [claimed for _, claimed in plan]
+    elif mode == "oracle_emotion":
+        e_stars = keys = [utt.emotion for utt, _ in plan]
+    elif mode == "worst_case":
+        e_stars = keys = [_wrong_emotion(labels, utt, cfg.seed) for utt, _ in plan]
+    elif stage_a is None or emotion_alpha is None or stage_a.plan != plan:
+        raise ValueError("two_stage mode needs stage-a scores over the same plan and a weight")
+    else:
+        e_stars = keys = best_labels(stage_a, emotion_alpha)
+    if not set(keys) <= set(labels):
+        raise ValueError(f"no score for {next(k for k in keys if k not in labels)!r}")
+    # each row's keyed column, and the mean of its others over a contiguous row
+    keyed = np.arange(len(labels)) == np.array([labels.index(key) for key in keys])[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite ratio is refused below
+        fused = fuse_scores(alpha, table.acoustic, table.prosodic)
+        background = fused[~keyed].reshape(len(plan), len(labels) - 1).mean(axis=1)
+        llrs = (fused[keyed] - background).tolist()
     records: list[TrialRecord] = []
     history: list[float] = []
-    for utt, claimed in table.plan:
-        streams = table.scores[utt.id]
-        if mode == "one_stage":
-            e_star, key = "", claimed
-        else:
-            e_star = key = _e_star(mode, utt, cfg.seed, table.emotion_set, stage_a, emotion_alpha)
-            streams = {e: streams[claimed, e] for e in table.emotion_set}
-        lam = background_ratio(_fused(streams, alpha), key)
+    for (utt, claimed), e_star, lam in zip(plan, e_stars, llrs):
         theta = cfg.theta
         if cfg.adapt_window is not None:
             theta = adapt_threshold(cfg.theta, history, cfg.adapt_window)
@@ -376,10 +373,10 @@ def run_trials(
         if emotion_models.labels != manifest.emotion_set:
             raise ValueError("stage-a and manifest emotion sets differ")
     plan = trial_plan(manifest, speakers, cfg)
-    table = score_trials(plan, models, manifest, features, cfg)
+    table = score_trials(plan, models, features, cfg)
     if mode != "two_stage":
         return decide_trials(table, mode, cfg, models.alpha)
-    stage_a = score_trials(plan, emotion_models, manifest, features, cfg)
+    stage_a = score_trials(plan, emotion_models, features, cfg)
     return decide_trials(table, mode, cfg, models.alpha, stage_a, emotion_models.alpha)
 
 

@@ -20,8 +20,8 @@ from emoverify.featureio import FeatureDir
 from emoverify.hmm import GmmEmission, HmmModel, TrainConfig, load_hmm, save_hmm, write_hmm
 from emoverify.manifest import CorpusManifest, load_manifest, save_manifest
 from emoverify.sphmm import ModelSet, load_sphmm, write_sphmm
-from emoverify.stage_a import confusion
-from emoverify.stage_b import enroll
+from emoverify.stage_a import tally
+from emoverify.stage_b import TrialConfig, best_labels, enroll, score_trials
 
 # One pipeline workspace shared by the read-only CLI tests below.
 SYNTH_ARGS = [
@@ -233,14 +233,15 @@ class TestIdentify:
                 "--features-dir", workspace["features"], "--models-dir", workspace["models"],
                 "--report-dir", str(tmp_path), "--mode", "hmm_only"])
         assert "alpha = 0.0\n" in capsys.readouterr().out
+        # the stored fused models' table, decided at weight 0: the acoustic scores
         manifest = load_manifest(workspace["manifest"])
-        features = FeatureDir(workspace["features"])
-        alpha_zero = ModelSet({
-            e: replace(load_sphmm(workspace["root"] / "models" / f"emotion_{e}.emvs"), alpha=0.0)
-            for e in manifest.emotion_set
-        })
-        labeled = [(u.emotion, features[u.id]) for u in manifest.subset(split="test")]
-        assert (tmp_path / "confusion.csv").read_text() == confusion(alpha_zero, labeled).to_csv()
+        stored = ModelSet({e: load_sphmm(workspace["root"] / "models" / f"emotion_{e}.emvs")
+                           for e in manifest.emotion_set})
+        assert stored.alpha == 0.5
+        test = [(u, u.speaker_id) for u in manifest.subset(split="test")]
+        table = score_trials(test, stored, FeatureDir(workspace["features"]), TrialConfig())
+        matrix = tally(stored.labels, zip(best_labels(table, 0.0), (u.emotion for u, _ in test)))
+        assert (tmp_path / "confusion.csv").read_text() == matrix.to_csv()
 
 
 @pytest.fixture(scope="module")
@@ -257,7 +258,8 @@ def blurred(tmp_path_factory):
 
 
 class TestIdentifyMatchesEval:
-    """identify (stage_a.confusion) and eval (score table, then tally) identify alike."""
+    """identify (a stage-a table over the test split) and eval (a stage-a table
+    over the trial plan) identify alike."""
 
     @pytest.mark.parametrize("mode", ["two_stage", "hmm_only"])
     def test_same_confusion(self, blurred, mode, capsys):

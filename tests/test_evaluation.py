@@ -350,6 +350,13 @@ class TestExperimentConfig:
         assert cfg.train_config.max_iterations == 5
         assert cfg.trial_config.seed == 9
 
+    def test_echo_says_every_sweep_enrolls_fused_models(self):
+        # one rule decides whether stage b is fused, for the run and its echo
+        for cfg in (ExperimentConfig(), ExperimentConfig(stage_b_fused=True)):
+            want = [cfg.stage_b_fused or kind == "alpha_sweep" for kind in KINDS]
+            assert [cfg.fused_for(kind) for kind in KINDS] == want
+            assert [cfg.echo(kind)["stage_b_fused"] for kind in KINDS] == want
+
     def test_echo_omits_workers(self):
         echoed = ExperimentConfig(workers=3).echo("two_stage")
         assert "workers" not in echoed
@@ -410,6 +417,7 @@ class TestRunExperiment:
         by_alpha = dict(sweep_report.alpha_rows)
         assert by_alpha[0.5] == sweep_report.average_eer
         assert isinstance(sweep_report.confusion, ConfusionMatrix)
+        assert sweep_report.config["stage_b_fused"] is True
 
     def test_alpha_sweep_scores_each_pair_once(self, corpus, monkeypatch):
         # Forward evaluations, counted under the names sphmm and stage_b

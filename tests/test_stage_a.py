@@ -14,10 +14,11 @@ from emoverify.seeds import derive_seed
 from emoverify.sphmm import ModelSet, train_sphmm, write_sphmm
 from emoverify.stage_a import (
     ConfusionMatrix,
-    confusion,
     identify_emotion,
+    tally,
     train_emotion_models,
 )
+from emoverify.stage_b import TrialConfig, best_labels, score_trials
 from emoverify.synthetic import SyntheticSpec, synthesize_utterance
 
 FAST = TrainConfig(max_iterations=3, seed=7)
@@ -33,6 +34,14 @@ SEPARABLE = SyntheticSpec(
     separability=2.5,
     seed=31,
 )
+
+
+def identify_test_split(models, manifest, features, keep=lambda u: True):
+    """Score the kept test utterances into one table, identify each at the
+    models' weight and tally the identifications."""
+    test = [(u, u.speaker_id) for u in manifest.subset(split="test") if keep(u)]
+    table = score_trials(test, models, features, TrialConfig())
+    return tally(models.labels, zip(best_labels(table, models.alpha), (u.emotion for u, _ in test)))
 
 
 @pytest.fixture(scope="module")
@@ -121,9 +130,8 @@ class TestIdentify:
 class TestConfusion:
     def test_counts_and_percentages(self, separable):
         manifest, features, _, models = separable
-        labeled = [(u.emotion, features[u.id]) for u in manifest.subset(split="test")]
-        cm = confusion(models, labeled)
-        assert cm.counts.sum() == len(labeled)
+        cm = identify_test_split(models, manifest, features)
+        assert cm.counts.sum() == len(manifest.subset(split="test"))
         np.testing.assert_allclose(cm.percentages.sum(axis=0), 100.0, atol=1e-9)
         assert cm.accuracy > 80.0
 
@@ -139,13 +147,8 @@ class TestConfusion:
 
     def test_missing_emotion_in_test_set(self, separable):
         manifest, features, _, models = separable
-        labeled = [
-            (u.emotion, features[u.id])
-            for u in manifest.subset(split="test")
-            if u.emotion != "angry"
-        ]
         with pytest.raises(ValueError, match="angry"):
-            confusion(models, labeled)
+            identify_test_split(models, manifest, features, keep=lambda u: u.emotion != "angry")
 
     def test_csv_layout(self):
         cm = ConfusionMatrix(("a", "b"), np.array([[3, 1], [1, 4]]))
@@ -179,10 +182,9 @@ class TestChanceLevel:
         models = train_emotion_models(manifest, features, 1, 1,
                                       cfg=TrainConfig(max_iterations=2, seed=3),
                                       composite=False)
-        labeled = [(u.emotion, features[u.id]) for u in manifest.subset(split="test")]
         m = len(manifest.emotion_set)
-        assert len(labeled) == 600 * m
-        cm = confusion(models, labeled)
+        assert len(manifest.subset(split="test")) == 600 * m
+        cm = identify_test_split(models, manifest, features)
         assert abs(cm.accuracy - 100.0 / m) < 2.5
         pct = cm.percentages
         for i in range(m):

@@ -2,6 +2,8 @@
 
 import dataclasses
 import io
+import math
+import re
 
 import numpy as np
 import pytest
@@ -16,11 +18,12 @@ from emoverify.stage_a import identify_emotion, train_emotion_models
 from emoverify.stage_b import (
     MODES,
     TRIAL_CSV_HEADER,
+    ScoreTable,
     SpeakerEmotionModelSet,
     TrialConfig,
     TrialRecord,
+    _wrong_emotion,
     adapt_threshold,
-    background_ratio,
     decide,
     decide_trials,
     enroll,
@@ -254,33 +257,53 @@ class TestEnroll:
             enroll_pooled(manifest, RecordingFeatures(), n_states=1, n_mixtures=1, cfg=FAST)
 
 
+def hand_table(scores, emotion="a", claimed="s1"):
+    """A one-row ScoreTable of plain scores by label, over one test
+    utterance of speaker s1 portraying emotion, claimed as claimed."""
+    utt = UtteranceRef("u0", "synthetic", "s1", emotion, 1, 1, "test")
+    return ScoreTable(((utt, claimed),), tuple(scores),
+                      np.array([list(scores.values())], dtype=np.float64), None)
+
+
+def oracle_llr(scores, key):
+    """The oracle_emotion ratio of a row whose utterance portrays key."""
+    table = hand_table(scores, emotion=key)
+    return decide_trials(table, "oracle_emotion", TrialConfig(), 0.0)[0].llr
+
+
+def reference_llr(scores, key):
+    """The ratio by its definition: the keyed score minus the others' mean."""
+    return scores[key] - float(np.mean([s for k, s in scores.items() if k != key]))
+
+
 class TestLlrArithmetic:
     def test_true_score_at_imposter_mean_is_zero(self):
-        scores = {"a": -4.0, "b": -5.0, "c": -3.0}
-        assert background_ratio(scores, "a") == 0.0
+        assert oracle_llr({"a": -4.0, "b": -5.0, "c": -3.0}, "a") == 0.0
 
     def test_five_background_example(self):
         scores = {"n": -2.0, "a": -3.0, "s": -4.0, "h": -5.0, "d": -3.0, "f": -5.0}
-        assert background_ratio(scores, "n") == 2.0
+        assert oracle_llr(scores, "n") == 2.0
 
     def test_two_emotions_reduce_to_difference(self):
-        scores = {"a": -1.25, "b": -4.75}
-        assert background_ratio(scores, "a") == -1.25 - (-4.75)
+        assert oracle_llr({"a": -1.25, "b": -4.75}, "a") == -1.25 - (-4.75)
 
     def test_constant_shift_cancels(self):
         rng = np.random.default_rng(5)
         scores = {f"e{i}": float(v) for i, v in enumerate(rng.normal(size=6))}
-        base = background_ratio(scores, "e2")
+        base = oracle_llr(scores, "e2")
         shifted = {e: s + 17.5 for e, s in scores.items()}
-        assert background_ratio(shifted, "e2") == pytest.approx(base, abs=1e-12)
+        assert oracle_llr(shifted, "e2") == pytest.approx(base, abs=1e-12)
 
     def test_unknown_emotion_rejected(self):
         with pytest.raises(ValueError, match="no score for 'z'"):
-            background_ratio({"a": 0.0, "b": 1.0}, "z")
+            oracle_llr({"a": 0.0, "b": 1.0}, "z")
 
     def test_single_emotion_has_no_background(self):
-        with pytest.raises(ValueError, match="background"):
-            background_ratio({"a": 0.0}, "a")
+        # No table has one column: every model set holds at least two models.
+        with pytest.raises(ValueError, match="at least 2 emotions"):
+            SpeakerEmotionModelSet(("a",), {("s1", "a"): toy_plain(0.0)})
+        with pytest.raises(ValueError, match="at least 2 models"):
+            ModelSet({"a": toy_plain(0.0)})
 
     def test_llr_composes_model_scores(self, corpus, enrolled, oracle_records):
         # A plain set decides at weight 0: each trial's ratio is built from
@@ -290,13 +313,14 @@ class TestLlrArithmetic:
             obs = features[r.utterance.id]
             scores = {e: avg_frame_ll(enrolled.models[r.claimed_speaker, e].acoustic, obs.acoustic)
                       for e in enrolled.emotion_set}
-            assert r.llr == background_ratio(scores, r.e_star)
+            assert r.llr == reference_llr(scores, r.e_star)
 
     def test_pooled_llr(self):
         scores = {"s1": -2.0, "s2": -4.0, "s3": -6.0}
-        assert background_ratio(scores, "s1") == -2.0 - (-5.0)
+        one_stage = decide_trials(hand_table(scores), "one_stage", TrialConfig(), 0.0)
+        assert one_stage[0].llr == -2.0 - (-5.0) and one_stage[0].e_star == ""
         with pytest.raises(ValueError, match="no score for 's9'"):
-            background_ratio(scores, "s9")
+            decide_trials(hand_table(scores, claimed="s9"), "one_stage", TrialConfig(), 0.0)
 
 
 class TestDecide:
@@ -495,7 +519,7 @@ class TestRunTrials:
             obs = features[r.utterance.id]
             scores = {s: avg_frame_ll(pooled.models[s].acoustic, obs.acoustic)
                       for s in pooled.labels}
-            assert r.llr == background_ratio(scores, r.claimed_speaker)
+            assert r.llr == reference_llr(scores, r.claimed_speaker)
 
     def test_threshold_adaptation_replays(self, corpus, enrolled):
         manifest, features = corpus
@@ -532,7 +556,7 @@ def toy_table(models=None):
     features = {u.id: toy_obs(np.random.default_rng(i)) for i, u in enumerate(manifest.utterances)}
     cfg = TrialConfig()
     plan = trial_plan(manifest, ("s1", "s2"), cfg)
-    return score_trials(plan, models, manifest, features, cfg), cfg
+    return score_trials(plan, models, features, cfg), cfg
 
 
 class TestDecideTrials:
@@ -580,11 +604,9 @@ class TestScoreOnceDecideMany:
         plan = trial_plan(manifest, enrolled.speakers, cfg)
         table = score_trials(
             plan, SpeakerEmotionModelSet(manifest.emotion_set, at_alpha(enrolled.models, 0.0)),
-            manifest, features, cfg)
-        stage_a = score_trials(plan, ModelSet(at_alpha(emotion_models.models, 0.0)),
-                               manifest, features, cfg)
-        pooled_table = score_trials(plan, ModelSet(at_alpha(pooled.models, 0.0)),
-                                    manifest, features, cfg)
+            features, cfg)
+        stage_a = score_trials(plan, ModelSet(at_alpha(emotion_models.models, 0.0)), features, cfg)
+        pooled_table = score_trials(plan, ModelSet(at_alpha(pooled.models, 0.0)), features, cfg)
         for alpha, a_alpha in zip(ALPHA_GRID, ALPHA_GRID[::-1]):
             speakers = SpeakerEmotionModelSet(manifest.emotion_set, at_alpha(enrolled.models, alpha))
             emotions = ModelSet(at_alpha(emotion_models.models, a_alpha))
@@ -603,12 +625,103 @@ class TestScoreOnceDecideMany:
         monkeypatch.setattr(sphmm, "avg_frame_ll", lambda m, o: calls.append(m) or real(m, o))
         cfg = TrialConfig(seed=3)
         plan = trial_plan(manifest, enrolled.speakers, cfg)
-        table = score_trials(plan, emotion_models, manifest, features, cfg)
+        table = score_trials(plan, emotion_models, features, cfg)
+        assert table.plan == plan and table.labels == manifest.emotion_set
+        shape = (len(plan), len(manifest.emotion_set))
+        assert table.acoustic.shape == table.prosodic.shape == shape
+        # both streams of every stage-a model, once per test utterance; an
+        # utterance's plan rows (its target and imposter claims) repeat one row
         utt_ids = {u.id for u, _ in plan}
-        assert set(table.scores) == utt_ids
-        assert all(tuple(table.scores[u]) == manifest.emotion_set for u in utt_ids)
-        # both streams of every stage-a model, once per test utterance
         assert len(calls) == 2 * len(emotion_models.models) * len(utt_ids)
+        first = {}
+        for p, (utt, _) in enumerate(plan):
+            row = first.setdefault(utt.id, p)
+            for stream in (table.acoustic, table.prosodic):
+                assert stream[p].tobytes() == stream[row].tobytes()
+
+
+def scalar_decide(table, mode, cfg, alpha, stage_a, emotion_alpha):
+    """The per-trial path the array pass replaced: each row's scores fused
+    one at a time, e* by max() over the fused stage-a row, and the ratio by
+    reference_llr.  Returns (e*, repr(llr)) per row, or the error message
+    for the first row whose ratio is not finite."""
+    def fused(t, p, weight):
+        rows = zip(t.labels, t.acoustic[p].tolist(), t.prosodic[p].tolist())
+        return {label: sphmm.fuse_scores(weight, a, pr) for label, a, pr in rows}
+
+    out = []
+    for p, (utt, claimed) in enumerate(table.plan):
+        if mode == "one_stage":
+            e_star, key = "", claimed
+        elif mode == "oracle_emotion":
+            e_star = key = utt.emotion
+        elif mode == "worst_case":
+            e_star = key = _wrong_emotion(table.labels, utt, cfg.seed)
+        else:
+            scores = fused(stage_a, p, emotion_alpha)
+            e_star = key = max(scores, key=lambda e: scores[e])
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam = reference_llr(fused(table, p, alpha), key)
+        if not math.isfinite(lam):
+            return (f"utterance {utt.id} claimed as {claimed}: "
+                    "score and threshold must both be finite")
+        out.append((e_star, repr(lam)))
+    return out
+
+
+class TestArrayPassMatchesScalarReference:
+    def test_every_mode_and_weight_bit_for_bit(self):
+        rng = np.random.default_rng(61)
+        covered = {"tie": 0, "non_finite": 0, "empty": 0}
+
+        def random_table(plan, labels, p, k):
+            scale = 10.0 ** rng.uniform(-1, 2)
+            acoustic, prosodic = rng.normal(-20.0, scale, size=(2, p, k))
+            if rng.random() < 0.3:  # integer scores tie often
+                acoustic, prosodic = np.round(acoustic), np.round(prosodic)
+            return ScoreTable(plan, labels, acoustic, prosodic)
+
+        for case in range(80):
+            k, p = int(rng.integers(2, 14)), int(rng.integers(0, 30))
+            emotions = tuple(f"e{i}" for i in range(k))
+            speakers = tuple(f"s{i}" for i in range(k))
+            plan = tuple(
+                (UtteranceRef(f"u{i}", "synthetic", str(rng.choice(speakers)),
+                              str(rng.choice(emotions)), 1, i + 1, "test"),
+                 str(rng.choice(speakers)))
+                for i in range(p))
+            tables = {"emotion": random_table(plan, emotions, p, k),
+                      "speaker": random_table(plan, speakers, p, k)}
+            stage_a = random_table(plan, emotions, p, k)
+            for row in range(p):
+                if rng.random() < 0.3:  # two columns tie at the top of both streams
+                    cols = rng.choice(k, size=2, replace=False)
+                    for stream in (stage_a.acoustic, stage_a.prosodic):
+                        stream[row, cols] = stream[row].max() + 1.0
+                elif rng.random() < 0.1:  # every column ties
+                    stage_a.acoustic[row], stage_a.prosodic[row] = rng.normal(size=2)
+            if p and case % 5 == 0:
+                for table in tables.values():
+                    stream = (table.acoustic, table.prosodic)[int(rng.integers(2))]
+                    stream[int(rng.integers(p)), int(rng.integers(k))] = (-np.inf, np.nan)[case % 2]
+            cfg = TrialConfig(seed=case)
+            for mode in MODES:
+                table = tables["speaker" if mode == "one_stage" else "emotion"]
+                for alpha, a_alpha in zip(ALPHA_GRID, ALPHA_GRID[::-1]):
+                    want = scalar_decide(table, mode, cfg, alpha, stage_a, a_alpha)
+                    if isinstance(want, str):
+                        covered["non_finite"] += 1
+                        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                            decide_trials(table, mode, cfg, alpha, stage_a, a_alpha)
+                        continue
+                    got = decide_trials(table, mode, cfg, alpha, stage_a, a_alpha)
+                    assert all(type(r.llr) is float for r in got)
+                    assert [(r.e_star, repr(r.llr)) for r in got] == want, (case, mode, alpha)
+            fused_a = stage_a.acoustic + stage_a.prosodic
+            at_top = fused_a == fused_a.max(axis=1, keepdims=True)
+            covered["tie"] += int(np.sum(at_top.sum(axis=1) > 1))
+            covered["empty"] += p == 0
+        assert min(covered.values()) > 0, covered
 
 
 class TestWriteTrials:
