@@ -4,12 +4,21 @@ States are numbered 1..N in all public surfaces (error messages, Viterbi
 paths); internally arrays are 0-based.  The initial distribution is fixed:
 state 1 with probability 1.  Transitions are restricted to self-loops and
 forward jumps of at most ``max_skip`` states (default 1).
+
+Scoring and training share one stacked representation: models of one
+(N, M) shape are stacked along a leading model axis K (``_stack``), and
+``_forward`` is the one forward recursion, run for all K models at once
+(the multiple-model form of Rabiner 1989, Proc. IEEE 77(2)).  An
+``HmmBank`` holds a set's models as one stack per shape and scores any
+of them in one call per observation; ``log_forward`` is its one-model
+case, and training runs the recursion at K = 1.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -159,25 +168,13 @@ def _check_valid(model: HmmModel) -> None:
         raise ValueError("invalid model: " + "; ".join(problems))
 
 
-def _check_obs(model: HmmModel, obs: np.ndarray) -> np.ndarray:
+def _check_obs(obs: np.ndarray, dim: int) -> np.ndarray:
     obs = np.asarray(obs, dtype=np.float64)
     if obs.ndim != 2 or obs.shape[0] == 0:
         raise ValueError("observation must be a nonempty (T, D) matrix")
-    if obs.shape[1] != model.dim:
-        raise ValueError(
-            f"observation dim {obs.shape[1]} does not match model dim {model.dim}"
-        )
+    if obs.shape[1] != dim:
+        raise ValueError(f"observation dim {obs.shape[1]} does not match model dim {dim}")
     return obs
-
-
-def _component_log_densities(em: GmmEmission, obs: np.ndarray) -> np.ndarray:
-    """Per-frame, per-component log (weight * gaussian density): (T, M)."""
-    diff = obs[:, None, :] - em.means[None, :, :]
-    maha = np.sum(diff * diff / em.variances[None, :, :], axis=2)
-    log_norm = -0.5 * (em.dim * _LOG_2PI + np.sum(np.log(em.variances), axis=1))
-    with np.errstate(divide="ignore"):
-        log_w = np.log(em.weights)
-    return log_w[None, :] + log_norm[None, :] - 0.5 * maha
 
 
 def logsumexp(a, axis=None):
@@ -212,37 +209,106 @@ def logsumexp(a, axis=None):
     return out[()] if out.ndim == 0 else out
 
 
-def _log_densities(model: HmmModel, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame component log-densities (T, N, M) and state log-densities (T, N)."""
-    comp = np.stack([_component_log_densities(em, obs) for em in model.emissions], axis=1)
-    return comp, logsumexp(comp, axis=2)
+@dataclass(frozen=True)
+class _Stack:
+    """K models of one (N, M) shape and feature dim, stacked on a leading axis."""
+
+    means: np.ndarray  # (K, N, M, D)
+    variances: np.ndarray  # (K, N, M, D)
+    log_wn: np.ndarray  # (K, N, M): log mixture weight plus Gaussian log-normalizer
+    log_trans: np.ndarray  # (K, N, N)
+
+    def take(self, members) -> _Stack:
+        return _Stack(self.means[members], self.variances[members], self.log_wn[members],
+                      self.log_trans[members])
 
 
-def _log_transitions(model: HmmModel) -> np.ndarray:
+def _stack(models: Sequence[HmmModel]) -> _Stack:
+    """Stack models of one (N, M) shape and feature dim."""
+    means = np.array([[em.means for em in m.emissions] for m in models])
+    variances = np.array([[em.variances for em in m.emissions] for m in models])
     with np.errstate(divide="ignore"):
-        return np.log(model.transitions)
+        log_w = np.log(np.array([[em.weights for em in m.emissions] for m in models]))
+        log_trans = np.log(np.array([m.transitions for m in models]))
+    log_norm = -0.5 * (means.shape[-1] * _LOG_2PI + np.sum(np.log(variances), axis=-1))
+    return _Stack(means, variances, log_w + log_norm, log_trans)
 
 
-def _forward(logb: np.ndarray, la: np.ndarray) -> np.ndarray:
-    """Log forward variables (T, N), entering in state 1."""
+def _log_densities(stack: _Stack, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-model, per-frame component log-densities (K, T, N, M) and state
+    log-densities (K, T, N) of a stack over one (T, D) observation.
+
+    The Mahalanobis term is summed from squared differences, never through
+    a matrix product, whose bits would depend on the stack's shape.
+    """
+    k, n, m, _ = stack.means.shape
+    maha = np.empty((k, len(obs), n, m))
+    for j in range(n):  # state by state, in place: one (K, T, M, D) temporary
+        diff = obs[None, :, None, :] - stack.means[:, None, j]
+        diff *= diff
+        diff /= stack.variances[:, None, j]
+        maha[:, :, j] = np.sum(diff, axis=-1)
+    comp = stack.log_wn[:, None] - 0.5 * maha
+    return comp, logsumexp(comp, axis=-1)
+
+
+def _forward(logb: np.ndarray, log_trans: np.ndarray) -> np.ndarray:
+    """Log forward variables (K, T, N) of K models over one utterance, each
+    entering in state 1: logb (K, T, N), log_trans (K, N, N)."""
+    logb = logb.transpose(1, 0, 2)  # time-major views: one frame is one index
     alpha = np.full(logb.shape, -np.inf)
-    alpha[0, 0] = logb[0, 0]
-    for t in range(1, logb.shape[0]):
-        alpha[t] = logsumexp(alpha[t - 1][:, None] + la, axis=0) + logb[t]
-    return alpha
+    alpha[0, :, 0] = logb[0, :, 0]
+    for t in range(1, len(logb)):
+        alpha[t] = logsumexp(alpha[t - 1][:, :, None] + log_trans, axis=1) + logb[t]
+    return alpha.transpose(1, 0, 2)
+
+
+class HmmBank:
+    """HMMs of one feature dim, stacked for scoring: one _Stack per (N, M)
+    shape, so a set that mixes shapes needs no padding."""
+
+    def __init__(self, models: Sequence[HmmModel]):
+        models = tuple(models)
+        if len({m.dim for m in models}) != 1:
+            raise ValueError("a bank needs models of one feature dim")
+        self.dim = models[0].dim
+        by_shape: dict[tuple[int, int], list[int]] = {}
+        for k, m in enumerate(models):
+            by_shape.setdefault((m.n_states, m.n_mixtures), []).append(k)
+        # per shape: bank position -> place in the stack, and the stack
+        self._stacks = [({k: j for j, k in enumerate(ks)}, _stack([models[k] for k in ks]))
+                        for ks in by_shape.values()]
+        self.size = len(models)
+
+    def log_forward(self, obs: np.ndarray, rows: Sequence[int] | None = None) -> np.ndarray:
+        """log P(obs | model) of the models at bank positions ``rows`` (default
+        all), in that order: one stacked pass per shape scores them all."""
+        obs = _check_obs(obs, self.dim)
+        rows = range(self.size) if rows is None else rows
+        out = np.empty(len(rows))
+        for place, stack in self._stacks:
+            hits = [(r, place[k]) for r, k in enumerate(rows) if k in place]
+            if not hits:
+                continue
+            outs, members = (list(x) for x in zip(*hits))
+            if members != list(range(len(place))):
+                stack = stack.take(members)
+            _, logb = _log_densities(stack, obs)
+            if logb.shape[2] == 1:  # single state: no paths to sum over
+                # frames summed along the last axis of a contiguous (K, T) array
+                out[outs] = np.sum(logb[:, :, 0], axis=1)
+            else:
+                out[outs] = logsumexp(_forward(logb, stack.log_trans)[:, -1], axis=1)
+        return out
 
 
 def log_forward(model: HmmModel, obs: np.ndarray) -> float:
     """Total log-likelihood log P(O | model), summed over all state paths.
 
     Computed entirely in the log domain, so extremely small frame densities
-    stay finite instead of underflowing.
+    stay finite instead of underflowing.  This is HmmBank's one-model case.
     """
-    obs = _check_obs(model, obs)
-    _, logb = _log_densities(model, obs)
-    if model.n_states == 1:  # single state: no paths to sum over
-        return float(np.sum(logb))
-    return float(logsumexp(_forward(logb, _log_transitions(model))[-1]))
+    return float(HmmBank((model,)).log_forward(obs)[0])
 
 
 def avg_frame_ll(model: HmmModel, obs: np.ndarray) -> float:
@@ -258,11 +324,11 @@ def viterbi(model: HmmModel, obs: np.ndarray) -> tuple[np.ndarray, float]:
     backward max pass followed by a greedy forward selection of the
     smallest state that still attains the optimum.
     """
-    obs = _check_obs(model, obs)
+    obs = _check_obs(obs, model.dim)
     t_len = obs.shape[0]
     n = model.n_states
-    _, logb = _log_densities(model, obs)
-    la = _log_transitions(model)
+    stack = _stack((model,))
+    logb, la = _log_densities(stack, obs)[1][0], stack.log_trans[0]
 
     # tail[t, i] = best log-prob of transitions+emissions from (t, i) to the end
     tail = np.zeros((t_len, n))
@@ -327,12 +393,14 @@ def _canonical_order(utterances: list[np.ndarray]) -> list[int]:
     return sorted(range(len(utterances)), key=lambda i: keys[i])
 
 
-def _accumulate_stats(model: HmmModel, obs: np.ndarray, la: np.ndarray):
-    """One E-step on one utterance: log-likelihood plus sufficient statistics."""
+def _accumulate_stats(stack: _Stack, obs: np.ndarray):
+    """One E-step of a one-model stack on one utterance: log-likelihood plus
+    sufficient statistics."""
     t_len = obs.shape[0]
-    n = model.n_states
+    la = stack.log_trans[0]
+    n = la.shape[0]
 
-    comp, logb = _log_densities(model, obs)
+    comp, logb = (x[0] for x in _log_densities(stack, obs))
     beta = np.zeros((t_len, n))
     trans = np.zeros((n, n))
     if n == 1 and la[0, 0] == 0.0:
@@ -344,7 +412,7 @@ def _accumulate_stats(model: HmmModel, obs: np.ndarray, la: np.ndarray):
         beta[:-1, 0] = np.cumsum(logb[:0:-1, 0])[::-1]
         ll = float(alpha[-1, 0])
     else:
-        alpha = _forward(logb, la)
+        alpha = _forward(logb[None], stack.log_trans)[0]
         ll = float(logsumexp(alpha[-1]))
         for t in range(t_len - 2, -1, -1):
             beta[t] = logsumexp(la + (logb[t + 1] + beta[t + 1])[None, :], axis=1)
@@ -419,15 +487,15 @@ def train_baum_welch(
     cfg = cfg or TrainConfig()
     if not utterances:
         raise ValueError("training set is empty")
-    utterances = [_check_obs(init, u) for u in utterances]
+    utterances = [_check_obs(u, init.dim) for u in utterances]
     _check_valid(init)
     order = _canonical_order(utterances)
 
     model = init
     history: list[float] = []
     for _ in range(cfg.max_iterations):
-        la = _log_transitions(model)
-        per_utt = [_accumulate_stats(model, utterances[i], la) for i in order]
+        stack = _stack((model,))
+        per_utt = [_accumulate_stats(stack, utterances[i]) for i in order]
         total_ll = sum(s[0] for s in per_utt)
         trans = sum(s[1] for s in per_utt)
         occ = sum(s[2] for s in per_utt)

@@ -10,12 +10,15 @@ the weight mixes commensurate quantities even though the streams run at
 different rates.  SphmmModel is the one type a model set holds: a plain
 (acoustic-only) model has no prosodic stream and weight 0.  ModelSet is
 the labeled set of them that stage a and the one-stage baseline score.
+A ModelBank stacks a set's two streams (hmm.HmmBank) for scoring, so one
+call scores any of its models on an utterance, each as stream_scores does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +27,7 @@ from .errors import FormatError
 from .frontend import ObservationPair
 from .hmm import (
     VARIANCE_FLOOR,
+    HmmBank,
     HmmModel,
     TrainConfig,
     avg_frame_ll,
@@ -199,6 +203,39 @@ def stream_scores(model: SphmmModel, obs: ObservationPair) -> tuple[float, float
     """
     acoustic = score_acoustic(model, obs)
     return acoustic, None if model.prosodic is None else score_prosodic(model, obs)
+
+
+class ModelBank:
+    """Models of one kind (plain or fused), stacked per stream for scoring,
+    with each model's log-priors and composite state."""
+
+    def __init__(self, models: Sequence[SphmmModel]):
+        models = tuple(models)
+        self.acoustic = HmmBank([m.acoustic for m in models])
+        plain = models[0].prosodic is None
+        self.prosodic = None if plain else HmmBank([m.prosodic.hmm for m in models])
+        self.composites = tuple(None if plain else m.prosodic.composite for m in models)
+        self.log_priors = np.array([m.log_priors for m in models])  # (K, 2)
+
+    def stream_scores(self, obs: ObservationPair,
+                      rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray | None]:
+        """(acoustic, prosodic) scores of the models at bank positions rows,
+        as arrays in that order; prosodic is None for a plain bank.  Entry r
+        is stream_scores(model, obs) of the model at rows[r], bit for bit:
+        the same operations, with one stacked pass per stream.
+        """
+        t_len = obs.acoustic.shape[0]
+        priors = self.log_priors[list(rows)]
+        acoustic = self.acoustic.log_forward(obs.acoustic, rows) / t_len + priors[:, 0] / t_len
+        if self.prosodic is None:
+            return acoustic, None
+        tp_len = obs.prosodic.shape[0]
+        prosodic = self.prosodic.log_forward(obs.prosodic, rows) / tp_len
+        mean = obs.prosodic.mean(axis=0)
+        for r, k in enumerate(rows):
+            if self.composites[k] is not None:
+                prosodic[r] += self.composites[k].log_density(mean) / tp_len
+        return acoustic, prosodic + priors[:, 1] / tp_len
 
 
 def score_fused(model: SphmmModel, obs: ObservationPair) -> float:

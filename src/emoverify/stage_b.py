@@ -13,7 +13,8 @@ models (speaker, emotion) and checks them through a ModelSet.
 
 Trials run in two passes.  score_trials scores one model set over a
 trial plan into a ScoreTable, one (P, K) array per stream with no fusion
-weight.  decide_trials fuses the tables at their weights and decides all
+weight: the set's models are stacked once into a sphmm.ModelBank, and each
+utterance is scored in one bank call over the models its claims need.  decide_trials fuses the tables at their weights and decides all
 rows at once: two_stage's e* is a row's argmax over the stage-a table, and
 every ratio is the keyed column minus the mean of the row's others.  So
 every mode and weight is decided from one scoring pass per model set.
@@ -35,7 +36,7 @@ from .hmm import avg_frame_ll  # noqa: F401  benchmark/tracing.py wraps this nam
 from .hmm import init_model, train_baum_welch  # noqa: F401  benchmark/tracing.py wraps this name
 from .manifest import CorpusManifest, UtteranceRef
 from .seeds import derive_seed
-from .sphmm import ModelSet, SphmmModel, fuse_scores, stream_scores, train_set
+from .sphmm import ModelBank, ModelSet, SphmmModel, fuse_scores, train_set
 from .sphmm import score_fused, train_sphmm  # noqa: F401  benchmark/tracing.py wraps this name
 from .stage_a import identify_emotion  # noqa: F401  benchmark/tracing.py wraps this name
 
@@ -225,13 +226,10 @@ class ScoreTable:
     prosodic: np.ndarray | None
 
 
-def _score_utterance(models, task):
-    """One utterance's (acoustic, prosodic) score row per claim, in column order."""
-    utt_id, obs, claims = task
-    if isinstance(models, SpeakerEmotionModelSet):
-        return utt_id, {c: [stream_scores(models.models[c, e], obs) for e in models.emotion_set]
-                        for c in claims}
-    return utt_id, dict.fromkeys(claims, [stream_scores(m, obs) for m in models.models.values()])
+def _score_utterance(bank: ModelBank, task):
+    """One utterance's stream scores under the bank's models at its rows: one bank call."""
+    utt_id, obs, rows = task
+    return utt_id, bank.stream_scores(obs, rows)
 
 
 def score_trials(
@@ -242,29 +240,43 @@ def score_trials(
 ) -> ScoreTable:
     """Scoring pass: one model set over each planned utterance, read once.
 
-    A SpeakerEmotionModelSet scores the claimed speakers' emotion models
-    only; a ModelSet (the pooled or the stage-a set) scores every model
-    once per utterance, into each of that utterance's rows.  Every stream
-    is kept, so the table decides at any fusion weight.  Results are keyed
-    by utterance, so the worker count never changes the outcome.
+    The set's models form one ModelBank, and each utterance is scored in
+    one bank call over the models its claims need: the claimed speakers'
+    emotion models for a SpeakerEmotionModelSet, every model for a ModelSet
+    (the pooled or the stage-a set), whose one score row fills each of the
+    utterance's plan rows.  Every stream is kept, so the table decides at
+    any fusion weight.  Results are keyed by utterance, so the worker count
+    never changes the outcome.
     """
-    claims_by_utt: dict[str, list[str]] = {}
+    position = {key: k for k, key in enumerate(models.models)}
+    if isinstance(models, SpeakerEmotionModelSet):
+        labels = models.emotion_set
+        columns = {c: [position[c, e] for e in labels] for c in dict.fromkeys(c for _, c in plan)}
+    else:
+        labels = models.labels
+        columns = dict.fromkeys((c for _, c in plan), list(range(len(labels))))
+    rows_by_utt: dict[str, dict[int, None]] = {}
     for utt, claimed in plan:
-        claims_by_utt.setdefault(utt.id, []).append(claimed)
-    tasks = [(utt_id, features[utt_id], tuple(c)) for utt_id, c in claims_by_utt.items()]
-    score = partial(_score_utterance, models)
+        rows_by_utt.setdefault(utt.id, {}).update(dict.fromkeys(columns[claimed]))
+    tasks = [(utt_id, features[utt_id], tuple(rows)) for utt_id, rows in rows_by_utt.items()]
+    bank = ModelBank(models.models.values())
+    score = partial(_score_utterance, bank)
     if cfg.workers == 0 or not tasks:
-        rows = dict(map(score, tasks))
+        scored = dict(map(score, tasks))
     else:
         chunk = max(1, len(tasks) // (4 * cfg.workers))
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = dict(pool.map(score, tasks, chunksize=chunk))
-    labels = models.emotion_set if isinstance(models, SpeakerEmotionModelSet) else models.labels
-    # (P, K, 2) pairs as two contiguous (P, K) streams; a plain set's None prosodic reads as nan
-    pairs = np.array([rows[utt.id][claimed] for utt, claimed in plan], dtype=np.float64)
-    acoustic, prosodic = np.moveaxis(pairs.reshape(len(plan), len(labels), 2), 2, 0).copy()
-    plain = next(iter(models.models.values())).prosodic is None
-    return ScoreTable(tuple(plan), labels, acoustic, None if plain else prosodic)
+            scored = dict(pool.map(score, tasks, chunksize=chunk))
+    # each utterance's scores at their bank positions, then each plan row's columns
+    streams = 1 if bank.prosodic is None else 2
+    by_position = np.full((streams, len(tasks), len(position)), np.nan)
+    for u, (utt_id, _, rows) in enumerate(tasks):
+        by_position[:, u, list(rows)] = scored[utt_id][:streams]
+    utt_index = {utt_id: u for u, (utt_id, _, _) in enumerate(tasks)}
+    row_utts = np.array([utt_index[utt.id] for utt, _ in plan], dtype=np.intp)
+    row_cols = np.array([columns[c] for _, c in plan], dtype=np.intp).reshape(len(plan), len(labels))
+    table = [stream[row_utts[:, None], row_cols] for stream in by_position]
+    return ScoreTable(tuple(plan), labels, table[0], table[1] if streams == 2 else None)
 
 
 def best_labels(table: ScoreTable, alpha: float) -> list:

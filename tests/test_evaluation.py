@@ -29,7 +29,7 @@ from emoverify.frontend import ObservationPair
 from emoverify.hmm import TrainConfig
 from emoverify.manifest import CorpusManifest, UtteranceRef
 from emoverify.stage_a import ConfusionMatrix
-from emoverify import evaluation, sphmm, stage_b
+from emoverify import evaluation, hmm, sphmm, stage_b
 from emoverify.stage_b import TrialConfig, TrialRecord, trial_plan
 from emoverify.synthetic import SyntheticSpec
 
@@ -420,15 +420,15 @@ class TestRunExperiment:
         assert sweep_report.config["stage_b_fused"] is True
 
     def test_alpha_sweep_scores_each_pair_once(self, corpus, monkeypatch):
-        # Forward evaluations, counted under the names sphmm and stage_b
-        # look avg_frame_ll up by; training never calls it.  Fresh mappings
+        # Forward evaluations: the (model, utterance, stream) scorings each
+        # bank call performs; training never calls the bank.  Fresh mappings
         # keep the module fixtures' memoized scores out of the count.
         manifest, features = corpus
         calls = []
-        for module in (sphmm, stage_b):
-            real = module.avg_frame_ll
-            monkeypatch.setattr(module, "avg_frame_ll",
-                                lambda m, o, real=real: calls.append(1) or real(m, o))
+        real = hmm.HmmBank.log_forward
+        monkeypatch.setattr(hmm.HmmBank, "log_forward",
+                            lambda bank, o, rows=None: calls.extend(
+                                range(bank.size) if rows is None else rows) or real(bank, o, rows))
         run_experiment("alpha_sweep", manifest, dict(features), CFG)
         sweep = len(calls)
         calls.clear()

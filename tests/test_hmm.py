@@ -143,11 +143,13 @@ class TestLogsumexpReplica:
             self.assert_same(a, axis)
 
 
-def general_stats(model, obs, la):
+def general_stats(model, obs):
     """_accumulate_stats by the general recursion: hmm._forward, SciPy's
     logsumexp for the total, and an explicit backward loop."""
-    comp, logb = hmm._log_densities(model, obs)
-    alpha = hmm._forward(logb, la)
+    stack = hmm._stack([model])
+    comp, logb = (x[0] for x in hmm._log_densities(stack, obs))
+    la = stack.log_trans[0]
+    alpha = hmm._forward(logb[None], stack.log_trans)[0]
     ll = float(logsumexp(alpha[-1]))
     beta = np.zeros(logb.shape)
     for t in range(len(obs) - 2, -1, -1):
@@ -181,9 +183,9 @@ class TestOneStateEStep:
         for trial in range(40):
             model = random_model(rng, 1, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
             obs = rng.normal(0.0, 3.0, size=(int(rng.integers(1, 40)), model.dim))
-            la = hmm._log_transitions(model)
-            assert la[0, 0] == 0.0
-            got, want = hmm._accumulate_stats(model, obs, la), general_stats(model, obs, la)
+            stack = hmm._stack([model])
+            assert stack.log_trans[0, 0, 0] == 0.0
+            got, want = hmm._accumulate_stats(stack, obs), general_stats(model, obs)
             # ll, occupancies and moments bit for bit; the transition count is
             # not taken, since _reestimate pins a one-state model's only row,
             # so both statistics re-estimate the same model byte for byte
@@ -197,13 +199,13 @@ class TestOneStateEStep:
         base = random_model(rng, 1, 2, 2)
         model = HmmModel(np.array([[1.0 - 5e-10]]), base.emissions)
         assert validate(model) == []
-        la = hmm._log_transitions(model)
-        assert la[0, 0] != 0.0
+        stack = hmm._stack([model])
+        assert stack.log_trans[0, 0, 0] != 0.0
         obs = rng.normal(size=(12, 2))
-        got = hmm._accumulate_stats(model, obs, la)
+        got = hmm._accumulate_stats(stack, obs)
         assert np.isfinite(got[0])
-        assert_same_stats(got, general_stats(model, obs, la))
-        assert got[0] != hmm._accumulate_stats(base, obs, hmm._log_transitions(base))[0]
+        assert_same_stats(got, general_stats(model, obs))
+        assert got[0] != hmm._accumulate_stats(hmm._stack([base]), obs)[0]
 
 
 class TestForwardAgainstEnumeration:

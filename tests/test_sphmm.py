@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from emoverify.frontend import ObservationPair
 from emoverify.hmm import GmmEmission, HmmModel, TrainConfig, avg_frame_ll, log_forward
 from emoverify.sphmm import (
     CompositeState,
+    ModelBank,
     ModelSet,
     SphmmModel,
     SuprasegmentalModel,
@@ -153,6 +155,68 @@ class TestStreamScores:
         expected = -0.5 * (2 * np.log(2 * np.pi) + np.log(em.variances[0]).sum()
                            + (diff * diff / em.variances[0]).sum())
         np.testing.assert_allclose(score_prosodic(model, obs), expected, atol=1e-12)
+
+
+def bakis_hmm(rng, n_states, n_mixtures, dim, max_skip=1, far=False):
+    """Random Bakis model; far puts every mean at 1e10 with variance 1e-300,
+    so each frame density overflows to 0 and the model scores -inf."""
+    a = np.zeros((n_states, n_states))
+    for i in range(n_states):
+        end = min(i + max_skip, n_states - 1) + 1
+        a[i, i:end] = rng.uniform(0.1, 1.0, end - i)
+    a /= a.sum(axis=1, keepdims=True)
+    shape = (n_mixtures, dim)
+    emissions = tuple(
+        GmmEmission(rng.dirichlet(np.ones(n_mixtures)),
+                    np.full(shape, 1e10) if far else rng.normal(size=shape),
+                    np.full(shape, 1e-300) if far else rng.uniform(0.3, 2.0, shape))
+        for _ in range(n_states))
+    return HmmModel(a, emissions, max_skip=max_skip)
+
+
+def bank_models(rng, n_states, max_skip, kind):
+    """Four models of one kind: two of shape (n_states, 2), one of another
+    shape, and one whose acoustic stream scores -inf, stacked with the
+    first two at even n_states."""
+    far = (n_states, 2) if n_states % 2 == 0 else (2, 1)
+    sizes = [(n_states, 2), (n_states, 2), (7 - n_states, 1 + n_states % 3), far]
+    models = []
+    for k, (n, m) in enumerate(sizes):
+        acoustic = bakis_hmm(rng, n, m, 3, min(max_skip, n), far=k == 3)
+        if kind == "plain":
+            models.append(SphmmModel(acoustic, None, alpha=0.0))
+            continue
+        comp = None
+        if kind == "composite" and k != 1:
+            comp = CompositeState(rng.normal(size=2), rng.uniform(0.5, 2.0, 2))
+        supra = SuprasegmentalModel(bakis_hmm(rng, math.ceil(n / 3), 1 + k % 2, 2),
+                                    make_summary_map(n), comp)
+        models.append(SphmmModel(acoustic, supra, 0.5, tuple(rng.normal(0.0, 3.0, 2))))
+    return models
+
+
+class TestModelBank:
+    @pytest.mark.parametrize("kind", ["composite", "no_composite", "plain"])
+    @pytest.mark.parametrize("max_skip", [1, 2])
+    @pytest.mark.parametrize("n_states", range(1, 7))
+    def test_every_subset_and_order_scores_as_each_model_alone(self, n_states, max_skip, kind):
+        rng = np.random.default_rng(1000 * n_states + 10 * max_skip + len(kind))
+        models = bank_models(rng, n_states, max_skip, kind)
+        bank = ModelBank(models)
+        for t, tp in ((1, 1), (2, 1), (17, 4)):
+            obs = ObservationPair(rng.normal(size=(t, 3)), rng.normal(size=(tp, 2)))
+            with np.errstate(over="ignore"):
+                alone = [stream_scores(m, obs) for m in models]
+                assert alone[3][0] == -np.inf and np.isfinite(alone[0][0])
+                for size in range(1, len(models) + 1):
+                    for rows in itertools.permutations(range(len(models)), size):
+                        acoustic, prosodic = bank.stream_scores(obs, rows)
+                        assert acoustic.tobytes() == np.array([alone[k][0] for k in rows]).tobytes()
+                        if kind == "plain":
+                            assert prosodic is None
+                        else:
+                            want = np.array([alone[k][1] for k in rows])
+                            assert prosodic.tobytes() == want.tobytes()
 
 
 class TestFusion:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from corpus_util import make_corpus
 
-from emoverify.frontend import ObservationPair
 from emoverify.hmm import TrainConfig
 from emoverify.manifest import UtteranceRef
 from emoverify.seeds import derive_seed

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from corpus_util import make_corpus
-from emoverify import sphmm
+from emoverify import hmm, sphmm
 from emoverify.evaluation import ALPHA_GRID
 from emoverify.hmm import GmmEmission, HmmModel, TrainConfig, avg_frame_ll, write_hmm
 from emoverify.manifest import CorpusManifest, UtteranceRef, grid_manifest
@@ -618,11 +618,31 @@ class TestScoreOnceDecideMany:
             assert decide_trials(pooled_table, "one_stage", cfg, alpha) == run_trials(
                 one_stage, None, manifest, features, "one_stage", cfg), alpha
 
+    def test_table_rows_do_not_depend_on_the_plan_around_them(self, fused_sets):
+        # each plan row scored alone equals its row in the whole plan's
+        # table, and each cell is its model's stream_scores bit for bit
+        manifest, features, enrolled, pooled, emotion_models = fused_sets
+        cfg = TrialConfig(seed=3)
+        plan = trial_plan(manifest, enrolled.speakers, cfg)
+        for models in (enrolled, pooled, emotion_models):
+            table = score_trials(plan, models, features, cfg)
+            for p, (utt, claimed) in enumerate(plan):
+                keys = ([(claimed, e) for e in table.labels]
+                        if isinstance(models, SpeakerEmotionModelSet) else table.labels)
+                alone = [sphmm.stream_scores(models.models[key], features[utt.id]) for key in keys]
+                one = score_trials(plan[p:p + 1], models, features, cfg)
+                streams = ((table.acoustic, one.acoustic), (table.prosodic, one.prosodic))
+                for s, (whole, single) in enumerate(streams):
+                    want = np.array([pair[s] for pair in alone]).tobytes()
+                    assert whole[p].tobytes() == single[0].tobytes() == want
+
     def test_stage_a_table_scores_every_emotion_once(self, fused_sets, monkeypatch):
         manifest, features, enrolled, _, emotion_models = fused_sets
-        calls = []
-        real = sphmm.avg_frame_ll
-        monkeypatch.setattr(sphmm, "avg_frame_ll", lambda m, o: calls.append(m) or real(m, o))
+        calls = []  # one entry per (model, utterance, stream) a bank call scores
+        real = hmm.HmmBank.log_forward
+        monkeypatch.setattr(hmm.HmmBank, "log_forward",
+                            lambda bank, o, rows=None: calls.extend(
+                                range(bank.size) if rows is None else rows) or real(bank, o, rows))
         cfg = TrialConfig(seed=3)
         plan = trial_plan(manifest, enrolled.speakers, cfg)
         table = score_trials(plan, emotion_models, features, cfg)
