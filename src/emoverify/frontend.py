@@ -4,7 +4,8 @@ Per-frame MFCC vectors form the acoustic stream.  A coarser-rate prosodic
 stream summarizes pitch, energy, and duration over blocks of BLOCK_SIZE
 frames, so one prosodic vector spans many acoustic frames.  The front end
 is the paper's and fixed: the constants below set it, and the sample rate
-is its only input that varies.
+is its only input that varies.  The pitch search runs batched, PITCH_CHUNK
+frames per pass, and gives the same bits as a search one frame at a time.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ PITCH_MIN = 60.0
 PITCH_MAX = 400.0
 VOICING_THRESHOLD = 0.3
 MIN_FRAME_SAMPLES = 3  # shortest frame whose cepstra vary with the input
+PITCH_CHUNK = 64  # frames per batched pitch-search pass
 
 # prosodic feature columns
 F0_MEAN = 0
@@ -211,44 +213,6 @@ def mfcc(frames: np.ndarray, rate: int) -> np.ndarray:
     return out
 
 
-def _frame_pitch(frame: np.ndarray, rate: int) -> tuple[float, bool]:
-    """F0 in Hz and a voicing decision for one frame.
-
-    Normalized autocorrelation over the lags of PITCH_MIN..PITCH_MAX; the
-    peak lag is refined by parabolic interpolation.  The lag ceiling is
-    clipped to half the frame, so pitch floors below
-    rate / (frame_length / 2) are not measurable at the frame size.
-    """
-    n = frame.shape[0]
-    lag_lo = max(1, math.floor(rate / PITCH_MAX))
-    lag_hi = min(math.ceil(rate / PITCH_MIN), n // 2)
-    if lag_lo > lag_hi:
-        return 0.0, False
-
-    nfft = _next_pow2(2 * n)
-    spec = np.fft.rfft(frame, nfft)
-    raw = np.fft.irfft(spec * np.conj(spec), nfft)[:n]
-    cs = np.concatenate([[0.0], np.cumsum(frame * frame)])
-    top = min(lag_hi + 1, n - 1)
-    lags = np.arange(1, top + 1)
-    denom = np.sqrt((cs[n - lags] - cs[0]) * (cs[n] - cs[lags]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(denom > 0.0, raw[lags] / denom, 0.0)
-
-    window = r[lag_lo - 1 : lag_hi]
-    k = lag_lo + int(np.argmax(window))
-    peak = r[k - 1]
-    if peak < VOICING_THRESHOLD:
-        return 0.0, False
-    delta = 0.0
-    if 1 < k < top:
-        left, mid, right = r[k - 2], r[k - 1], r[k]
-        curve = left - 2.0 * mid + right
-        if abs(curve) > 1e-12:
-            delta = float(np.clip(0.5 * (left - right) / curve, -1.0, 1.0))
-    return rate / (k + delta), True
-
-
 def _slope(positions: np.ndarray, values: np.ndarray) -> float:
     """Least-squares slope of values against their positions; 0 below two points."""
     if values.shape[0] < 2:
@@ -260,22 +224,58 @@ def _slope(positions: np.ndarray, values: np.ndarray) -> float:
 def prosody(frames: np.ndarray, rate: int) -> np.ndarray:
     """(T_p, 7) block summaries with T_p = ceil(T / BLOCK_SIZE).
 
+    Per frame, F0 is the peak of the normalized autocorrelation over the
+    lags of PITCH_MIN..PITCH_MAX, refined by parabolic interpolation, and
+    the frame is voiced where that peak reaches VOICING_THRESHOLD.  The lag
+    ceiling is clipped to half the frame, so pitch floors below
+    rate / (frame_length / 2) are not measurable at the frame size.  The
+    search runs PITCH_CHUNK frames at a time as whole-chunk array
+    operations, with the same bits as one frame at a time.
+
     Per block: F0 mean/slope/range over voiced frames (zeros if none),
     log-energy mean/slope over all frames, voiced fraction, duration in
     frames.  The final partial block is kept.
     """
-    frames = np.asarray(frames, dtype=np.float64)
+    frames = np.ascontiguousarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] == 0:
         raise ValueError("frames must be a nonempty (T, L) matrix")
-    t_len = frames.shape[0]
+    t_len, n = frames.shape
 
     f0 = np.zeros(t_len)
     voiced = np.zeros(t_len, dtype=bool)
-    log_e = np.empty(t_len)
-    for t in range(t_len):
-        f0[t], voiced[t] = _frame_pitch(frames[t], rate)
-        rms = math.sqrt(float(np.mean(frames[t] * frames[t])))
-        log_e[t] = math.log(max(rms, ENERGY_FLOOR))
+    lag_lo = max(1, math.floor(rate / PITCH_MAX))
+    lag_hi = min(math.ceil(rate / PITCH_MIN), n // 2)
+    nfft = _next_pow2(2 * n)
+    top = min(lag_hi + 1, n - 1)
+    lags = np.arange(1, top + 1)
+    searched = t_len if lag_lo <= lag_hi else 0  # no lag fits a frame this short
+    for start in range(0, searched, PITCH_CHUNK):
+        chunk = frames[start : start + PITCH_CHUNK]
+        spec = np.fft.rfft(chunk, nfft, axis=1)
+        for row in spec:  # a product over the flat 2-D array rounds differently
+            np.multiply(row, np.conj(row), out=row)
+        raw = np.fft.irfft(spec, nfft, axis=1)
+        energy = np.cumsum(chunk * chunk, axis=1)  # column j: samples 0..j
+        denom = np.sqrt(energy[:, n - 1 - lags] * (energy[:, n - 1 :] - energy[:, lags - 1]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.where(denom > 0.0, raw[:, lags] / denom, 0.0)
+
+        rows = np.arange(chunk.shape[0])
+        lag = lag_lo + np.argmax(r[:, lag_lo - 1 : lag_hi], axis=1)
+        mid = r[rows, lag - 1]
+        is_voiced = mid >= VOICING_THRESHOLD
+        inner = (1 < lag) & (lag < top)
+        left = r[rows, np.where(inner, lag - 2, lag - 1)]
+        right = r[rows, np.where(inner, lag, lag - 1)]
+        curve = left - 2.0 * mid + right
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.clip(0.5 * (left - right) / curve, -1.0, 1.0)
+        delta = np.where(inner & (np.abs(curve) > 1e-12), step, 0.0)
+        f0[start : start + PITCH_CHUNK] = np.where(is_voiced, rate / (lag + delta), 0.0)
+        voiced[start : start + PITCH_CHUNK] = is_voiced
+
+    mean_sq = np.mean(frames * frames, axis=1).tolist()
+    log_e = np.array([math.log(max(math.sqrt(m), ENERGY_FLOOR)) for m in mean_sq])
 
     k = BLOCK_SIZE
     n_blocks = -(-t_len // k)

@@ -10,17 +10,27 @@ import pytest
 from emoverify.errors import FormatError
 from emoverify.frontend import (
     BLOCK_SIZE,
+    D_PROSODIC,
     DURATION,
+    ENERGY_FLOOR,
     F0_MEAN,
     F0_RANGE,
     F0_SLOPE,
     LOG_ENERGY_MEAN,
+    LOG_ENERGY_SLOPE,
+    FRAME_MS,
     N_FILTERS,
+    OVERLAP_MS,
+    PITCH_CHUNK,
+    PITCH_MAX,
+    PITCH_MIN,
     VOICED_FRACTION,
+    VOICING_THRESHOLD,
     AudioClip,
     extract,
     frame_signal,
     _mel_filterbank,
+    _next_pow2,
     load_wav,
     mfcc,
     prosody,
@@ -258,6 +268,170 @@ class TestProsody:
         np.testing.assert_allclose(
             b[:, LOG_ENERGY_MEAN] - a[:, LOG_ENERGY_MEAN], math.log(4.0), atol=1e-12
         )
+
+
+def _frame_pitch(frame: np.ndarray, rate: int) -> tuple[float, bool]:
+    """The per-frame pitch search that `prosody` batches, kept as its reference."""
+    n = frame.shape[0]
+    lag_lo = max(1, math.floor(rate / PITCH_MAX))
+    lag_hi = min(math.ceil(rate / PITCH_MIN), n // 2)
+    if lag_lo > lag_hi:
+        return 0.0, False
+
+    nfft = _next_pow2(2 * n)
+    spec = np.fft.rfft(frame, nfft)
+    raw = np.fft.irfft(spec * np.conj(spec), nfft)[:n]
+    cs = np.concatenate([[0.0], np.cumsum(frame * frame)])
+    top = min(lag_hi + 1, n - 1)
+    lags = np.arange(1, top + 1)
+    denom = np.sqrt((cs[n - lags] - cs[0]) * (cs[n] - cs[lags]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(denom > 0.0, raw[lags] / denom, 0.0)
+
+    window = r[lag_lo - 1 : lag_hi]
+    k = lag_lo + int(np.argmax(window))
+    peak = r[k - 1]
+    if peak < VOICING_THRESHOLD:
+        return 0.0, False
+    delta = 0.0
+    if 1 < k < top:
+        left, mid, right = r[k - 2], r[k - 1], r[k]
+        curve = left - 2.0 * mid + right
+        if abs(curve) > 1e-12:
+            delta = float(np.clip(0.5 * (left - right) / curve, -1.0, 1.0))
+    return rate / (k + delta), True
+
+
+def _slope(positions, values):
+    if values.shape[0] < 2:
+        return 0.0
+    t = positions - positions.mean()
+    return float(t @ (values - values.mean()) / (t @ t))
+
+
+def reference_prosody(frames, rate):
+    """`prosody` one frame at a time, with scalar log-energy."""
+    frames = np.asarray(frames, dtype=np.float64)
+    t_len = frames.shape[0]
+    f0 = np.zeros(t_len)
+    voiced = np.zeros(t_len, dtype=bool)
+    log_e = np.empty(t_len)
+    for t in range(t_len):
+        f0[t], voiced[t] = _frame_pitch(frames[t], rate)
+        rms = math.sqrt(float(np.mean(frames[t] * frames[t])))
+        log_e[t] = math.log(max(rms, ENERGY_FLOOR))
+
+    k = BLOCK_SIZE
+    n_blocks = -(-t_len // k)
+    out = np.zeros((n_blocks, D_PROSODIC))
+    for b in range(n_blocks):
+        sl = slice(b * k, min((b + 1) * k, t_len))
+        v = voiced[sl]
+        pos = np.flatnonzero(v).astype(np.float64)
+        f = f0[sl][v]
+        e = log_e[sl]
+        if f.shape[0] > 0:
+            out[b, F0_MEAN] = f.mean()
+            out[b, F0_SLOPE] = _slope(pos, f)
+            out[b, F0_RANGE] = f.max() - f.min()
+        out[b, LOG_ENERGY_MEAN] = e.mean()
+        out[b, LOG_ENERGY_SLOPE] = _slope(np.arange(e.shape[0], dtype=np.float64), e)
+        out[b, VOICED_FRACTION] = v.mean()
+        out[b, DURATION] = e.shape[0]
+    return out
+
+
+def harmonic_tone(f0, n, rate, amp=0.3):
+    """Four harmonics at amplitudes 1, 1/2, 1/3, 1/4."""
+    t = np.arange(n) / rate
+    return amp * sum(np.sin(2 * np.pi * f0 * h * t) / h for h in range(1, 5))
+
+
+def frame_geometry(rate):
+    frame_len = round(FRAME_MS * rate / 1000)
+    return frame_len, frame_len - round(OVERLAP_MS * rate / 1000)
+
+
+class TestBatchedPitchMatchesReference:
+    """The chunked pitch search gives the per-frame search's bits exactly."""
+
+    @staticmethod
+    def assert_matches(frames, rate):
+        got = prosody(frames, rate)
+        want = reference_prosody(frames, rate)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rate", [157, 8000, 11025, 16000, 22050, 44100, 48000])
+    @pytest.mark.parametrize("signal", ["noise", "tones", "silence", "single_frame"])
+    def test_clip(self, rate, signal):
+        rng = np.random.default_rng(rate)
+        frame_len, hop = frame_geometry(rate)
+        n = frame_len + (2 * PITCH_CHUNK + 10) * hop
+        if signal == "noise":
+            x = rng.normal(0.0, 0.1, n)
+        elif signal == "tones":  # a voiced stretch at each of three pitches, with a little noise
+            x = np.concatenate([harmonic_tone(f0, n // 3, rate) for f0 in (120.0, 210.0, 310.0)])
+            x += rng.normal(0.0, 0.01, x.shape[0])
+        elif signal == "silence":
+            x = np.zeros(n)
+        else:
+            x = rng.normal(0.0, 0.1, frame_len)
+        frames = frame_signal(AudioClip(x, rate))
+        assert frames.shape[0] == 1 if signal == "single_frame" else frames.shape[0] > 2 * PITCH_CHUNK
+        self.assert_matches(frames, rate)
+
+    @pytest.mark.parametrize(
+        "n_frames", [PITCH_CHUNK - 1, PITCH_CHUNK, PITCH_CHUNK + 1, 2 * PITCH_CHUNK + 7]
+    )
+    def test_frame_count_around_chunk_edges(self, n_frames):
+        frame_len, hop = frame_geometry(RATE)
+        n = frame_len + (n_frames - 1) * hop
+        x = harmonic_tone(180.0, n, RATE) + np.random.default_rng(n_frames).normal(0.0, 0.05, n)
+        frames = frame_signal(AudioClip(x, RATE))
+        assert frames.shape[0] == n_frames
+        self.assert_matches(frames, RATE)
+
+    @pytest.mark.parametrize("rate", [157, 799, 800, 16000])
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_frames_a_few_samples_wide(self, width, rate):
+        frames = np.random.default_rng(width).normal(0.0, 0.3, (PITCH_CHUNK + 3, width))
+        self.assert_matches(frames, rate)
+
+    def test_log_energy_rounds_as_math_log(self):
+        # numpy 2.4.6's vector np.log rounds frame 18's log-RMS here unlike math.log
+        frames = np.random.default_rng(10).normal(0.0, 0.1, (PITCH_CHUNK + 1, 256))
+        self.assert_matches(frames, RATE)
+
+    def test_frame_layout_does_not_matter(self):
+        frames = frame_signal(AudioClip(harmonic_tone(150.0, RATE // 2, RATE), RATE))
+        assert np.array_equal(prosody(np.asfortranarray(frames), RATE), prosody(frames, RATE))
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="known pitch-tracker defect; a fix rewrites the golden record"
+)
+class TestKnownPitchDefects:
+    """Correct pitch behaviour that the tracker does not have yet (ROADMAP known defects)."""
+
+    def test_310hz_tone_reads_310hz_not_half(self):
+        out = extract(AudioClip(harmonic_tone(310.0, RATE, RATE), RATE)).prosodic
+        assert np.all(out[:, VOICED_FRACTION] == 1.0)
+        np.testing.assert_allclose(out[:, F0_MEAN], 310.0, rtol=0.05)
+
+    def test_100hz_tone_is_voiced(self):
+        out = extract(AudioClip(harmonic_tone(100.0, RATE, RATE), RATE)).prosodic
+        assert np.all(out[:, VOICED_FRACTION] == 1.0)
+        np.testing.assert_allclose(out[:, F0_MEAN], 100.0, rtol=0.05)
+
+    def test_white_noise_is_rarely_voiced(self):
+        voiced = frames = 0.0
+        for seed in range(20):
+            noise = np.random.default_rng(seed).normal(0.0, 0.05, RATE)
+            out = extract(AudioClip(noise, RATE)).prosodic
+            voiced += out[:, VOICED_FRACTION] @ out[:, DURATION]
+            frames += out[:, DURATION].sum()
+        assert voiced < 0.01 * frames
 
 
 class TestExtract:
