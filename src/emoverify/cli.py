@@ -314,8 +314,8 @@ def _cmd_ttest(args) -> int:
     return 0
 
 
-def _add_manifest(p, required=True):
-    p.add_argument("--manifest", required=required, help="corpus manifest path")
+def _add_manifest(p):
+    p.add_argument("--manifest", required=True, help="corpus manifest path")
 
 
 def _add_features_dir(p):

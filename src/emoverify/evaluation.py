@@ -231,8 +231,12 @@ def eer(scores: ScoreSet) -> tuple[float, float]:
     |FAR - FRR|-minimizing threshold (ties go to the smaller one) the
     rate is (FAR + FRR)/2 in percent.
     """
-    interior = far_frr_curve(scores)[1:-1]
-    theta, fa, fr = min(interior, key=lambda row: (abs(row[1] - row[2]), row[0]))
+    return _curve_eer(far_frr_curve(scores))
+
+
+def _curve_eer(curve: Sequence[tuple[float, float, float]]) -> tuple[float, float]:
+    """(EER%, threshold) of a far_frr_curve, chosen as eer chooses them."""
+    theta, fa, fr = min(curve[1:-1], key=lambda row: (abs(row[1] - row[2]), row[0]))
     return 50.0 * (fa + fr), theta
 
 
@@ -292,11 +296,10 @@ def scores_by_emotion(
 
 
 def _tables(records, emotions):
-    """Per-emotion EER values and DET curves from one trial run."""
+    """Per-emotion EER values and DET curves from one trial run, one curve each."""
     sets = scores_by_emotion(records, emotions)
-    table = {e: eer(sets[e])[0] for e in emotions}
     det = {e: tuple(far_frr_curve(sets[e])) for e in emotions}
-    return table, det
+    return {e: _curve_eer(det[e])[0] for e in emotions}, det
 
 
 def _average(table: Mapping[str, float], emotions: Sequence[str]) -> float:

@@ -11,7 +11,8 @@ Scoring and training share one stacked representation: models of one
 (the multiple-model form of Rabiner 1989, Proc. IEEE 77(2)).  An
 ``HmmBank`` holds a set's models as one stack per shape and scores any
 of them in one call per observation; ``log_forward`` is its one-model
-case, and training runs the recursion at K = 1.
+case.  EM keeps one model's parameter arrays, stacked at K = 1 for each
+E-step, and builds its ``HmmModel`` once, after the last iteration.
 """
 
 from __future__ import annotations
@@ -223,13 +224,21 @@ class _Stack:
                       self.log_trans[members])
 
 
-def _stack(models: Sequence[HmmModel]) -> _Stack:
-    """Stack models of one (N, M) shape and feature dim."""
-    means = np.array([[em.means for em in m.emissions] for m in models])
-    variances = np.array([[em.variances for em in m.emissions] for m in models])
+def _model_arrays(models: Sequence[HmmModel]) -> tuple[np.ndarray, ...]:
+    """Transitions (K, N, N), weights (K, N, M), means and variances
+    (K, N, M, D) of models of one (N, M) shape and feature dim."""
+    states = [m.emissions for m in models]
+    return (np.array([m.transitions for m in models]),
+            np.array([[em.weights for em in ems] for ems in states]),
+            np.array([[em.means for em in ems] for ems in states]),
+            np.array([[em.variances for em in ems] for ems in states]))
+
+
+def _stack(transitions, weights, means, variances) -> _Stack:
+    """The _Stack of K models' parameter arrays, shaped as _model_arrays returns them."""
     with np.errstate(divide="ignore"):
-        log_w = np.log(np.array([[em.weights for em in m.emissions] for m in models]))
-        log_trans = np.log(np.array([m.transitions for m in models]))
+        log_w = np.log(weights)
+        log_trans = np.log(transitions)
     log_norm = -0.5 * (means.shape[-1] * _LOG_2PI + np.sum(np.log(variances), axis=-1))
     return _Stack(means, variances, log_w + log_norm, log_trans)
 
@@ -276,7 +285,8 @@ class HmmBank:
         for k, m in enumerate(models):
             by_shape.setdefault((m.n_states, m.n_mixtures), []).append(k)
         # per shape: bank position -> place in the stack, and the stack
-        self._stacks = [({k: j for j, k in enumerate(ks)}, _stack([models[k] for k in ks]))
+        self._stacks = [({k: j for j, k in enumerate(ks)},
+                         _stack(*_model_arrays([models[k] for k in ks])))
                         for ks in by_shape.values()]
         self.size = len(models)
 
@@ -327,7 +337,7 @@ def viterbi(model: HmmModel, obs: np.ndarray) -> tuple[np.ndarray, float]:
     obs = _check_obs(obs, model.dim)
     t_len = obs.shape[0]
     n = model.n_states
-    stack = _stack((model,))
+    stack = _stack(*_model_arrays((model,)))
     logb, la = _log_densities(stack, obs)[1][0], stack.log_trans[0]
 
     # tail[t, i] = best log-prob of transitions+emissions from (t, i) to the end
@@ -336,23 +346,18 @@ def viterbi(model: HmmModel, obs: np.ndarray) -> tuple[np.ndarray, float]:
         cand = la + logb[t + 1][None, :] + tail[t + 1][None, :]
         tail[t] = cand.max(axis=1)
 
-    path = np.empty(t_len, dtype=np.int64)
-    path[0] = 0
+    # a NaN frame matches no state, and every frame up to it stays in state 1
+    path = np.zeros(t_len, dtype=np.int64)
     best = logb[0, 0] + tail[0, 0]
     for t in range(1, t_len):
         prev = path[t - 1]
         target = tail[t - 1, prev]
-        chosen = -1
         for j in range(prev, min(prev + model.max_skip, n - 1) + 1):
             # identical expression (and evaluation order) as the tail pass,
             # so the comparison is exact even among tied paths
             if la[prev, j] + logb[t, j] + tail[t, j] == target:
-                chosen = j
+                path[t] = j
                 break
-        if chosen < 0:  # float safety net; cannot trigger with the exact match above
-            js = np.arange(prev, min(prev + model.max_skip, n - 1) + 1)
-            chosen = js[np.argmax(la[prev, js] + logb[t, js] + tail[t, js])]
-        path[t] = chosen
     return path + 1, float(best)
 
 
@@ -416,8 +421,9 @@ def _accumulate_stats(stack: _Stack, obs: np.ndarray):
         ll = float(logsumexp(alpha[-1]))
         for t in range(t_len - 2, -1, -1):
             beta[t] = logsumexp(la + (logb[t + 1] + beta[t + 1])[None, :], axis=1)
-        for t in range(t_len - 1):
-            trans += np.exp(alpha[t][:, None] + la + (logb[t + 1] + beta[t + 1])[None, :] - ll)
+        if t_len > 1:  # a running sum adds frames in order; a pairwise reduce rounds otherwise
+            xi = np.exp(alpha[:-1, :, None] + la + (logb[1:] + beta[1:])[:, None, :] - ll)
+            trans = np.add.accumulate(xi)[-1]
 
     log_gamma = alpha + beta - ll  # (T, N)
     with np.errstate(invalid="ignore"):
@@ -431,47 +437,33 @@ def _accumulate_stats(stack: _Stack, obs: np.ndarray):
     return ll, trans, occ, first, second
 
 
-def _reestimate(
-    model: HmmModel,
-    trans: np.ndarray,
-    occ: np.ndarray,
-    first: np.ndarray,
-    second: np.ndarray,
-) -> HmmModel:
-    n = model.n_states
-    tiny = 1e-12
+def _reestimate(params, trans, occ, first, second) -> tuple[np.ndarray, ...]:
+    """M-step on one model's arrays (transitions, weights, means, variances).
 
-    new_a = model.transitions.copy()
-    for i in range(n):
-        row = trans[i]
-        total = row.sum()
-        if total > tiny:
-            new_a[i] = row / total
+    A transition row with no counts keeps its probabilities, a state never
+    visited keeps its whole emission, and a starved component keeps its
+    mean and variance.
+    """
+    a, w, mu, var = params
+    tiny = 1e-12
+    total = trans.sum(axis=1, keepdims=True)
+    state_occ = occ.sum(axis=1, keepdims=True)
+    # "not starved", so a NaN statistic surfaces as a non-finite parameter;
+    # occupancies are nonnegative, so an unvisited state's components all starve
+    visited = ~(state_occ <= tiny)
+    fed = ~(occ <= tiny)[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        new_a = np.where(total > tiny, trans / total, a)
+        new_w = np.maximum(occ / state_occ, WEIGHT_FLOOR)
+        new_w = np.where(visited, new_w / new_w.sum(axis=1, keepdims=True), w)
+        new_mu = first / occ[:, :, None]
+        new_var = np.maximum(second / occ[:, :, None] - new_mu * new_mu, VARIANCE_FLOOR)
     # structural zeros can only shrink (xi is zero outside the Bakis band);
     # pin the final row and renormalize defensively
     new_a[-1, :] = 0.0
     new_a[-1, -1] = 1.0
     new_a /= new_a.sum(axis=1, keepdims=True)
-
-    emissions = []
-    for j, em in enumerate(model.emissions):
-        state_occ = occ[j].sum()
-        if state_occ <= tiny:
-            emissions.append(em)  # state never visited: keep previous parameters
-            continue
-        weights = np.maximum(occ[j] / state_occ, WEIGHT_FLOOR)
-        weights = weights / weights.sum()
-        means = em.means.copy()
-        variances = em.variances.copy()
-        for k in range(em.n_components):
-            if occ[j, k] <= tiny:
-                continue  # starved component: keep previous parameters
-            mu = first[j, k] / occ[j, k]
-            var = second[j, k] / occ[j, k] - mu * mu
-            means[k] = mu
-            variances[k] = np.maximum(var, VARIANCE_FLOOR)
-        emissions.append(GmmEmission(weights, means, variances))
-    return HmmModel(new_a, tuple(emissions), max_skip=model.max_skip)
+    return new_a, new_w, np.where(fed, new_mu, mu), np.where(fed, new_var, var)
 
 
 def train_baum_welch(
@@ -491,10 +483,10 @@ def train_baum_welch(
     _check_valid(init)
     order = _canonical_order(utterances)
 
-    model = init
+    params = tuple(x[0] for x in _model_arrays((init,)))
     history: list[float] = []
     for _ in range(cfg.max_iterations):
-        stack = _stack((model,))
+        stack = _stack(*(x[None] for x in params))
         per_utt = [_accumulate_stats(stack, utterances[i]) for i in order]
         total_ll = sum(s[0] for s in per_utt)
         trans = sum(s[1] for s in per_utt)
@@ -502,12 +494,13 @@ def train_baum_welch(
         first = sum(s[3] for s in per_utt)
         second = sum(s[4] for s in per_utt)
         history.append(total_ll)
-        model = _reestimate(model, trans, occ, first, second)
+        params = _reestimate(params, trans, occ, first, second)
         if len(history) >= 2 and abs(history[-1] - history[-2]) < cfg.convergence_delta * len(
             utterances
         ):
             break
-    return model, history
+    a, w, mu, var = params
+    return HmmModel(a, tuple(map(GmmEmission, w, mu, var)), max_skip=init.max_skip), history
 
 
 def _kmeans(frames: np.ndarray, k: int, iterations: int, rng: np.random.Generator):
@@ -600,10 +593,8 @@ def write_hmm(fp, model: HmmModel) -> None:
     n, m, d = model.n_states, model.n_mixtures, model.dim
     fp.write(_MODEL_MAGIC)
     fp.write(np.array([_MODEL_VERSION, n, m, d], dtype="<u4").tobytes())
-    fp.write(model.transitions.astype("<f8").tobytes())
-    fp.write(np.stack([em.weights for em in model.emissions]).astype("<f8").tobytes())
-    fp.write(np.stack([em.means for em in model.emissions]).astype("<f8").tobytes())
-    fp.write(np.stack([em.variances for em in model.emissions]).astype("<f8").tobytes())
+    for x in _model_arrays((model,)):
+        fp.write(x.astype("<f8").tobytes())
 
 
 def read_hmm(fp) -> HmmModel:

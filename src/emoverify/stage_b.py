@@ -14,8 +14,9 @@ models (speaker, emotion) and checks them through a ModelSet.
 Trials run in two passes.  score_trials scores one model set over a
 trial plan into a ScoreTable, one (P, K) array per stream with no fusion
 weight: the set's models are stacked once into a sphmm.ModelBank, and each
-utterance is scored in one bank call over the models its claims need.  decide_trials fuses the tables at their weights and decides all
-rows at once: two_stage's e* is a row's argmax over the stage-a table, and
+utterance is scored in one bank call over the models its claims need.
+decide_trials fuses the tables at their weights and decides all rows at
+once: two_stage's e* is a row's argmax over the stage-a table, and
 every ratio is the keyed column minus the mean of the row's others.  So
 every mode and weight is decided from one scoring pass per model set.
 """

@@ -11,6 +11,7 @@ from emoverify import hmm
 from emoverify.errors import FormatError
 from emoverify.hmm import (
     VARIANCE_FLOOR,
+    WEIGHT_FLOOR,
     GmmEmission,
     HmmModel,
     TrainConfig,
@@ -143,10 +144,15 @@ class TestLogsumexpReplica:
             self.assert_same(a, axis)
 
 
+def one_stack(model):
+    return hmm._stack(*hmm._model_arrays([model]))
+
+
 def general_stats(model, obs):
     """_accumulate_stats by the general recursion: hmm._forward, SciPy's
-    logsumexp for the total, and an explicit backward loop."""
-    stack = hmm._stack([model])
+    logsumexp for the total, an explicit backward loop, and transition
+    counts added one frame at a time."""
+    stack = one_stack(model)
     comp, logb = (x[0] for x in hmm._log_densities(stack, obs))
     la = stack.log_trans[0]
     alpha = hmm._forward(logb[None], stack.log_trans)[0]
@@ -177,35 +183,151 @@ def model_bytes(model):
     return buf.getvalue()
 
 
+def one_model_arrays(model):
+    return tuple(x[0] for x in hmm._model_arrays([model]))
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 class TestOneStateEStep:
     def test_running_sums_equal_the_general_recursion(self):
         rng = np.random.default_rng(43)
         for trial in range(40):
             model = random_model(rng, 1, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
             obs = rng.normal(0.0, 3.0, size=(int(rng.integers(1, 40)), model.dim))
-            stack = hmm._stack([model])
+            stack = one_stack(model)
             assert stack.log_trans[0, 0, 0] == 0.0
             got, want = hmm._accumulate_stats(stack, obs), general_stats(model, obs)
             # ll, occupancies and moments bit for bit; the transition count is
             # not taken, since _reestimate pins a one-state model's only row,
-            # so both statistics re-estimate the same model byte for byte
+            # so both statistics re-estimate the same parameters byte for byte
             assert not got[1].any()
             assert_same_stats(got[:1] + got[2:], want[:1] + want[2:])
-            assert model_bytes(hmm._reestimate(model, *got[1:])) == \
-                model_bytes(hmm._reestimate(model, *want[1:]))
+            params = one_model_arrays(model)
+            assert_same_arrays(hmm._reestimate(params, *got[1:]),
+                               hmm._reestimate(params, *want[1:]))
 
     def test_inexact_self_loop_takes_the_general_path(self):
         rng = np.random.default_rng(47)
         base = random_model(rng, 1, 2, 2)
         model = HmmModel(np.array([[1.0 - 5e-10]]), base.emissions)
         assert validate(model) == []
-        stack = hmm._stack([model])
+        stack = one_stack(model)
         assert stack.log_trans[0, 0, 0] != 0.0
         obs = rng.normal(size=(12, 2))
         got = hmm._accumulate_stats(stack, obs)
         assert np.isfinite(got[0])
         assert_same_stats(got, general_stats(model, obs))
-        assert got[0] != hmm._accumulate_stats(hmm._stack([base]), obs)[0]
+        assert got[0] != hmm._accumulate_stats(one_stack(base), obs)[0]
+
+
+class TestGeneralEStep:
+    def test_statistics_equal_the_frame_by_frame_loops(self):
+        # the transition counts are one running sum over the frame axis;
+        # the frame loop of general_stats must give the same bits.  A
+        # one-state model with an inexact self-loop takes the general path.
+        rng = np.random.default_rng(53)
+        for n in range(1, 7):
+            for skip in (1, 2):
+                for trial in range(12):
+                    model = random_model(rng, n, int(rng.integers(1, 4)),
+                                         int(rng.integers(1, 4)), skip)
+                    if n == 1:
+                        model = HmmModel(np.array([[1.0 - 5e-10]]), model.emissions)
+                    t_len = 1 + (trial * 13 + n) % 40 if trial else 1
+                    obs = rng.normal(0.0, 2.0, size=(t_len, model.dim))
+                    got = hmm._accumulate_stats(one_stack(model), obs)
+                    assert_same_stats(got, general_stats(model, obs))
+                    if t_len == 1:  # no transition, so nothing counted
+                        assert not got[1].any()
+
+
+def reference_reestimate(
+    model: HmmModel,
+    trans: np.ndarray,
+    occ: np.ndarray,
+    first: np.ndarray,
+    second: np.ndarray,
+) -> HmmModel:
+    """The object-based M-step that hmm._reestimate replaced, kept verbatim."""
+    n = model.n_states
+    tiny = 1e-12
+
+    new_a = model.transitions.copy()
+    for i in range(n):
+        row = trans[i]
+        total = row.sum()
+        if total > tiny:
+            new_a[i] = row / total
+    # structural zeros can only shrink (xi is zero outside the Bakis band);
+    # pin the final row and renormalize defensively
+    new_a[-1, :] = 0.0
+    new_a[-1, -1] = 1.0
+    new_a /= new_a.sum(axis=1, keepdims=True)
+
+    emissions = []
+    for j, em in enumerate(model.emissions):
+        state_occ = occ[j].sum()
+        if state_occ <= tiny:
+            emissions.append(em)  # state never visited: keep previous parameters
+            continue
+        weights = np.maximum(occ[j] / state_occ, WEIGHT_FLOOR)
+        weights = weights / weights.sum()
+        means = em.means.copy()
+        variances = em.variances.copy()
+        for k in range(em.n_components):
+            if occ[j, k] <= tiny:
+                continue  # starved component: keep previous parameters
+            mu = first[j, k] / occ[j, k]
+            var = second[j, k] / occ[j, k] - mu * mu
+            means[k] = mu
+            variances[k] = np.maximum(var, VARIANCE_FLOOR)
+        emissions.append(GmmEmission(weights, means, variances))
+    return HmmModel(new_a, tuple(emissions), max_skip=model.max_skip)
+
+
+class TestReestimateMatchesReference:
+    """The whole-array M-step gives the object-based M-step's bits."""
+
+    @staticmethod
+    def random_stats(rng, model):
+        n, m, d = model.n_states, model.n_mixtures, model.dim
+        # zero or below-cut (1e-12) counts: rows kept, components starved, states unvisited
+        trans = np.triu(rng.exponential(size=(n, n)) * rng.uniform(0.0, 30.0))
+        trans[rng.random(n) < 0.3] *= rng.choice([0.0, 1e-13])
+        occ = rng.exponential(size=(n, m)) * rng.uniform(1e-13, 40.0)
+        starved = rng.random((n, m)) < 0.3
+        occ[starved] = rng.choice([0.0, 1e-13, 1e-12, 2e-12], size=int(starved.sum()))
+        occ[rng.random(n) < 0.25] = rng.choice([0.0, 1e-13])
+        first = occ[:, :, None] * rng.normal(0.0, 3.0, size=(n, m, d))
+        second = first * first / np.maximum(occ, 1e-300)[:, :, None] + \
+            occ[:, :, None] * rng.choice([0.0, 1e-6, 1.0], size=(n, m, d))
+        return trans, occ, first, second
+
+    def test_random_statistics_bit_for_bit(self):
+        rng = np.random.default_rng(59)
+        for trial in range(300):
+            n = int(rng.integers(1, 7))
+            model = random_model(rng, n, int(rng.integers(1, 4)), int(rng.integers(1, 5)),
+                                 int(rng.integers(1, 3)))
+            stats = self.random_stats(rng, model)
+            got = hmm._reestimate(one_model_arrays(model), *stats)
+            want = reference_reestimate(model, *stats)
+            assert_same_arrays(got, one_model_arrays(want))
+
+    def test_nan_occupancy_is_reestimated_not_kept(self):
+        rng = np.random.default_rng(61)
+        model = random_model(rng, 2, 2, 2)
+        trans, occ, first, second = self.random_stats(rng, model)
+        occ[0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            reference_reestimate(model, trans, occ, first, second)
+        _, w, mu, var = hmm._reestimate(one_model_arrays(model), trans, occ, first, second)
+        assert np.isnan(w[0]).all() and np.isnan(mu[0, 0]).all() and np.isnan(var[0, 0]).all()
 
 
 class TestForwardAgainstEnumeration:
@@ -306,6 +428,22 @@ class TestViterbi:
         model = HmmModel(a, (em, em, em))
         path, _ = viterbi(model, np.zeros((5, 1)))
         assert path.tolist() == [1, 2, 3, 3, 3]
+
+    def test_nan_frame_keeps_a_bakis_path(self):
+        # a NaN frame poisons every tail score before it: the frames up to
+        # it stay in state 1, and the path after it is chosen as usual
+        rng = np.random.default_rng(67)
+        for n, skip in ((1, 1), (3, 1), (4, 2), (5, 2)):
+            model = random_model(rng, n, 2, 2, skip)
+            for k in (0, 4, 8):
+                obs = rng.normal(size=(9, 2))
+                obs[k, 1] = np.nan
+                path, score = viterbi(model, obs)
+                assert np.isnan(score)
+                assert path[: k + 1].tolist() == [1] * (k + 1)
+                steps = np.diff(path)
+                assert path.max() <= n and steps.min(initial=0) >= 0
+                assert steps.max(initial=0) <= skip
 
 
 class TestValidate:
