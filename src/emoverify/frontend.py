@@ -252,8 +252,7 @@ def prosody(frames: np.ndarray, rate: int) -> np.ndarray:
     for start in range(0, searched, PITCH_CHUNK):
         chunk = frames[start : start + PITCH_CHUNK]
         spec = np.fft.rfft(chunk, nfft, axis=1)
-        for row in spec:  # a product over the flat 2-D array rounds differently
-            np.multiply(row, np.conj(row), out=row)
+        np.multiply(spec, np.conj(spec), out=spec)
         raw = np.fft.irfft(spec, nfft, axis=1)
         energy = np.cumsum(chunk * chunk, axis=1)  # column j: samples 0..j
         denom = np.sqrt(energy[:, n - 1 - lags] * (energy[:, n - 1 :] - energy[:, lags - 1]))

@@ -170,7 +170,7 @@ def _check_valid(model: HmmModel) -> None:
 
 
 def _check_obs(obs: np.ndarray, dim: int) -> np.ndarray:
-    obs = np.asarray(obs, dtype=np.float64)
+    obs = _as_float_array(obs, "observation")
     if obs.ndim != 2 or obs.shape[0] == 0:
         raise ValueError("observation must be a nonempty (T, D) matrix")
     if obs.shape[1] != dim:
@@ -295,6 +295,8 @@ class HmmBank:
         all), in that order: one stacked pass per shape scores them all."""
         obs = _check_obs(obs, self.dim)
         rows = range(self.size) if rows is None else rows
+        if not all(0 <= k < self.size for k in rows):
+            raise IndexError(f"bank positions {list(rows)} outside 0..{self.size - 1}")
         out = np.empty(len(rows))
         for place, stack in self._stacks:
             hits = [(r, place[k]) for r, k in enumerate(rows) if k in place]
@@ -346,7 +348,6 @@ def viterbi(model: HmmModel, obs: np.ndarray) -> tuple[np.ndarray, float]:
         cand = la + logb[t + 1][None, :] + tail[t + 1][None, :]
         tail[t] = cand.max(axis=1)
 
-    # a NaN frame matches no state, and every frame up to it stays in state 1
     path = np.zeros(t_len, dtype=np.int64)
     best = logb[0, 0] + tail[0, 0]
     for t in range(1, t_len):

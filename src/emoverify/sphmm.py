@@ -11,7 +11,9 @@ different rates.  SphmmModel is the one type a model set holds: a plain
 (acoustic-only) model has no prosodic stream and weight 0.  ModelSet is
 the labeled set of them that stage a and the one-stage baseline score.
 A ModelBank stacks a set's two streams (hmm.HmmBank) for scoring, so one
-call scores any of its models on an utterance, each as stream_scores does.
+call scores any of its models on an utterance.  Its stream_scores is the
+one score formula; score_acoustic, score_prosodic and score_fused are its
+one-model case.
 """
 
 from __future__ import annotations
@@ -30,12 +32,12 @@ from .hmm import (
     HmmBank,
     HmmModel,
     TrainConfig,
-    avg_frame_ll,
     init_model,
     read_hmm,
     train_baum_welch,
     write_hmm,
 )
+from .hmm import avg_frame_ll  # noqa: F401  benchmark/tracing.py wraps this name
 from .seeds import derive_seed
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -121,29 +123,6 @@ class SphmmModel:
             raise ValueError("log_priors must be two finite values")
 
 
-def score_acoustic(model: SphmmModel, obs: ObservationPair) -> float:
-    """Per-frame acoustic log score: avg_frame_ll plus the per-frame prior.
-
-    With the default uniform priors the prior term is one shared constant,
-    so every comparison between candidate models is likelihood-only.
-    """
-    t_len = obs.acoustic.shape[0]
-    return avg_frame_ll(model.acoustic, obs.acoustic) + model.log_priors[0] / t_len
-
-
-def score_prosodic(model: SphmmModel, obs: ObservationPair) -> float:
-    """Per-frame prosodic log score over the block-rate stream.
-
-    Adds the composite state's log-density of the utterance-mean prosodic
-    vector (when present) and the prior, both averaged over T_p.
-    """
-    tp_len = obs.prosodic.shape[0]
-    score = avg_frame_ll(model.prosodic.hmm, obs.prosodic)
-    if model.prosodic.composite is not None:
-        score += model.prosodic.composite.log_density(obs.prosodic.mean(axis=0)) / tp_len
-    return score + model.log_priors[1] / tp_len
-
-
 def fuse_scores(alpha: float, acoustic: float, prosodic: float | None) -> float:
     """(1 - alpha) * acoustic + alpha * prosodic, in the log domain.
 
@@ -195,16 +174,6 @@ class ModelSet:
         return alphas.pop()
 
 
-def stream_scores(model: SphmmModel, obs: ObservationPair) -> tuple[float, float | None]:
-    """(acoustic, prosodic) scores of one model; prosodic is None for a plain model.
-
-    fuse_scores of the pair at any weight is the fused score at that
-    weight, so one pair serves every weight a decision applies.
-    """
-    acoustic = score_acoustic(model, obs)
-    return acoustic, None if model.prosodic is None else score_prosodic(model, obs)
-
-
 class ModelBank:
     """Models of one kind (plain or fused), stacked per stream for scoring,
     with each model's log-priors and composite state."""
@@ -220,9 +189,11 @@ class ModelBank:
     def stream_scores(self, obs: ObservationPair,
                       rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray | None]:
         """(acoustic, prosodic) scores of the models at bank positions rows,
-        as arrays in that order; prosodic is None for a plain bank.  Entry r
-        is stream_scores(model, obs) of the model at rows[r], bit for bit:
-        the same operations, with one stacked pass per stream.
+        as arrays in that order; prosodic is None for a plain bank.  This is
+        the one score formula: a stream's log-likelihood, plus (prosodic
+        only) the composite state's log-density of the utterance-mean
+        vector, plus the stream's log-prior, each over the stream's frame
+        count.  fuse_scores of the pair gives the fused score at any weight.
         """
         t_len = obs.acoustic.shape[0]
         priors = self.log_priors[list(rows)]
@@ -238,9 +209,24 @@ class ModelBank:
         return acoustic, prosodic + priors[:, 1] / tp_len
 
 
+def score_acoustic(model: SphmmModel, obs: ObservationPair) -> float:
+    """Per-frame acoustic log score of one model: the bank's one-model case.
+
+    With the default uniform priors the prior term is one shared constant,
+    so every comparison between candidate models is likelihood-only.
+    """
+    return float(ModelBank((model,)).stream_scores(obs, (0,))[0][0])
+
+
+def score_prosodic(model: SphmmModel, obs: ObservationPair) -> float:
+    """Per-frame prosodic log score of one fused model over the block-rate
+    stream, composite state and prior included: the bank's one-model case."""
+    return float(ModelBank((model,)).stream_scores(obs, (0,))[1][0])
+
+
 def score_fused(model: SphmmModel, obs: ObservationPair) -> float:
-    """Fused stream scores at the model's own mixing weight."""
-    return fuse_scores(model.alpha, *stream_scores(model, obs))
+    """Fused stream scores of one model at its own mixing weight."""
+    return float(fuse_scores(model.alpha, *ModelBank((model,)).stream_scores(obs, (0,)))[0])
 
 
 def _train_stream(streams: list[np.ndarray], n_states: int, n_mixtures: int,

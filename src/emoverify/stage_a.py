@@ -18,8 +18,9 @@ import numpy as np
 from .frontend import ObservationPair
 from .hmm import TrainConfig
 from .manifest import CorpusManifest
-from .sphmm import ModelSet, score_fused, train_set
+from .sphmm import ModelBank, ModelSet, fuse_scores, train_set
 from .sphmm import score_acoustic, train_sphmm  # noqa: F401  benchmark/tracing.py wraps this name
+from .sphmm import score_fused  # noqa: F401  benchmark/tracing.py wraps this name
 
 
 @dataclass(frozen=True)
@@ -85,10 +86,12 @@ def train_emotion_models(manifest: CorpusManifest, features, n_states: int, n_mi
 def identify_emotion(
     models: ModelSet, obs: ObservationPair
 ) -> tuple[str, dict[str, float]]:
-    """The argmax emotion and the full per-emotion score vector."""
-    scores = {emotion: score_fused(model, obs) for emotion, model in models.models.items()}
-    best = max(scores, key=lambda e: scores[e])  # max() keeps the earliest tie
-    return best, scores
+    """The argmax emotion and the full per-emotion score vector: the set's
+    fused scores from one bank call, a tie going to the earlier emotion."""
+    labels = models.labels
+    streams = ModelBank(models.models.values()).stream_scores(obs, range(len(labels)))
+    fused = fuse_scores(models.alpha, *streams)
+    return labels[int(np.argmax(fused))], dict(zip(labels, fused.tolist()))
 
 
 def tally(emotions, pairs) -> ConfusionMatrix:

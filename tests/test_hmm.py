@@ -383,6 +383,19 @@ class TestForwardAgainstEnumeration:
             log_forward(model, np.zeros((0, 3)))
 
 
+class TestHmmBank:
+    def test_out_of_range_position_is_rejected(self):
+        rng = np.random.default_rng(47)
+        models = [random_model(rng, 2, 1, 2), random_model(rng, 3, 2, 2)]
+        bank = hmm.HmmBank(models)
+        obs = rng.normal(size=(4, 2))
+        for rows in ([5], [2], [-1, 0], [0, -2], [1, 3]):
+            with pytest.raises(IndexError, match="outside 0..1"):
+                bank.log_forward(obs, rows)
+        want = [log_forward(models[1], obs), log_forward(models[0], obs)]
+        assert bank.log_forward(obs, [1, 0]).tolist() == want
+
+
 class TestViterbi:
     def test_matches_enumeration_argmax(self):
         rng = np.random.default_rng(42)
@@ -429,21 +442,16 @@ class TestViterbi:
         path, _ = viterbi(model, np.zeros((5, 1)))
         assert path.tolist() == [1, 2, 3, 3, 3]
 
-    def test_nan_frame_keeps_a_bakis_path(self):
-        # a NaN frame poisons every tail score before it: the frames up to
-        # it stay in state 1, and the path after it is chosen as usual
+    def test_nan_frame_is_rejected(self):
+        # refused before any recursion runs, so no NaN score or path comes back
         rng = np.random.default_rng(67)
         for n, skip in ((1, 1), (3, 1), (4, 2), (5, 2)):
             model = random_model(rng, n, 2, 2, skip)
             for k in (0, 4, 8):
                 obs = rng.normal(size=(9, 2))
                 obs[k, 1] = np.nan
-                path, score = viterbi(model, obs)
-                assert np.isnan(score)
-                assert path[: k + 1].tolist() == [1] * (k + 1)
-                steps = np.diff(path)
-                assert path.max() <= n and steps.min(initial=0) >= 0
-                assert steps.max(initial=0) <= skip
+                with pytest.raises(ValueError, match="non-finite"):
+                    viterbi(model, obs)
 
 
 class TestValidate:
@@ -558,6 +566,20 @@ class TestDegenerateInputs:
             assert np.all(em.variances[:, 2] == VARIANCE_FLOOR)
         for u in utts:
             assert np.isfinite(avg_frame_ll(model, u))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frame_is_rejected(self, value):
+        rng = np.random.default_rng(43)
+        model = random_model(rng, 3, 2, 2)
+        obs = rng.normal(size=(6, 2))
+        obs[2, 0] = value
+        runs = (lambda: log_forward(model, obs),
+                lambda: hmm.HmmBank([model, model]).log_forward(obs),
+                lambda: viterbi(model, obs),
+                lambda: train_baum_welch(model, [rng.normal(size=(5, 2)), obs]))
+        for run in runs:
+            with pytest.raises(ValueError, match="observation contains non-finite values"):
+                run()
 
 
 class TestSampling:

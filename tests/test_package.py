@@ -22,6 +22,14 @@ cfg = TrainConfig(max_iterations=3)
 model, history = train_baum_welch(init_model(utts, 3, 1, cfg), utts, cfg)
 assert model.n_states == 3 and len(history) >= 2
 assert np.isfinite(log_forward(model, utts[0]))
+from emoverify.frontend import ObservationPair
+from emoverify.sphmm import ModelSet, score_fused, train_sphmm
+from emoverify.stage_a import identify_emotion
+pairs = [ObservationPair(u, rng.normal(size=(3, 2))) for u in utts]
+fused = train_sphmm(pairs, 3, 1, cfg=cfg)
+assert np.isfinite(score_fused(fused, pairs[0]))
+best, scores = identify_emotion(ModelSet({"a": fused, "b": fused}), pairs[0])
+assert best == "a" and scores["a"] == scores["b"] == score_fused(fused, pairs[0])
 print("ok")
 """
 

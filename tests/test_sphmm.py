@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from corpus_util import reference_stream_scores
 
 from emoverify.errors import FormatError
 from emoverify.frontend import ObservationPair
@@ -25,7 +26,6 @@ from emoverify.sphmm import (
     score_acoustic,
     score_fused,
     score_prosodic,
-    stream_scores,
     train_sphmm,
     write_sphmm,
 )
@@ -97,7 +97,8 @@ class TestStreamScores:
             plain = SphmmModel(toy_hmm(rng, 3, 4), None, alpha=0.0)
             obs = toy_obs(rng, t=int(rng.integers(2, 15)))
             want = avg_frame_ll(plain.acoustic, obs.acoustic)
-            assert stream_scores(plain, obs) == (want, None)
+            assert ModelBank((plain,)).stream_scores(obs, (0,))[1] is None
+            assert score_acoustic(plain, obs) == want
             assert score_fused(plain, obs) == want
 
     def test_fused_model_keeps_both_streams_at_every_weight(self):
@@ -105,7 +106,8 @@ class TestStreamScores:
         for alpha in (0.0, 0.5, 1.0):
             model = toy_model(rng, alpha=alpha)
             obs = toy_obs(rng)
-            pair = stream_scores(model, obs)
+            acoustic, prosodic = ModelBank((model,)).stream_scores(obs, (0,))
+            pair = (float(acoustic[0]), float(prosodic[0]))
             assert pair == (score_acoustic(model, obs), score_prosodic(model, obs))
             assert fuse_scores(alpha, *pair) == score_fused(model, obs)
 
@@ -206,7 +208,7 @@ class TestModelBank:
         for t, tp in ((1, 1), (2, 1), (17, 4)):
             obs = ObservationPair(rng.normal(size=(t, 3)), rng.normal(size=(tp, 2)))
             with np.errstate(over="ignore"):
-                alone = [stream_scores(m, obs) for m in models]
+                alone = [reference_stream_scores(m, obs) for m in models]
                 assert alone[3][0] == -np.inf and np.isfinite(alone[0][0])
                 for size in range(1, len(models) + 1):
                     for rows in itertools.permutations(range(len(models)), size):
@@ -217,6 +219,39 @@ class TestModelBank:
                         else:
                             want = np.array([alone[k][1] for k in rows])
                             assert prosodic.tobytes() == want.tobytes()
+
+    def test_out_of_range_position_is_rejected(self):
+        rng = np.random.default_rng(9)
+        bank = ModelBank(bank_models(rng, 2, 1, "composite"))
+        obs = ObservationPair(rng.normal(size=(5, 3)), rng.normal(size=(2, 2)))
+        for rows in ([4], [-1], [0, -4]):
+            with pytest.raises(IndexError):
+                bank.stream_scores(obs, rows)
+
+    @pytest.mark.parametrize("kind", ["composite", "no_composite", "plain"])
+    @pytest.mark.parametrize("n_states", range(1, 7))
+    def test_one_model_scorers_are_the_reference_chain(self, n_states, kind):
+        # score_acoustic, score_prosodic and score_fused are the bank's
+        # one-model case, returned as Python floats with the bits of the
+        # per-model chain, -inf scores and the fusion endpoints included
+        rng = np.random.default_rng(100 * n_states + len(kind))
+        models = bank_models(rng, n_states, 1, kind)
+        for t, tp in ((1, 1), (2, 1), (17, 4)):
+            obs = ObservationPair(rng.normal(size=(t, 3)), rng.normal(size=(tp, 2)))
+            for k, model in enumerate(models):
+                alphas = (0.0,) if kind == "plain" else (0.0, 0.3, 0.5, 1.0)
+                for alpha in alphas:
+                    model = dataclasses.replace(model, alpha=alpha)
+                    with np.errstate(over="ignore"):
+                        acoustic, prosodic = reference_stream_scores(model, obs)
+                        got = [score_acoustic(model, obs), score_fused(model, obs)]
+                        want = [acoustic, fuse_scores(alpha, acoustic, prosodic)]
+                        if kind != "plain":
+                            got.append(score_prosodic(model, obs))
+                            want.append(prosodic)
+                    assert all(type(x) is float for x in got)
+                    assert np.array(got).tobytes() == np.array(want).tobytes()
+                    assert (acoustic == -np.inf) == (k == 3)
 
 
 class TestFusion:

@@ -121,6 +121,16 @@ class TestIdentify:
             assert identify_emotion(models, features[u.id])[0] == \
                 identify_emotion(shifted, features[u.id])[0]
 
+    def test_identical_models_tie_to_the_earlier_emotion(self, separable):
+        manifest, features, _, models = separable
+        model = models.models["sad"]
+        obs = features[manifest.utterances[0].id]
+        for order in (("happy", "sad", "angry"), ("angry", "sad", "happy")):
+            twins = ModelSet({e: model for e in order})
+            best, scores = identify_emotion(twins, obs)
+            assert best == order[0] and tuple(scores) == order
+            assert len(set(scores.values())) == 1
+
     def test_two_emotion_set_minimum(self):
         with pytest.raises(ValueError, match="at least 2"):
             ModelSet({})

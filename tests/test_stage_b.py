@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from corpus_util import make_corpus
+from corpus_util import make_corpus, reference_stream_scores
 from emoverify import hmm, sphmm
 from emoverify.evaluation import ALPHA_GRID
 from emoverify.hmm import GmmEmission, HmmModel, TrainConfig, avg_frame_ll, write_hmm
@@ -620,7 +620,7 @@ class TestScoreOnceDecideMany:
 
     def test_table_rows_do_not_depend_on_the_plan_around_them(self, fused_sets):
         # each plan row scored alone equals its row in the whole plan's
-        # table, and each cell is its model's stream_scores bit for bit
+        # table, and each cell is its model's reference chain bit for bit
         manifest, features, enrolled, pooled, emotion_models = fused_sets
         cfg = TrialConfig(seed=3)
         plan = trial_plan(manifest, enrolled.speakers, cfg)
@@ -629,12 +629,29 @@ class TestScoreOnceDecideMany:
             for p, (utt, claimed) in enumerate(plan):
                 keys = ([(claimed, e) for e in table.labels]
                         if isinstance(models, SpeakerEmotionModelSet) else table.labels)
-                alone = [sphmm.stream_scores(models.models[key], features[utt.id]) for key in keys]
+                alone = [reference_stream_scores(models.models[key], features[utt.id])
+                         for key in keys]
                 one = score_trials(plan[p:p + 1], models, features, cfg)
                 streams = ((table.acoustic, one.acoustic), (table.prosodic, one.prosodic))
                 for s, (whole, single) in enumerate(streams):
                     want = np.array([pair[s] for pair in alone]).tobytes()
                     assert whole[p].tobytes() == single[0].tobytes() == want
+
+    def test_identify_emotion_is_its_stage_a_row(self, fused_sets):
+        # identify_emotion's score dict is its utterance's stage-a table row
+        # fused at the set's weight, bit for bit, and its label that row's argmax
+        manifest, features, enrolled, _, emotion_models = fused_sets
+        cfg = TrialConfig(seed=3)
+        plan = trial_plan(manifest, enrolled.speakers, cfg)
+        for alpha in (0.0, 0.3, 1.0):
+            emotions = ModelSet(at_alpha(emotion_models.models, alpha))
+            table = score_trials(plan, emotions, features, cfg)
+            fused = sphmm.fuse_scores(alpha, table.acoustic, table.prosodic)
+            for p, (utt, _) in enumerate(plan):
+                best, scores = identify_emotion(emotions, features[utt.id])
+                assert tuple(scores) == table.labels
+                assert np.array(list(scores.values())).tobytes() == fused[p].tobytes()
+                assert best == table.labels[int(np.argmax(fused[p]))]
 
     def test_stage_a_table_scores_every_emotion_once(self, fused_sets, monkeypatch):
         manifest, features, enrolled, _, emotion_models = fused_sets
