@@ -1,7 +1,9 @@
 """Every file the package reads, writes or deletes, and checked reads for its
 little-endian binary files: each declared size is checked against the bytes
 left before anything is read.  A path the locale cannot encode is opened
-by its UTF-8 bytes."""
+by its UTF-8 bytes.  Every binary file opens with one frame, which
+write_frame writes and read_frame checks: a 4-byte magic, then the uint32
+format version and the format's uint32 shape fields."""
 
 from __future__ import annotations
 
@@ -28,9 +30,21 @@ def read_array(fp, shape: tuple[int, ...], what: str, dtype: str = "<f8") -> np.
     return np.frombuffer(read_exact(fp, count, what), dtype=dtype).reshape(shape).copy()
 
 
-def read_header(fp, n_fields: int, what: str) -> tuple[int, ...]:
-    """uint32 header fields as Python ints, so size arithmetic cannot wrap."""
-    return tuple(int(v) for v in read_array(fp, (n_fields,), what, dtype="<u4"))
+def write_frame(fp, magic: bytes, version: int, fields) -> None:
+    fp.write(magic)
+    fp.write(np.array([version, *fields], dtype="<u4").tobytes())
+
+
+def read_frame(fp, magic: bytes, version: int, n_fields: int, what: str) -> tuple[int, ...]:
+    """The n_fields shape fields after a checked magic and version, as Python
+    ints, so size arithmetic cannot wrap."""
+    found = read_exact(fp, len(magic), what)
+    if found != magic:
+        raise FormatError(f"bad {what} magic {found!r}")
+    stored, *fields = (int(v) for v in read_array(fp, (n_fields + 1,), what, dtype="<u4"))
+    if stored != version:
+        raise FormatError(f"unsupported {what} version {stored}")
+    return tuple(fields)
 
 
 def _os_path(path):

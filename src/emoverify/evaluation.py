@@ -315,8 +315,9 @@ def _vector_ttest(main: Mapping[str, float], other: Mapping[str, float], emotion
 
 
 # One memo slot: the features mapping it was filled for, the corpus and
-# config key, and the trained model sets and score tables under literal
-# names.  A call on another mapping, corpus or config empties it.
+# config key, and the score tables under literal names.  A call on another
+# mapping, corpus or config empties it.  The slot still holds the mapping,
+# so a finished run keeps its corpus alive until the next call.
 _MEMO: dict = {"features": None, "key": None, "entries": {}}
 
 
@@ -348,14 +349,14 @@ def run_experiment(kind: str, manifest: CorpusManifest, features, cfg: Experimen
     one_stage drops emotion conditioning entirely; alpha_sweep decides the
     fused pipeline at the eleven grid weights.  Baseline kinds carry the
     two_stage table (worst_case also the one_stage table) plus the t-test
-    between per-emotion EER vectors, all on one trial plan.  Each model
-    set is trained once and scored once into its own table, every stream
-    of every model, with no fusion weight; every table, comparison and
-    sweep row applies its weights when it decides over those tables.
-    Kinds run one after another on the same features mapping with an equal
-    config share those model sets and scores, so a paper table trains and
-    scores each set once; a new mapping, an edited stream or another
-    config starts fresh.
+    between per-emotion EER vectors, all on one trial plan over the
+    manifest's claimants.  Each model set is scored into its own table as
+    soon as it is trained, every stream of every model, with no fusion
+    weight, and only the table is kept; every table, comparison and sweep
+    row applies its weights when it decides over those tables.  Kinds run
+    one after another on the same features mapping with an equal config
+    share those tables, so a paper table trains and scores each set once;
+    a new mapping, an edited stream or another config starts fresh.
     """
     cfg = cfg or ExperimentConfig()
     if kind not in KINDS:
@@ -369,34 +370,24 @@ def run_experiment(kind: str, manifest: CorpusManifest, features, cfg: Experimen
     common = (manifest, features, cfg.n_states, cfg.n_mixtures)
     training = dict(cfg=cfg.train_config, alpha=cfg.alpha, composite=cfg.composite)
     memo = _memo_entries(manifest, features, cfg)
+    fused = cfg.fused_for(kind)
+    speaker_alpha = cfg.alpha if fused else 0.0  # the stage-b and pooled sets' weight
+    plan = trial_plan(manifest, manifest.claimants, trial_cfg)
 
-    def once(name, build):
+    def table(name, trainer, **options):
         if name not in memo:
-            memo[name] = build()
+            memo[name] = score_trials(plan, trainer(*common, **options, **training), features, trial_cfg)
         return memo[name]
 
-    def stage_b_set(name, trainer, fused):
-        return once((name, fused), lambda: trainer(*common, fused=fused, **training))
-
-    def scores(name, models):
-        return once(("scores", name), lambda: score_trials(plan, models, features, trial_cfg))
-
-    fused = cfg.fused_for(kind)
-    speaker_models = stage_b_set("enroll", enroll, fused)
-    plan = trial_plan(manifest, speaker_models.speakers, trial_cfg)
-    table = scores(("enroll", fused), speaker_models)
-    stage_a = None
-    if "two_stage" in modes:
-        stage_a = scores("stage_a", once(
-            "stage_a", lambda: train_emotion_models(*common, **training)))
+    speaker_table = table(("enroll", fused), enroll, fused=fused)
+    stage_a = table("stage_a", train_emotion_models) if "two_stage" in modes else None
     if "one_stage" in modes:
-        pooled = stage_b_set("pooled", enroll_pooled, fused)
-        pooled_table = scores(("pooled", fused), pooled)
+        pooled_table = table(("pooled", fused), enroll_pooled, fused=fused)
 
-    def decide(mode, a_alpha=cfg.alpha, b_alpha=speaker_models.alpha):
+    def decide(mode, a_alpha=cfg.alpha, b_alpha=speaker_alpha):
         if mode == "one_stage":
-            return decide_trials(pooled_table, mode, trial_cfg, pooled.alpha)
-        return decide_trials(table, mode, trial_cfg, b_alpha, stage_a, a_alpha)
+            return decide_trials(pooled_table, mode, trial_cfg, speaker_alpha)
+        return decide_trials(speaker_table, mode, trial_cfg, b_alpha, stage_a, a_alpha)
 
     records = decide(mode, stage_a_alpha)
     eer_table, det = _tables(records, emotions)

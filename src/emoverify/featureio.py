@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
-from .binio import exists, read_array, read_exact, read_file, read_header, write_file
+from .binio import exists, read_array, read_file, read_frame, write_file, write_frame
 from .errors import EmoverifyError, FormatError
 from .frontend import ObservationPair
 
@@ -27,21 +25,13 @@ def features_path(directory, utterance_id: str) -> Path:
 
 
 def write_features(fp, pair: ObservationPair) -> None:
-    t, d = pair.acoustic.shape
-    tp, dp = pair.prosodic.shape
-    fp.write(_MAGIC)
-    fp.write(np.array([_VERSION, t, d, tp, dp], dtype="<u4").tobytes())
+    write_frame(fp, _MAGIC, _VERSION, (*pair.acoustic.shape, *pair.prosodic.shape))
     fp.write(pair.acoustic.astype("<f8").tobytes())
     fp.write(pair.prosodic.astype("<f8").tobytes())
 
 
 def read_features(fp) -> ObservationPair:
-    magic = read_exact(fp, 4, "feature")
-    if magic != _MAGIC:
-        raise FormatError(f"bad feature magic {magic!r}")
-    version, t, d, tp, dp = read_header(fp, 5, "feature")
-    if version != _VERSION:
-        raise FormatError(f"unsupported feature version {version}")
+    t, d, tp, dp = read_frame(fp, _MAGIC, _VERSION, 4, "feature")
     acoustic = read_array(fp, (t, d), "feature")
     prosodic = read_array(fp, (tp, dp), "feature")
     try:

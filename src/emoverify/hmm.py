@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .binio import read_array, read_exact, read_file, read_header, write_file
+from .binio import read_array, read_file, read_frame, write_file, write_frame
 from .errors import FormatError
 
 log = logging.getLogger(__name__)
@@ -218,10 +218,17 @@ class _Stack:
     variances: np.ndarray  # (K, N, M, D)
     log_wn: np.ndarray  # (K, N, M): log mixture weight plus Gaussian log-normalizer
     log_trans: np.ndarray  # (K, N, N)
+    running_sums: bool  # _running_sums of every model: sum frames, take no paths
 
     def take(self, members) -> _Stack:
         return _Stack(self.means[members], self.variances[members], self.log_wn[members],
-                      self.log_trans[members])
+                      self.log_trans[members], self.running_sums)
+
+
+def _running_sums(transitions: np.ndarray) -> bool:
+    """Whether every model of transitions (..., N, N) is one state whose self-loop
+    is exactly 1.0, so both its recursions are running sums over the frames."""
+    return transitions.shape[-2:] == (1, 1) and bool(np.all(transitions[..., 0, 0] == 1.0))
 
 
 def _model_arrays(models: Sequence[HmmModel]) -> tuple[np.ndarray, ...]:
@@ -240,7 +247,7 @@ def _stack(transitions, weights, means, variances) -> _Stack:
         log_w = np.log(weights)
         log_trans = np.log(transitions)
     log_norm = -0.5 * (means.shape[-1] * _LOG_2PI + np.sum(np.log(variances), axis=-1))
-    return _Stack(means, variances, log_w + log_norm, log_trans)
+    return _Stack(means, variances, log_w + log_norm, log_trans, _running_sums(transitions))
 
 
 def _log_densities(stack: _Stack, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -274,20 +281,21 @@ def _forward(logb: np.ndarray, log_trans: np.ndarray) -> np.ndarray:
 
 class HmmBank:
     """HMMs of one feature dim, stacked for scoring: one _Stack per (N, M)
-    shape, so a set that mixes shapes needs no padding."""
+    shape and _running_sums flag, so a set that mixes shapes needs no padding."""
 
     def __init__(self, models: Sequence[HmmModel]):
         models = tuple(models)
         if len({m.dim for m in models}) != 1:
             raise ValueError("a bank needs models of one feature dim")
         self.dim = models[0].dim
-        by_shape: dict[tuple[int, int], list[int]] = {}
+        groups: dict[tuple[int, int, bool], list[int]] = {}
         for k, m in enumerate(models):
-            by_shape.setdefault((m.n_states, m.n_mixtures), []).append(k)
-        # per shape: bank position -> place in the stack, and the stack
+            key = (m.n_states, m.n_mixtures, _running_sums(m.transitions))
+            groups.setdefault(key, []).append(k)
+        # per shape and flag: bank position -> place in the stack, and the stack
         self._stacks = [({k: j for j, k in enumerate(ks)},
                          _stack(*_model_arrays([models[k] for k in ks])))
-                        for ks in by_shape.values()]
+                        for ks in groups.values()]
         self.size = len(models)
 
     def log_forward(self, obs: np.ndarray, rows: Sequence[int] | None = None) -> np.ndarray:
@@ -306,7 +314,7 @@ class HmmBank:
             if members != list(range(len(place))):
                 stack = stack.take(members)
             _, logb = _log_densities(stack, obs)
-            if logb.shape[2] == 1:  # single state: no paths to sum over
+            if stack.running_sums:
                 # frames summed along the last axis of a contiguous (K, T) array
                 out[outs] = np.sum(logb[:, :, 0], axis=1)
             else:
@@ -409,7 +417,7 @@ def _accumulate_stats(stack: _Stack, obs: np.ndarray):
     comp, logb = (x[0] for x in _log_densities(stack, obs))
     beta = np.zeros((t_len, n))
     trans = np.zeros((n, n))
-    if n == 1 and la[0, 0] == 0.0:
+    if stack.running_sums:
         # one state that never leaves: both recursions are running sums, the
         # same additions that a one-element logsumexp (which returns its
         # input) and a 0.0 log-transition leave the general loops doing.
@@ -591,9 +599,7 @@ def init_model(
 def write_hmm(fp, model: HmmModel) -> None:
     """Write one model block: magic, version, N, M, D, then transitions,
     weights, means, variances as little-endian float64."""
-    n, m, d = model.n_states, model.n_mixtures, model.dim
-    fp.write(_MODEL_MAGIC)
-    fp.write(np.array([_MODEL_VERSION, n, m, d], dtype="<u4").tobytes())
+    write_frame(fp, _MODEL_MAGIC, _MODEL_VERSION, (model.n_states, model.n_mixtures, model.dim))
     for x in _model_arrays((model,)):
         fp.write(x.astype("<f8").tobytes())
 
@@ -601,12 +607,7 @@ def write_hmm(fp, model: HmmModel) -> None:
 def read_hmm(fp) -> HmmModel:
     """Read one model block written by write_hmm; FormatError unless it is
     structurally valid.  No training floor applies, so any positive variance loads."""
-    magic = read_exact(fp, 4, "model")
-    if magic != _MODEL_MAGIC:
-        raise FormatError(f"bad model magic {magic!r}")
-    version, n, m, d = read_header(fp, 4, "model")
-    if version != _MODEL_VERSION:
-        raise FormatError(f"unsupported model version {version}")
+    n, m, d = read_frame(fp, _MODEL_MAGIC, _MODEL_VERSION, 3, "model")
     if min(n, m, d) < 1:
         raise FormatError(f"empty model shape N={n}, M={m}, D={d}")
     a = read_array(fp, (n, n), "model")

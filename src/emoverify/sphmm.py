@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .binio import read_array, read_exact, read_file, read_header, write_file
+from .binio import read_array, read_file, read_frame, write_file, write_frame
 from .errors import FormatError
 from .frontend import ObservationPair
 from .hmm import (
@@ -221,6 +221,8 @@ def score_acoustic(model: SphmmModel, obs: ObservationPair) -> float:
 def score_prosodic(model: SphmmModel, obs: ObservationPair) -> float:
     """Per-frame prosodic log score of one fused model over the block-rate
     stream, composite state and prior included: the bank's one-model case."""
+    if model.prosodic is None:
+        raise ValueError("a plain model has no prosodic stream to score")
     return float(ModelBank((model,)).stream_scores(obs, (0,))[1][0])
 
 
@@ -294,11 +296,9 @@ def write_sphmm(fp, model: SphmmModel) -> None:
     if model.prosodic is None:
         raise ValueError("a plain model has no prosodic stream to store in .emvs; "
                          "write its acoustic stream with write_hmm(model.acoustic)")
-    fp.write(_MAGIC)
-    n = model.acoustic.n_states
     comp = model.prosodic.composite
     dp = comp.mean.shape[0] if comp is not None else 0
-    fp.write(np.array([_VERSION, n, 1 if comp is not None else 0, dp], dtype="<u4").tobytes())
+    write_frame(fp, _MAGIC, _VERSION, (model.acoustic.n_states, comp is not None, dp))
     fp.write(np.array([model.alpha, *model.log_priors], dtype="<f8").tobytes())
     fp.write(np.array(model.prosodic.summary_map, dtype="<u4").tobytes())
     if comp is not None:
@@ -310,12 +310,7 @@ def write_sphmm(fp, model: SphmmModel) -> None:
 
 def read_sphmm(fp) -> SphmmModel:
     """Read a model written by write_sphmm; FormatError unless it is valid."""
-    magic = read_exact(fp, 4, "model")
-    if magic != _MAGIC:
-        raise FormatError(f"bad model magic {magic!r}")
-    version, n, has_comp, dp = read_header(fp, 4, "model")
-    if version != _VERSION:
-        raise FormatError(f"unsupported model version {version}")
+    n, has_comp, dp = read_frame(fp, _MAGIC, _VERSION, 3, "model")
     if has_comp not in (0, 1):
         raise FormatError(f"bad composite flag {has_comp}")
     alpha, prior_ac, prior_pr = (float(v) for v in read_array(fp, (3,), "model"))

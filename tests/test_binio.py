@@ -123,6 +123,50 @@ def test_bit_flip_reads_valid_or_raises_format_error(kind, position, bit):
     _read_or_format_error(read, bytes(flipped))
 
 
+# each format's frame: magic, shape fields after the version, and the name
+# its messages use
+FRAMES = {
+    "emvh": (b"EMVH", (3, 2, 2), "model"),
+    "emvs": (b"EMVS", (3, 1, 3), "model"),
+    "emvf": (b"EMVF", (4, 2, 2, 3), "feature"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FILES))
+def test_writer_opens_with_the_frame(kind):
+    magic, fields, _ = FRAMES[kind]
+    head = magic + np.array([1, *fields], dtype="<u4").tobytes()
+    assert FILES[kind][0][:len(head)] == head
+
+
+@pytest.mark.parametrize("kind", sorted(FILES))
+@pytest.mark.parametrize("position", range(4))
+def test_changed_magic_byte_is_a_format_error(kind, position):
+    data, read = FILES[kind]
+    changed = bytearray(data)
+    changed[position] ^= 0x20
+    with pytest.raises(FormatError, match=f"bad {FRAMES[kind][2]} magic"):
+        read(io.BytesIO(bytes(changed)))
+
+
+@pytest.mark.parametrize("kind", sorted(FILES))
+def test_other_version_is_a_format_error(kind):
+    data, read = FILES[kind]
+    with pytest.raises(FormatError, match=f"unsupported {FRAMES[kind][2]} version 2$"):
+        read(io.BytesIO(_with_field(data, 4, 2)))
+
+
+@pytest.mark.parametrize("kind", sorted(FILES))
+@pytest.mark.parametrize("cut", [0, 3, 4, 9])
+def test_short_frame_names_the_bytes_declared_and_left(kind, cut):
+    data, read = FILES[kind]
+    _, fields, what = FRAMES[kind]
+    declared, left = (4, cut) if cut < 4 else (4 * (len(fields) + 1), cut - 4)
+    with pytest.raises(FormatError) as info:
+        read(io.BytesIO(data[:cut]))
+    assert str(info.value) == f"truncated {what} file: {declared} bytes declared, {left} left"
+
+
 def _with_field(data: bytes, offset: int, value: int) -> bytes:
     out = bytearray(data)
     out[offset:offset + 4] = np.array([value], dtype="<u4").tobytes()

@@ -395,6 +395,28 @@ class TestHmmBank:
         want = [log_forward(models[1], obs), log_forward(models[0], obs)]
         assert bank.log_forward(obs, [1, 0]).tolist() == want
 
+    @staticmethod
+    def one_state(self_loop):
+        return HmmModel(np.array([[self_loop]]), (GmmEmission([1.0], [[0.0]], [[1.0]]),))
+
+    def test_inexact_self_loop_scores_as_the_e_step_does(self):
+        # summing frames would drop the 49 log self-loops, about -2.45e-8
+        exact, inexact = self.one_state(1.0), self.one_state(1.0 - 5e-10)
+        obs = np.random.default_rng(1).normal(size=(50, 1))
+        got = log_forward(inexact, obs)
+        assert got == hmm._accumulate_stats(one_stack(inexact), obs)[0]
+        assert got != log_forward(exact, obs)
+        assert abs(got - log_forward(exact, obs) - 49 * np.log(1.0 - 5e-10)) < 1e-12
+
+    def test_exact_and_inexact_one_state_models_share_no_stack(self):
+        rng = np.random.default_rng(59)
+        models = [HmmModel(np.array([[loop]]), random_model(rng, 1, 2, 2).emissions)
+                  for loop in (1.0, 1.0 - 5e-10, 1.0)]
+        obs = rng.normal(size=(30, 2))
+        want = [log_forward(m, obs) for m in models]
+        assert hmm.HmmBank(models).log_forward(obs).tolist() == want
+        assert hmm.HmmBank(models).log_forward(obs, [1, 2, 0]).tolist() == [want[1], want[2], want[0]]
+
 
 class TestViterbi:
     def test_matches_enumeration_argmax(self):

@@ -30,6 +30,17 @@ fused = train_sphmm(pairs, 3, 1, cfg=cfg)
 assert np.isfinite(score_fused(fused, pairs[0]))
 best, scores = identify_emotion(ModelSet({"a": fused, "b": fused}), pairs[0])
 assert best == "a" and scores["a"] == scores["b"] == score_fused(fused, pairs[0])
+import io
+from emoverify.featureio import read_features, write_features
+from emoverify.hmm import read_hmm, write_hmm
+from emoverify.sphmm import read_sphmm, write_sphmm
+for write, read, obj in ((write_hmm, read_hmm, model), (write_sphmm, read_sphmm, fused),
+                         (write_features, read_features, pairs[0])):
+    buf = io.BytesIO()
+    write(buf, obj)
+    again = io.BytesIO()
+    write(again, read(io.BytesIO(buf.getvalue())))
+    assert again.getvalue() == buf.getvalue()
 print("ok")
 """
 

@@ -101,6 +101,12 @@ class TestStreamScores:
             assert score_acoustic(plain, obs) == want
             assert score_fused(plain, obs) == want
 
+    def test_plain_model_has_no_prosodic_score(self):
+        rng = np.random.default_rng(5)
+        plain = SphmmModel(toy_hmm(rng, 1, 4), None, alpha=0.0)
+        with pytest.raises(ValueError, match="plain model has no prosodic stream"):
+            score_prosodic(plain, toy_obs(rng))
+
     def test_fused_model_keeps_both_streams_at_every_weight(self):
         rng = np.random.default_rng(4)
         for alpha in (0.0, 0.5, 1.0):
