@@ -13,10 +13,19 @@ Scoring and training share one stacked representation: models of one
 of them in one call per observation; ``log_forward`` is its one-model
 case.  EM keeps one model's parameter arrays, stacked at K = 1 for each
 E-step, and builds its ``HmmModel`` once, after the last iteration.
+
+Both per-frame recursions, the forward one and the E-step's backward one,
+reduce over the states that can reach (or be reached from) each state.  A
+stack is *banded* when no model has a nonzero transition off the diagonal
+and the first superdiagonal (``_banded``, decided once per stack), so only
+"stay" and "move on" are candidates; such stacks take the two-candidate
+kernel ``_log_add``, which gives ``logsumexp``'s bits on the pair, and
+every other stack the general ``logsumexp`` over all N candidates.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,6 +43,7 @@ VARIANCE_FLOOR = 1e-4
 WEIGHT_FLOOR = 1e-8
 KMEANS_ITERATIONS = 10
 _LOG_2PI = float(np.log(2.0 * np.pi))
+_LOG_2 = float(np.log(2.0))
 
 _MODEL_MAGIC = b"EMVH"
 _MODEL_VERSION = 1
@@ -142,10 +152,8 @@ def validate(model: HmmModel, variance_floor: float = VARIANCE_FLOOR) -> list[st
     for i in range(n):
         if abs(row_sums[i] - 1.0) > ROW_SUM_TOL:
             errors.append(f"transition row {i + 1} sums to {row_sums[i]:.10g}")
-    for i in range(n):
-        for j in range(n):
-            if a[i, j] != 0.0 and not (i <= j <= i + model.max_skip):
-                errors.append(f"non-Bakis transition ({i + 1}→{j + 1})")
+    for i, j in zip(*np.nonzero(_off_band(a, model.max_skip))):  # row-major order
+        errors.append(f"non-Bakis transition ({i + 1}→{j + 1})")
     m = model.n_mixtures
     d = model.dim
     for i, em in enumerate(model.emissions):
@@ -161,6 +169,27 @@ def validate(model: HmmModel, variance_floor: float = VARIANCE_FLOOR) -> list[st
         if np.any(em.variances < variance_floor * (1 - 1e-12)):
             errors.append(f"state {i + 1} has a variance below the floor {variance_floor:g}")
     return errors
+
+
+@functools.lru_cache(maxsize=64)
+def _outside_band(n: int, max_skip: int) -> np.ndarray:
+    """Read-only (N, N) mask of the moves outside the Bakis band, where state i
+    reaches only states i .. i + max_skip; cached, since every model load,
+    stack and bank asks for it."""
+    outside = np.tri(n, n, -1, dtype=bool) | ~np.tri(n, n, max_skip, dtype=bool)
+    outside.flags.writeable = False
+    return outside
+
+
+def _off_band(transitions: np.ndarray, max_skip: int) -> np.ndarray:
+    """Mask of the nonzero entries of transitions (..., N, N) outside the Bakis band."""
+    return (transitions != 0) & _outside_band(transitions.shape[-1], max_skip)
+
+
+def _banded(transitions: np.ndarray) -> bool:
+    """Whether every model of transitions (..., N, N) only stays or moves on to
+    the next state, so each recursion step has at most two candidates."""
+    return not np.count_nonzero(_off_band(transitions, 1))
 
 
 def _check_valid(model: HmmModel) -> None:
@@ -210,6 +239,26 @@ def logsumexp(a, axis=None):
     return out[()] if out.ndim == 0 else out
 
 
+def _log_add(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """log(exp(u) + exp(v)) elementwise into ``out``, which overlaps neither
+    input; the caller ignores invalid-value warnings (-inf - -inf).
+
+    This is logsumexp(np.stack([u, v]), axis=0) bit for bit.  With two
+    candidates, logsumexp's shifted sum holds at most one nonzero term, so a
+    single maximum gives log1p(exp(lo - hi)) + hi, a tie log(2) + hi, two
+    -inf give -inf (the tie form) and NaN propagates.  np.logaddexp would
+    round differently: its exp and log1p are not numpy's vectorized ones.
+    """
+    hi = np.maximum(u, v)
+    np.minimum(u, v, out=out)
+    out -= hi
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += hi
+    np.copyto(out, hi + _LOG_2, where=u == v)
+    return out
+
+
 @dataclass(frozen=True)
 class _Stack:
     """K models of one (N, M) shape and feature dim, stacked on a leading axis."""
@@ -219,10 +268,11 @@ class _Stack:
     log_wn: np.ndarray  # (K, N, M): log mixture weight plus Gaussian log-normalizer
     log_trans: np.ndarray  # (K, N, N)
     running_sums: bool  # _running_sums of every model: sum frames, take no paths
+    banded: bool  # _banded: the recursions take the two-candidate kernel
 
     def take(self, members) -> _Stack:
         return _Stack(self.means[members], self.variances[members], self.log_wn[members],
-                      self.log_trans[members], self.running_sums)
+                      self.log_trans[members], self.running_sums, self.banded)
 
 
 def _running_sums(transitions: np.ndarray) -> bool:
@@ -247,7 +297,8 @@ def _stack(transitions, weights, means, variances) -> _Stack:
         log_w = np.log(weights)
         log_trans = np.log(transitions)
     log_norm = -0.5 * (means.shape[-1] * _LOG_2PI + np.sum(np.log(variances), axis=-1))
-    return _Stack(means, variances, log_w + log_norm, log_trans, _running_sums(transitions))
+    return _Stack(means, variances, log_w + log_norm, log_trans,
+                  _running_sums(transitions), _banded(transitions))
 
 
 def _log_densities(stack: _Stack, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,31 +319,44 @@ def _log_densities(stack: _Stack, obs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return comp, logsumexp(comp, axis=-1)
 
 
-def _forward(logb: np.ndarray, log_trans: np.ndarray) -> np.ndarray:
+def _forward(logb: np.ndarray, log_trans: np.ndarray, banded: bool) -> np.ndarray:
     """Log forward variables (K, T, N) of K models over one utterance, each
-    entering in state 1: logb (K, T, N), log_trans (K, N, N)."""
+    entering in state 1: logb (K, T, N), log_trans (K, N, N), and whether
+    the stack is _banded."""
     logb = logb.transpose(1, 0, 2)  # time-major views: one frame is one index
     alpha = np.full(logb.shape, -np.inf)
     alpha[0, :, 0] = logb[0, :, 0]
-    for t in range(1, len(logb)):
-        alpha[t] = logsumexp(alpha[t - 1][:, :, None] + log_trans, axis=1) + logb[t]
+    if not banded:
+        for t in range(1, len(logb)):
+            alpha[t] = logsumexp(alpha[t - 1][:, :, None] + log_trans, axis=1) + logb[t]
+        return alpha.transpose(1, 0, 2)
+    stay = np.diagonal(log_trans, axis1=1, axis2=2)
+    move = np.diagonal(log_trans, 1, axis1=1, axis2=2)
+    moved = np.full(alpha.shape[1:], -np.inf)  # moved[:, j]: from state j - 1, none into 1
+    with np.errstate(invalid="ignore"):
+        for t in range(1, len(logb)):
+            np.add(alpha[t - 1, :, :-1], move, out=moved[:, 1:])
+            _log_add(alpha[t - 1] + stay, moved, out=alpha[t])
+            alpha[t] += logb[t]
     return alpha.transpose(1, 0, 2)
 
 
 class HmmBank:
     """HMMs of one feature dim, stacked for scoring: one _Stack per (N, M)
-    shape and _running_sums flag, so a set that mixes shapes needs no padding."""
+    shape and _running_sums and _banded flags, so a set that mixes shapes
+    needs no padding and one unbanded model sends no other to the general path."""
 
     def __init__(self, models: Sequence[HmmModel]):
         models = tuple(models)
         if len({m.dim for m in models}) != 1:
             raise ValueError("a bank needs models of one feature dim")
         self.dim = models[0].dim
-        groups: dict[tuple[int, int, bool], list[int]] = {}
+        groups: dict[tuple[int, int, bool, bool], list[int]] = {}
         for k, m in enumerate(models):
-            key = (m.n_states, m.n_mixtures, _running_sums(m.transitions))
+            key = (m.n_states, m.n_mixtures, _running_sums(m.transitions),
+                   _banded(m.transitions))
             groups.setdefault(key, []).append(k)
-        # per shape and flag: bank position -> place in the stack, and the stack
+        # per shape and flags: bank position -> place in the stack, and the stack
         self._stacks = [({k: j for j, k in enumerate(ks)},
                          _stack(*_model_arrays([models[k] for k in ks])))
                         for ks in groups.values()]
@@ -318,7 +382,8 @@ class HmmBank:
                 # frames summed along the last axis of a contiguous (K, T) array
                 out[outs] = np.sum(logb[:, :, 0], axis=1)
             else:
-                out[outs] = logsumexp(_forward(logb, stack.log_trans)[:, -1], axis=1)
+                alpha = _forward(logb, stack.log_trans, stack.banded)
+                out[outs] = logsumexp(alpha[:, -1], axis=1)
         return out
 
 
@@ -426,10 +491,19 @@ def _accumulate_stats(stack: _Stack, obs: np.ndarray):
         beta[:-1, 0] = np.cumsum(logb[:0:-1, 0])[::-1]
         ll = float(alpha[-1, 0])
     else:
-        alpha = _forward(logb[None], stack.log_trans)[0]
+        alpha = _forward(logb[None], stack.log_trans, stack.banded)[0]
         ll = float(logsumexp(alpha[-1]))
-        for t in range(t_len - 2, -1, -1):
-            beta[t] = logsumexp(la + (logb[t + 1] + beta[t + 1])[None, :], axis=1)
+        if stack.banded:
+            stay, move = np.diagonal(la), np.diagonal(la, 1)
+            moved = np.full(n, -np.inf)  # moved[i]: on to state i + 1, none from N
+            with np.errstate(invalid="ignore"):
+                for t in range(t_len - 2, -1, -1):
+                    w = logb[t + 1] + beta[t + 1]
+                    np.add(move, w[1:], out=moved[:-1])
+                    _log_add(stay + w, moved, out=beta[t])
+        else:
+            for t in range(t_len - 2, -1, -1):
+                beta[t] = logsumexp(la + (logb[t + 1] + beta[t + 1])[None, :], axis=1)
         if t_len > 1:  # a running sum adds frames in order; a pairwise reduce rounds otherwise
             xi = np.exp(alpha[:-1, :, None] + la + (logb[1:] + beta[1:])[:, None, :] - ll)
             trans = np.add.accumulate(xi)[-1]

@@ -1,5 +1,6 @@
 """Unit tests for the Bakis HMM core, checked against path enumeration."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -149,13 +150,17 @@ def one_stack(model):
 
 
 def general_stats(model, obs):
-    """_accumulate_stats by the general recursion: hmm._forward, SciPy's
-    logsumexp for the total, an explicit backward loop, and transition
-    counts added one frame at a time."""
+    """_accumulate_stats by the general recursion: explicit forward and
+    backward loops, each taking SciPy's logsumexp over all N candidates,
+    SciPy's logsumexp for the total, and transition counts added one frame
+    at a time."""
     stack = one_stack(model)
     comp, logb = (x[0] for x in hmm._log_densities(stack, obs))
     la = stack.log_trans[0]
-    alpha = hmm._forward(logb[None], stack.log_trans)[0]
+    alpha = np.full(logb.shape, -np.inf)
+    alpha[0, 0] = logb[0, 0]
+    for t in range(1, len(obs)):
+        alpha[t] = logsumexp(alpha[t - 1][:, None] + la, axis=0) + logb[t]
     ll = float(logsumexp(alpha[-1]))
     beta = np.zeros(logb.shape)
     for t in range(len(obs) - 2, -1, -1):
@@ -244,6 +249,82 @@ class TestGeneralEStep:
                     assert_same_stats(got, general_stats(model, obs))
                     if t_len == 1:  # no transition, so nothing counted
                         assert not got[1].any()
+
+
+def band_log_trans(rng, k, n):
+    """Random log transitions (K, N, N) that only stay or move on, some -inf."""
+    la = np.full((k, n, n), -np.inf)
+    i = np.arange(n)
+    la[:, i, i] = rng.normal(size=(k, n))
+    la[:, i[:-1], i[1:]] = rng.normal(size=(k, n - 1))
+    return la
+
+
+class TestBandKernel:
+    """The two-candidate kernel and the recursions built on it give the
+    general logsumexp path's bits."""
+
+    @staticmethod
+    def kernel_cases(rng, count):
+        """Pairs with ties, one or both -inf, NaN, +inf and values up to +-700,
+        after the edge cases (-1.2, 0.0 is where np.logaddexp rounds apart)."""
+        yield (np.array([-np.inf, -np.inf, 2.0, np.nan, -1.2, 700.0, np.inf, -745.0]),
+               np.array([-np.inf, 0.5, 2.0, 1.0, 0.0, -700.0, np.inf, -745.0]))
+        for trial in range(count):
+            size = int(rng.integers(1, 40))
+            u, v = (rng.normal(size=size) * (1.0, 30.0, 700.0)[trial % 3] for _ in range(2))
+            if trial % 2:
+                u, v = np.round(u), np.round(v)  # more exact ties
+            tie = rng.random(size) < 0.2
+            v[tie] = u[tie]
+            u[rng.random(size) < 0.15] = -np.inf  # one -inf, and both where v is too
+            v[rng.random(size) < 0.15] = -np.inf
+            if trial % 5 == 0:
+                u[rng.random(size) < 0.1] = np.nan
+            if trial % 7 == 0:
+                v[rng.random(size) < 0.1] = (np.inf, 700.0, -700.0)[trial // 7 % 3]
+            yield u, v
+
+    def test_kernel_matches_logsumexp_of_the_pair(self):
+        for u, v in self.kernel_cases(np.random.default_rng(71), 400):
+            want = hmm.logsumexp(np.stack([u, v]), axis=0)
+            with np.errstate(invalid="ignore"):
+                got = hmm._log_add(u, v, np.empty(len(u)))
+            assert got.tobytes() == want.tobytes(), (u, v, got, want)
+
+    def test_forward_matches_the_general_recursion(self):
+        rng = np.random.default_rng(73)
+        for trial in range(300):
+            k, n, t_len = int(rng.integers(1, 6)), int(rng.integers(1, 7)), int(rng.integers(1, 60))
+            la = band_log_trans(rng, k, n)
+            logb = rng.normal(0.0, 5.0, size=(k, t_len, n))
+            if trial % 2:  # quantized, so candidates tie exactly
+                la, logb = np.round(la * 2) / 2, np.round(logb)
+            if trial % 3 == 0:
+                la[rng.random(la.shape) < 0.2] = -np.inf
+            logb[rng.random(logb.shape) < 0.1] = -np.inf
+            got = hmm._forward(logb, la, True)
+            assert got.tobytes() == hmm._forward(logb, la, False).tobytes()
+
+    def test_training_matches_the_general_recursion(self, monkeypatch):
+        rng = np.random.default_rng(83)
+        cases = []
+        for trial in range(12):
+            n, m, d = int(rng.integers(2, 6)), int(rng.integers(1, 3)), int(rng.integers(2, 9))
+            utts = [rng.normal(0.0, 2.0, size=(int(rng.integers(2, 30)), d))
+                    for _ in range(int(rng.integers(3, 12)))]
+            cfg = TrainConfig(max_iterations=8, seed=trial)
+            init = init_model(utts, n, m, cfg)
+            assert one_stack(init).banded
+            model, history = train_baum_welch(init, utts, cfg)
+            cases.append((init, utts, cfg, model_bytes(model), history))
+        stack = hmm._stack  # from here on, every stack takes the general path
+        monkeypatch.setattr(hmm, "_stack",
+                            lambda *arrays: dataclasses.replace(stack(*arrays), banded=False))
+        for init, utts, cfg, want_bytes, want_history in cases:
+            assert not one_stack(init).banded
+            model, history = train_baum_welch(init, utts, cfg)
+            assert model_bytes(model) == want_bytes and history == want_history
 
 
 def reference_reestimate(
@@ -417,6 +498,40 @@ class TestHmmBank:
         assert hmm.HmmBank(models).log_forward(obs).tolist() == want
         assert hmm.HmmBank(models).log_forward(obs, [1, 2, 0]).tolist() == [want[1], want[2], want[0]]
 
+    @staticmethod
+    def skip_two(rng, skip_prob):
+        """A 3-state max_skip 2 model whose 1→3 transition is skip_prob."""
+        base = random_model(rng, 3, 2, 2)
+        a = np.array([[0.5 - skip_prob, 0.5, skip_prob], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
+        return HmmModel(a, base.emissions, max_skip=2)
+
+    def test_band_decision(self):
+        rng = np.random.default_rng(89)
+        assert not one_stack(self.skip_two(rng, 0.1)).banded
+        assert one_stack(self.skip_two(rng, 0.0)).banded
+        assert one_stack(random_model(rng, 4, 1, 2)).banded
+        assert one_stack(self.one_state(1.0 - 5e-10)).banded
+
+    def test_take_keeps_the_flags(self):
+        rng = np.random.default_rng(97)
+        for models in ([self.skip_two(rng, 0.1), self.skip_two(rng, 0.2)],
+                       [random_model(rng, 3, 2, 2) for _ in range(3)],
+                       [self.one_state(1.0)] * 2):
+            stack = hmm._stack(*hmm._model_arrays(models))
+            part = stack.take([1])
+            assert (part.banded, part.running_sums) == (stack.banded, stack.running_sums)
+
+    def test_unbanded_model_takes_no_banded_one_off_the_kernel(self):
+        rng = np.random.default_rng(101)
+        models = [self.skip_two(rng, 0.0), self.skip_two(rng, 0.1), self.skip_two(rng, 0.0)]
+        bank = hmm.HmmBank(models)
+        assert sorted((sorted(place), stack.banded) for place, stack in bank._stacks) == \
+            [([0, 2], True), ([1], False)]
+        obs = rng.normal(size=(25, 2))
+        want = [log_forward(m, obs) for m in models]
+        assert bank.log_forward(obs).tolist() == want
+        assert bank.log_forward(obs, [1, 2, 0]).tolist() == [want[1], want[2], want[0]]
+
 
 class TestViterbi:
     def test_matches_enumeration_argmax(self):
@@ -492,6 +607,33 @@ class TestValidate:
         em = GmmEmission([1.0], [[0.0]], [[1.0]])
         msgs = validate(HmmModel(a, (em, em)))
         assert any("(2→1)" in m for m in msgs)
+
+    def test_reports_every_violation_in_order(self):
+        em = GmmEmission([1.0], [[0.0]], [[1.0]])
+        a = np.array([[0.4, 0.3, 0.4, 0.0],
+                      [0.1, 0.5, 0.0, 0.4],
+                      [0.2, 0.0, 0.3, 0.3],
+                      [0.0, 0.3, -0.1, 0.8]])
+        assert validate(HmmModel(a, (em,) * 4)) == [
+            "negative transition probability",
+            "transition row 1 sums to 1.1",
+            "transition row 3 sums to 0.8",
+            "non-Bakis transition (1→3)",
+            "non-Bakis transition (2→1)",
+            "non-Bakis transition (2→4)",
+            "non-Bakis transition (3→1)",
+            "non-Bakis transition (4→2)",
+            "non-Bakis transition (4→3)",
+        ]
+        assert validate(HmmModel(a, (em,) * 4, max_skip=2)) == [
+            "negative transition probability",
+            "transition row 1 sums to 1.1",
+            "transition row 3 sums to 0.8",
+            "non-Bakis transition (2→1)",
+            "non-Bakis transition (3→1)",
+            "non-Bakis transition (4→2)",
+            "non-Bakis transition (4→3)",
+        ]
 
     def test_reports_bad_row_sum_and_weights(self):
         a = np.array([[0.5, 0.4], [0.0, 1.0]])

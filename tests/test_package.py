@@ -21,6 +21,8 @@ utts = [rng.normal(size=(12, 2)) for _ in range(3)]
 cfg = TrainConfig(max_iterations=3)
 model, history = train_baum_welch(init_model(utts, 3, 1, cfg), utts, cfg)
 assert model.n_states == 3 and len(history) >= 2
+from emoverify.hmm import _model_arrays, _stack
+assert _stack(*_model_arrays([model])).banded  # the two-candidate kernel ran on numpy alone
 assert np.isfinite(log_forward(model, utts[0]))
 from emoverify.frontend import ObservationPair
 from emoverify.sphmm import ModelSet, score_fused, train_sphmm
