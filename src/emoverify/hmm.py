@@ -7,12 +7,16 @@ forward jumps of at most ``max_skip`` states (default 1).
 
 Scoring and training share one stacked representation: models of one
 (N, M) shape are stacked along a leading model axis K (``_stack``), and
-``_forward`` is the one forward recursion, run for all K models at once
+``_forward`` is the one forward recursion, run for many models at once
 (the multiple-model form of Rabiner 1989, Proc. IEEE 77(2)).  An
-``HmmBank`` holds a set's models as one stack per shape and scores any
-of them in one call per observation; ``log_forward`` is its one-model
-case.  EM keeps one model's parameter arrays, stacked at K = 1 for each
-E-step, and builds its ``HmmModel`` once, after the last iteration.
+``HmmBank`` holds a set's models as one stack per shape.  Its
+``log_forward_batch`` scores a batch of utterances, each under its own
+models, with one recursion per stack over every (utterance, model) pair,
+the utterances padded to the longest (Rabiner's multiple-sequence form,
+§V.B); ``HmmBank.log_forward`` is its one-utterance case and
+``log_forward`` its one-model case.  EM keeps one model's parameter
+arrays, stacked at K = 1 for each E-step, and builds its ``HmmModel``
+once, after the last iteration.
 
 Both per-frame recursions, the forward one and the E-step's backward one,
 reduce over the states that can reach (or be reached from) each state.  A
@@ -26,6 +30,7 @@ every other stack the general ``logsumexp`` over all N candidates.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 from dataclasses import dataclass
 from typing import Sequence
@@ -320,9 +325,12 @@ def _log_densities(stack: _Stack, obs: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _forward(logb: np.ndarray, log_trans: np.ndarray, banded: bool) -> np.ndarray:
-    """Log forward variables (K, T, N) of K models over one utterance, each
-    entering in state 1: logb (K, T, N), log_trans (K, N, N), and whether
-    the stack is _banded."""
+    """Log forward variables (P, T, N) of P models, each entering in state 1,
+    over their frames' state log-densities logb (P, T, N): one utterance per
+    model, padded to a common T.  Each row's arithmetic is elementwise, so
+    its variables do not depend on the rows beside it, and its variables at
+    frame t only on frames up to t, so padding past its end changes none of
+    its own.  log_trans is (P, N, N), and banded whether the stack is _banded."""
     logb = logb.transpose(1, 0, 2)  # time-major views: one frame is one index
     alpha = np.full(logb.shape, -np.inf)
     alpha[0, :, 0] = logb[0, :, 0]
@@ -362,29 +370,61 @@ class HmmBank:
                         for ks in groups.values()]
         self.size = len(models)
 
-    def log_forward(self, obs: np.ndarray, rows: Sequence[int] | None = None) -> np.ndarray:
-        """log P(obs | model) of the models at bank positions ``rows`` (default
-        all), in that order: one stacked pass per shape scores them all."""
-        obs = _check_obs(obs, self.dim)
-        rows = range(self.size) if rows is None else rows
-        if not all(0 <= k < self.size for k in rows):
-            raise IndexError(f"bank positions {list(rows)} outside 0..{self.size - 1}")
-        out = np.empty(len(rows))
+    def log_forward_batch(self, observations: Sequence[np.ndarray],
+                          rows: Sequence[Sequence[int]]) -> list[np.ndarray]:
+        """log P(obs | model) for each observation of a batch, of the models at
+        its bank positions (rows[b] for observations[b]), in that order.
+
+        Every observation and position is checked before anything is scored.
+        Emission densities are taken per utterance and stack; each stack then
+        runs one forward recursion over all of the batch's (utterance, model)
+        pairs, padded to the longest utterance, and reads each pair at its own
+        last frame.  A running-sum stack sums each pair over its own frames.
+        """
+        if len(observations) != len(rows):
+            raise ValueError(f"{len(observations)} observations but {len(rows)} row lists")
+        observations = [_check_obs(obs, self.dim) for obs in observations]
+        for r in rows:
+            if not all(0 <= k < self.size for k in r):
+                raise IndexError(f"bank positions {list(r)} outside 0..{self.size - 1}")
+        out = [np.empty(len(r)) for r in rows]
         for place, stack in self._stacks:
-            hits = [(r, place[k]) for r, k in enumerate(rows) if k in place]
+            # per utterance that needs this stack: its places in out and in the stack
+            hits = []
+            for b, r in enumerate(rows):
+                pairs = [(i, place[k]) for i, k in enumerate(r) if k in place]
+                if pairs:
+                    outs, members = (list(x) for x in zip(*pairs))
+                    hits.append((b, outs, members))
             if not hits:
                 continue
-            outs, members = (list(x) for x in zip(*hits))
-            if members != list(range(len(place))):
-                stack = stack.take(members)
-            _, logb = _log_densities(stack, obs)
+            whole = list(range(len(place)))
             if stack.running_sums:
-                # frames summed along the last axis of a contiguous (K, T) array
-                out[outs] = np.sum(logb[:, :, 0], axis=1)
-            else:
-                alpha = _forward(logb, stack.log_trans, stack.banded)
-                out[outs] = logsumexp(alpha[:, -1], axis=1)
+                for b, outs, members in hits:
+                    part = stack if members == whole else stack.take(members)
+                    logb = _log_densities(part, observations[b])[1]
+                    # frames summed along the last axis of a contiguous (K, T) array
+                    out[b][outs] = np.sum(logb[:, :, 0], axis=1)
+                continue
+            members = [k for _, _, ks in hits for k in ks]
+            ends = [len(observations[b]) - 1 for b, _, ks in hits for _ in ks]
+            # padding frames hold 0.0: finite, run through the recursion, never read
+            logb = np.zeros((len(members), max(ends) + 1, stack.log_wn.shape[1]))
+            starts = list(itertools.accumulate((len(ks) for _, _, ks in hits), initial=0))
+            for (b, _, ks), p in zip(hits, starts):
+                obs = observations[b]
+                part = stack if ks == whole else stack.take(ks)
+                logb[p:p + len(ks), :len(obs)] = _log_densities(part, obs)[1]
+            alpha = _forward(logb, stack.log_trans[members], stack.banded)
+            scores = logsumexp(alpha[np.arange(len(members)), ends], axis=1)
+            for (b, outs, ks), p in zip(hits, starts):
+                out[b][outs] = scores[p:p + len(ks)]
         return out
+
+    def log_forward(self, obs: np.ndarray, rows: Sequence[int] | None = None) -> np.ndarray:
+        """log P(obs | model) of the models at bank positions ``rows`` (default
+        all), in that order: log_forward_batch's one-utterance case."""
+        return self.log_forward_batch([obs], [range(self.size) if rows is None else rows])[0]
 
 
 def log_forward(model: HmmModel, obs: np.ndarray) -> float:

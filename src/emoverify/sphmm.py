@@ -11,8 +11,9 @@ different rates.  SphmmModel is the one type a model set holds: a plain
 (acoustic-only) model has no prosodic stream and weight 0.  ModelSet is
 the labeled set of them that stage a and the one-stage baseline score.
 A ModelBank stacks a set's two streams (hmm.HmmBank) for scoring, so one
-call scores any of its models on an utterance.  Its stream_scores is the
-one score formula; score_acoustic, score_prosodic and score_fused are its
+call scores a batch of utterances, each under any of its models.  Its
+stream_scores_batch is the one score formula; stream_scores is its
+one-utterance case, and score_acoustic, score_prosodic and score_fused its
 one-model case.
 """
 
@@ -186,27 +187,42 @@ class ModelBank:
         self.composites = tuple(None if plain else m.prosodic.composite for m in models)
         self.log_priors = np.array([m.log_priors for m in models])  # (K, 2)
 
+    def stream_scores_batch(
+        self, observations: Sequence[ObservationPair], rows: Sequence[Sequence[int]]
+    ) -> list[tuple[np.ndarray, np.ndarray | None]]:
+        """(acoustic, prosodic) scores of each utterance of a batch under the
+        models at its bank positions (rows[b] for observations[b]), as arrays
+        in that order; prosodic is None for a plain bank.  Each stream takes
+        one bank call for the whole batch.  This is the one score formula: a
+        stream's log-likelihood, plus (prosodic only) the composite state's
+        log-density of the utterance-mean vector, plus the stream's log-prior,
+        each over the stream's frame count.  fuse_scores of the pair gives
+        the fused score at any weight.
+        """
+        acoustic = self.acoustic.log_forward_batch([o.acoustic for o in observations], rows)
+        prosodic = (None if self.prosodic is None else
+                    self.prosodic.log_forward_batch([o.prosodic for o in observations], rows))
+        out = []
+        for b, (obs, r) in enumerate(zip(observations, rows)):
+            t_len = obs.acoustic.shape[0]
+            priors = self.log_priors[list(r)]
+            ac = acoustic[b] / t_len + priors[:, 0] / t_len
+            if prosodic is None:
+                out.append((ac, None))
+                continue
+            tp_len = obs.prosodic.shape[0]
+            pr = prosodic[b] / tp_len
+            mean = obs.prosodic.mean(axis=0)
+            for i, k in enumerate(r):
+                if self.composites[k] is not None:
+                    pr[i] += self.composites[k].log_density(mean) / tp_len
+            out.append((ac, pr + priors[:, 1] / tp_len))
+        return out
+
     def stream_scores(self, obs: ObservationPair,
                       rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray | None]:
-        """(acoustic, prosodic) scores of the models at bank positions rows,
-        as arrays in that order; prosodic is None for a plain bank.  This is
-        the one score formula: a stream's log-likelihood, plus (prosodic
-        only) the composite state's log-density of the utterance-mean
-        vector, plus the stream's log-prior, each over the stream's frame
-        count.  fuse_scores of the pair gives the fused score at any weight.
-        """
-        t_len = obs.acoustic.shape[0]
-        priors = self.log_priors[list(rows)]
-        acoustic = self.acoustic.log_forward(obs.acoustic, rows) / t_len + priors[:, 0] / t_len
-        if self.prosodic is None:
-            return acoustic, None
-        tp_len = obs.prosodic.shape[0]
-        prosodic = self.prosodic.log_forward(obs.prosodic, rows) / tp_len
-        mean = obs.prosodic.mean(axis=0)
-        for r, k in enumerate(rows):
-            if self.composites[k] is not None:
-                prosodic[r] += self.composites[k].log_density(mean) / tp_len
-        return acoustic, prosodic + priors[:, 1] / tp_len
+        """stream_scores_batch's one-utterance case."""
+        return self.stream_scores_batch([obs], [rows])[0]
 
 
 def score_acoustic(model: SphmmModel, obs: ObservationPair) -> float:

@@ -87,7 +87,8 @@ def identify_emotion(
     models: ModelSet, obs: ObservationPair
 ) -> tuple[str, dict[str, float]]:
     """The argmax emotion and the full per-emotion score vector: the set's
-    fused scores from one bank call, a tie going to the earlier emotion."""
+    fused scores from a one-utterance bank call, a tie going to the earlier
+    emotion."""
     labels = models.labels
     streams = ModelBank(models.models.values()).stream_scores(obs, range(len(labels)))
     fused = fuse_scores(models.alpha, *streams)

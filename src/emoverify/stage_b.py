@@ -13,8 +13,9 @@ models (speaker, emotion) and checks them through a ModelSet.
 
 Trials run in two passes.  score_trials scores one model set over a
 trial plan into a ScoreTable, one (P, K) array per stream with no fusion
-weight: the set's models are stacked once into a sphmm.ModelBank, and each
-utterance is scored in one bank call over the models its claims need.
+weight: the set's models are stacked once into a sphmm.ModelBank, and the
+plan's utterances are scored in chunks of at most SCORE_CHUNK, one bank
+call per chunk, each utterance over the models its claims need.
 decide_trials fuses the tables at their weights and decides all rows at
 once: two_stage's e* is a row's argmax over the stage-a table, and
 every ratio is the keyed column minus the mean of the row's others.  So
@@ -44,6 +45,10 @@ from .stage_a import identify_emotion  # noqa: F401  benchmark/tracing.py wraps 
 MODES = ("two_stage", "oracle_emotion", "worst_case", "one_stage")
 
 TRIAL_CSV_HEADER = "utterance,claimed,true,e_star,mode,lambda,theta,decision,truth"
+
+# utterances per bank call in score_trials: at 12 models of 4 states over
+# 80 frames, a chunk's padded forward arrays take about 2 MB
+SCORE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -227,10 +232,9 @@ class ScoreTable:
     prosodic: np.ndarray | None
 
 
-def _score_utterance(bank: ModelBank, task):
-    """One utterance's stream scores under the bank's models at its rows: one bank call."""
-    utt_id, obs, rows = task
-    return utt_id, bank.stream_scores(obs, rows)
+def _score_chunk(bank: ModelBank, tasks):
+    """Stream scores of a chunk of (observation, rows) tasks: one bank call."""
+    return bank.stream_scores_batch([obs for obs, _ in tasks], [rows for _, rows in tasks])
 
 
 def score_trials(
@@ -241,13 +245,15 @@ def score_trials(
 ) -> ScoreTable:
     """Scoring pass: one model set over each planned utterance, read once.
 
-    The set's models form one ModelBank, and each utterance is scored in
-    one bank call over the models its claims need: the claimed speakers'
-    emotion models for a SpeakerEmotionModelSet, every model for a ModelSet
-    (the pooled or the stage-a set), whose one score row fills each of the
-    utterance's plan rows.  Every stream is kept, so the table decides at
-    any fusion weight.  Results are keyed by utterance, so the worker count
-    never changes the outcome.
+    The set's models form one ModelBank, and each utterance is scored over
+    the models its claims need: the claimed speakers' emotion models for a
+    SpeakerEmotionModelSet, every model for a ModelSet (the pooled or the
+    stage-a set), whose one score row fills each of the utterance's plan
+    rows.  Utterances are scored in chunks of at most SCORE_CHUNK, one bank
+    call per chunk, in this process at workers 0 and over a process pool
+    otherwise.  Every stream is kept, so the table decides at any fusion
+    weight.  A score depends only on its utterance and model, so neither
+    the worker count nor the chunking changes the outcome.
     """
     position = {key: k for k, key in enumerate(models.models)}
     if isinstance(models, SpeakerEmotionModelSet):
@@ -259,21 +265,25 @@ def score_trials(
     rows_by_utt: dict[str, dict[int, None]] = {}
     for utt, claimed in plan:
         rows_by_utt.setdefault(utt.id, {}).update(dict.fromkeys(columns[claimed]))
-    tasks = [(utt_id, features[utt_id], tuple(rows)) for utt_id, rows in rows_by_utt.items()]
+    tasks = [(features[utt_id], tuple(rows)) for utt_id, rows in rows_by_utt.items()]
     bank = ModelBank(models.models.values())
-    score = partial(_score_utterance, bank)
+    score = partial(_score_chunk, bank)
+    size = SCORE_CHUNK
+    if cfg.workers:
+        size = min(size, max(1, len(tasks) // (4 * cfg.workers)))
+    chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
     if cfg.workers == 0 or not tasks:
-        scored = dict(map(score, tasks))
+        scored = list(map(score, chunks))
     else:
-        chunk = max(1, len(tasks) // (4 * cfg.workers))
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            scored = dict(pool.map(score, tasks, chunksize=chunk))
+            scored = list(pool.map(score, chunks))
+    scores = [s for chunk in scored for s in chunk]
     # each utterance's scores at their bank positions, then each plan row's columns
     streams = 1 if bank.prosodic is None else 2
     by_position = np.full((streams, len(tasks), len(position)), np.nan)
-    for u, (utt_id, _, rows) in enumerate(tasks):
-        by_position[:, u, list(rows)] = scored[utt_id][:streams]
-    utt_index = {utt_id: u for u, (utt_id, _, _) in enumerate(tasks)}
+    for u, ((_, rows), pair) in enumerate(zip(tasks, scores)):
+        by_position[:, u, list(rows)] = pair[:streams]
+    utt_index = {utt_id: u for u, utt_id in enumerate(rows_by_utt)}
     row_utts = np.array([utt_index[utt.id] for utt, _ in plan], dtype=np.intp)
     row_cols = np.array([columns[c] for _, c in plan], dtype=np.intp).reshape(len(plan), len(labels))
     table = [stream[row_utts[:, None], row_cols] for stream in by_position]

@@ -425,10 +425,10 @@ class TestRunExperiment:
         # keep the module fixtures' memoized scores out of the count.
         manifest, features = corpus
         calls = []
-        real = hmm.HmmBank.log_forward
-        monkeypatch.setattr(hmm.HmmBank, "log_forward",
-                            lambda bank, o, rows=None: calls.extend(
-                                range(bank.size) if rows is None else rows) or real(bank, o, rows))
+        real = hmm.HmmBank.log_forward_batch
+        monkeypatch.setattr(hmm.HmmBank, "log_forward_batch",
+                            lambda bank, obs, rows: calls.extend(
+                                k for r in rows for k in r) or real(bank, obs, rows))
         run_experiment("alpha_sweep", manifest, dict(features), CFG)
         sweep = len(calls)
         calls.clear()

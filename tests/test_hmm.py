@@ -532,6 +532,72 @@ class TestHmmBank:
         assert bank.log_forward(obs).tolist() == want
         assert bank.log_forward(obs, [1, 2, 0]).tolist() == [want[1], want[2], want[0]]
 
+    @staticmethod
+    def mixed_bank_models(rng, dim):
+        """Models of mixed (N, M) shapes: running-sum, banded and unbanded
+        stacks, an inexact one-state model and a 9-state unbanded one."""
+        inexact = HmmModel(np.array([[1.0 - 5e-10]]), random_model(rng, 1, 2, dim).emissions)
+        return [random_model(rng, 3, 2, dim), random_model(rng, 1, 2, dim),
+                random_model(rng, 4, 1, dim, 2), random_model(rng, 3, 2, dim),
+                random_model(rng, 1, 1, dim), inexact, random_model(rng, 2, 3, dim),
+                random_model(rng, 4, 1, dim, 2), random_model(rng, 9, 1, dim, 3),
+                random_model(rng, 1, 2, dim)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batch_scores_as_each_model_alone(self, seed):
+        # each (utterance, model) pair of a padded batch gets the bits of
+        # scoring that model alone, whatever the batch around it and its order
+        rng = np.random.default_rng(7000 + seed)
+        models = self.mixed_bank_models(rng, 2)
+        bank = hmm.HmmBank(models)
+        assert len(bank._stacks) == 7
+        lengths = [1, 2, 30, 5, 1, 17, 9]
+        observations = [rng.normal(0.0, 2.0, size=(t, 2)) for t in lengths]
+        rows = [rng.integers(0, len(models), size=int(rng.integers(1, 2 * len(models))))
+                for _ in lengths]
+        rows[1] = [4, 1, 4]  # running-sum models only, one repeated
+        rows[3] = [8, 0, 8, 0]  # no model of most stacks
+        rows[5] = list(range(len(models)))[::-1]
+        alone = [[log_forward(models[k], obs) for k in r] for obs, r in zip(observations, rows)]
+        for order in (range(len(lengths)), rng.permutation(len(lengths))):
+            got = bank.log_forward_batch([observations[b] for b in order], [rows[b] for b in order])
+            assert len(got) == len(lengths)
+            for b, scores in zip(order, got):
+                assert scores.tobytes() == np.array(alone[b]).tobytes()
+
+    def test_batch_inputs_are_checked_before_any_scoring(self, monkeypatch):
+        # the bad utterance comes last, and no density or recursion runs
+        # before the batch is refused with the one-utterance message
+        rng = np.random.default_rng(113)
+        models = [random_model(rng, 3, 2, 2), random_model(rng, 1, 2, 2)]
+        bank = hmm.HmmBank(models)
+        good = [rng.normal(size=(t, 2)) for t in (4, 9)]
+        nan = rng.normal(size=(6, 2))
+        nan[5, 1] = np.nan
+        scored = []
+        for name in ("_log_densities", "_forward"):
+            real = getattr(hmm, name)
+            monkeypatch.setattr(hmm, name, lambda *a, real=real: scored.append(a) or real(*a))
+        cases = (
+            (nan, [0, 1], ValueError, "observation contains non-finite values"),
+            (rng.normal(size=(6, 3)), [0], ValueError,
+             "observation dim 3 does not match model dim 2"),
+            (np.zeros((0, 2)), [0], ValueError, r"observation must be a nonempty \(T, D\) matrix"),
+            (rng.normal(size=(6, 2)), [1, 2], IndexError, r"bank positions \[1, 2\] outside 0..1"),
+            (rng.normal(size=(6, 2)), [-1], IndexError, r"bank positions \[-1\] outside 0..1"),
+        )
+        for bad, bad_rows, error, message in cases:
+            with pytest.raises(error, match=f"^{message}$"):
+                bank.log_forward_batch([*good, bad], [[0, 1], [1], bad_rows])
+            with pytest.raises(error, match=f"^{message}$"):
+                bank.log_forward(bad, bad_rows)
+            assert scored == []
+        with pytest.raises(ValueError, match="2 observations but 1 row lists"):
+            bank.log_forward_batch(good, [[0]])
+        assert [x.tolist() for x in bank.log_forward_batch(good, [[0, 1], [1]])] == [
+            [log_forward(models[0], good[0]), log_forward(models[1], good[0])],
+            [log_forward(models[1], good[1])]]
+
 
 class TestViterbi:
     def test_matches_enumeration_argmax(self):

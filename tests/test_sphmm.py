@@ -226,6 +226,27 @@ class TestModelBank:
                             want = np.array([alone[k][1] for k in rows])
                             assert prosodic.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("kind", ["composite", "no_composite", "plain"])
+    @pytest.mark.parametrize("n_states", [1, 3, 5])
+    def test_batch_scores_as_each_model_alone(self, n_states, kind):
+        # one bank call per stream over utterances of mixed lengths, each with
+        # its own rows (repeats included), gives the reference chain's bits
+        rng = np.random.default_rng(2000 + 10 * n_states + len(kind))
+        models = bank_models(rng, n_states, 2, kind)
+        bank = ModelBank(models)
+        observations = [ObservationPair(rng.normal(size=(t, 3)), rng.normal(size=(tp, 2)))
+                        for t, tp in ((17, 4), (1, 1), (40, 8), (2, 1), (9, 2))]
+        rows = [(0, 1, 2, 3), (2,), (3, 3, 1), (1, 0), (2, 0, 1)]
+        with np.errstate(over="ignore"):
+            got = bank.stream_scores_batch(observations, rows)
+            for obs, r, (acoustic, prosodic) in zip(observations, rows, got):
+                alone = [reference_stream_scores(models[k], obs) for k in r]
+                assert acoustic.tobytes() == np.array([a for a, _ in alone]).tobytes()
+                if kind == "plain":
+                    assert prosodic is None
+                else:
+                    assert prosodic.tobytes() == np.array([p for _, p in alone]).tobytes()
+
     def test_out_of_range_position_is_rejected(self):
         rng = np.random.default_rng(9)
         bank = ModelBank(bank_models(rng, 2, 1, "composite"))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from corpus_util import make_corpus, reference_stream_scores
-from emoverify import hmm, sphmm
+from emoverify import hmm, sphmm, stage_b
 from emoverify.evaluation import ALPHA_GRID
 from emoverify.hmm import GmmEmission, HmmModel, TrainConfig, avg_frame_ll, write_hmm
 from emoverify.manifest import CorpusManifest, UtteranceRef, grid_manifest
@@ -656,10 +656,10 @@ class TestScoreOnceDecideMany:
     def test_stage_a_table_scores_every_emotion_once(self, fused_sets, monkeypatch):
         manifest, features, enrolled, _, emotion_models = fused_sets
         calls = []  # one entry per (model, utterance, stream) a bank call scores
-        real = hmm.HmmBank.log_forward
-        monkeypatch.setattr(hmm.HmmBank, "log_forward",
-                            lambda bank, o, rows=None: calls.extend(
-                                range(bank.size) if rows is None else rows) or real(bank, o, rows))
+        real = hmm.HmmBank.log_forward_batch
+        monkeypatch.setattr(hmm.HmmBank, "log_forward_batch",
+                            lambda bank, obs, rows: calls.extend(
+                                k for r in rows for k in r) or real(bank, obs, rows))
         cfg = TrialConfig(seed=3)
         plan = trial_plan(manifest, enrolled.speakers, cfg)
         table = score_trials(plan, emotion_models, features, cfg)
@@ -675,6 +675,50 @@ class TestScoreOnceDecideMany:
             row = first.setdefault(utt.id, p)
             for stream in (table.acoustic, table.prosodic):
                 assert stream[p].tobytes() == stream[row].tobytes()
+
+
+@pytest.fixture(scope="module")
+def three_state(corpus):
+    """Fused 3-state enrollment: every stream scores through the padded recursion."""
+    manifest, features = corpus
+    return enroll(manifest, features, n_states=3, n_mixtures=2, cfg=FAST, fused=True)
+
+
+class TestChunkedScoring:
+    def test_chunk_size_and_workers_move_no_bit(self, corpus, three_state, emotion_models,
+                                                monkeypatch):
+        # Utterances of 12-20 frames, scored in chunks of one, five, all of
+        # them and the default, serially and over two processes: every table
+        # has the same bytes, and each cell is its model's reference chain.
+        # The 1-state stage-a set takes the running-sum path.
+        manifest, features = corpus
+        cfg = TrialConfig(seed=3)
+        keep = {u.id for u in manifest.subset(split="test")[::18]}
+        plan = tuple(row for row in trial_plan(manifest, three_state.speakers, cfg)
+                     if row[0].id in keep)
+        calls = []
+        real = sphmm.ModelBank.stream_scores_batch
+        monkeypatch.setattr(sphmm.ModelBank, "stream_scores_batch",
+                            lambda bank, obs, rows: calls.append(len(obs)) or real(bank, obs, rows))
+        for models in (three_state, emotion_models):
+            tables = []
+            for chunk in (1, 5, len(keep), stage_b.SCORE_CHUNK):
+                monkeypatch.setattr(stage_b, "SCORE_CHUNK", chunk)
+                calls.clear()
+                tables.append(score_trials(plan, models, features, cfg))
+                assert calls == [min(chunk, len(keep) - i) for i in range(0, len(keep), chunk)]
+                tables.append(score_trials(plan, models, features,
+                                           dataclasses.replace(cfg, workers=2)))
+            for table in tables[1:]:
+                assert table.acoustic.tobytes() == tables[0].acoustic.tobytes()
+                assert table.prosodic.tobytes() == tables[0].prosodic.tobytes()
+            for p, (utt, claimed) in enumerate(plan):
+                keys = ([(claimed, e) for e in tables[0].labels]
+                        if isinstance(models, SpeakerEmotionModelSet) else tables[0].labels)
+                alone = [reference_stream_scores(models.models[key], features[utt.id])
+                         for key in keys]
+                for s, stream in enumerate((tables[0].acoustic, tables[0].prosodic)):
+                    assert stream[p].tobytes() == np.array([pair[s] for pair in alone]).tobytes()
 
 
 def scalar_decide(table, mode, cfg, alpha, stage_a, emotion_alpha):
