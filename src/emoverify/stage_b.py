@@ -14,8 +14,9 @@ models (speaker, emotion) and checks them through a ModelSet.
 Trials run in two passes.  score_trials scores one model set over a
 trial plan into a ScoreTable, one (P, K) array per stream with no fusion
 weight: the set's models are stacked once into a sphmm.ModelBank, and the
-plan's utterances are scored in chunks of at most SCORE_CHUNK, one bank
-call per chunk, each utterance over the models its claims need.
+plan's utterances are scored in chunks of at most SCORE_CHUNK utterances
+and SCORE_PAIR_FRAMES pair-frames, one bank call per chunk, each
+utterance over the models its claims need.
 decide_trials fuses the tables at their weights and decides all rows at
 once: two_stage's e* is a row's argmax over the stage-a table, and
 every ratio is the keyed column minus the mean of the row's others.  So
@@ -46,9 +47,13 @@ MODES = ("two_stage", "oracle_emotion", "worst_case", "one_stage")
 
 TRIAL_CSV_HEADER = "utterance,claimed,true,e_star,mode,lambda,theta,decision,truth"
 
-# utterances per bank call in score_trials: at 12 models of 4 states over
-# 80 frames, a chunk's padded forward arrays take about 2 MB
+# A bank call in score_trials takes at most SCORE_CHUNK utterances, and
+# stops taking them before its (utterance, model) pairs times its longest
+# utterance's frames pass SCORE_PAIR_FRAMES: each stack's padded forward
+# arrays are that many frames of N float64s, 2 MB at N = 4 (64 utterances
+# of 12 models over 80 frames, or 5 of 30 models over 430).
 SCORE_CHUNK = 64
+SCORE_PAIR_FRAMES = 65536
 
 
 @dataclass(frozen=True)
@@ -237,6 +242,21 @@ def _score_chunk(bank: ModelBank, tasks):
     return bank.stream_scores_batch([obs for obs, _ in tasks], [rows for _, rows in tasks])
 
 
+def _chunks(tasks, size: int) -> list[list]:
+    """The (observation, rows) tasks in order, cut into runs of at most size
+    whose rows times longest stream stay within SCORE_PAIR_FRAMES; a task
+    past that alone is a run."""
+    chunks, pairs, longest = [], 0, 0
+    for obs, rows in tasks:
+        frames = max(len(obs.acoustic), len(obs.prosodic))
+        pairs, longest = pairs + len(rows), max(longest, frames)
+        if not chunks or len(chunks[-1]) == size or pairs * longest > SCORE_PAIR_FRAMES:
+            chunks.append([])
+            pairs, longest = len(rows), frames
+        chunks[-1].append((obs, rows))
+    return chunks
+
+
 def score_trials(
     plan: Sequence[tuple[UtteranceRef, str]],
     models,
@@ -249,11 +269,12 @@ def score_trials(
     the models its claims need: the claimed speakers' emotion models for a
     SpeakerEmotionModelSet, every model for a ModelSet (the pooled or the
     stage-a set), whose one score row fills each of the utterance's plan
-    rows.  Utterances are scored in chunks of at most SCORE_CHUNK, one bank
-    call per chunk, in this process at workers 0 and over a process pool
-    otherwise.  Every stream is kept, so the table decides at any fusion
-    weight.  A score depends only on its utterance and model, so neither
-    the worker count nor the chunking changes the outcome.
+    rows.  Utterances are scored in chunks of at most SCORE_CHUNK, and of at
+    most SCORE_PAIR_FRAMES (utterance, model) pair-frames, one bank call per
+    chunk, in this process at workers 0 and over a process pool otherwise.
+    Every stream is kept, so the table decides at any fusion weight.  A
+    score depends only on its utterance and model, so neither the worker
+    count nor the chunking changes the outcome.
     """
     position = {key: k for k, key in enumerate(models.models)}
     if isinstance(models, SpeakerEmotionModelSet):
@@ -271,7 +292,7 @@ def score_trials(
     size = SCORE_CHUNK
     if cfg.workers:
         size = min(size, max(1, len(tasks) // (4 * cfg.workers)))
-    chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
+    chunks = _chunks(tasks, size)
     if cfg.workers == 0 or not tasks:
         scored = list(map(score, chunks))
     else:

@@ -720,6 +720,43 @@ class TestChunkedScoring:
                 for s, stream in enumerate((tables[0].acoustic, tables[0].prosodic)):
                     assert stream[p].tobytes() == np.array([pair[s] for pair in alone]).tobytes()
 
+    def test_pair_frame_budget_cuts_chunks(self, corpus, three_state, monkeypatch):
+        # A chunk closes before its (utterance, model) pairs times its
+        # longest stream would pass SCORE_PAIR_FRAMES, and a lone utterance
+        # past it is a chunk of its own; no budget moves a bit.
+        manifest, features = corpus
+        cfg = TrialConfig(seed=3)
+        keep = {u.id for u in manifest.subset(split="test")[::9]}
+        plan = tuple(row for row in trial_plan(manifest, three_state.speakers, cfg)
+                     if row[0].id in keep)
+        calls = []
+        real = sphmm.ModelBank.stream_scores_batch
+        monkeypatch.setattr(sphmm.ModelBank, "stream_scores_batch",
+                            lambda bank, obs, rows: calls.append(
+                                [(max(len(o.acoustic), len(o.prosodic)), len(r))
+                                 for o, r in zip(obs, rows)]) or real(bank, obs, rows))
+        reference = score_trials(plan, three_state, features, cfg)
+        assert len(calls) == 1
+        sizes = []
+        for budget in (1, 300, 1000, 4000):
+            monkeypatch.setattr(stage_b, "SCORE_PAIR_FRAMES", budget)
+            calls.clear()
+            table = score_trials(plan, three_state, features, cfg)
+            for chunk, after in zip(calls, calls[1:] + [None]):
+                frames, pairs = max(f for f, _ in chunk), sum(r for _, r in chunk)
+                assert len(chunk) == 1 or frames * pairs <= budget
+                if after:
+                    assert max(frames, after[0][0]) * (pairs + after[0][1]) > budget
+            sizes.append([len(chunk) for chunk in calls])
+            workers = score_trials(plan, three_state, features,
+                                   dataclasses.replace(cfg, workers=2))
+            for t in (table, workers):
+                assert t.acoustic.tobytes() == reference.acoustic.tobytes()
+                assert t.prosodic.tobytes() == reference.prosodic.tobytes()
+        assert sizes[0] == [1] * len(keep)
+        assert all(sum(s) == len(keep) for s in sizes)
+        assert [len(s) for s in sizes] == sorted({len(s) for s in sizes}, reverse=True)
+
 
 def scalar_decide(table, mode, cfg, alpha, stage_a, emotion_alpha):
     """The per-trial path the array pass replaced: each row's scores fused
