@@ -11,6 +11,7 @@ codes: 0 on success, 1 with a one-line diagnostic on a domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -351,6 +352,12 @@ def _add_trial_plan(p):
     p.add_argument("--workers", type=int, default=0, help="scoring processes")
 
 
+def _command(name: str):
+    """A subcommand's func: it looks its _cmd_* function up when called, so
+    a wrapper installed after the parser was built is still reached."""
+    return lambda args: globals()[name](args)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="emoverify",
@@ -361,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="extract feature pairs from a WAV corpus")
     _add_manifest(p)
     _add_features_dir(p)
-    p.set_defaults(func=_cmd_features)
+    p.set_defaults(func=_command("_cmd_features"))
 
     p = sub.add_parser("synth", help="generate a seeded synthetic corpus")
     _add_manifest(p)
@@ -381,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="how far apart speakers and emotions sit")
     p.add_argument("--floor-weight", type=float, default=0.0,
                    help="weight of the shared broad mixture component")
-    p.set_defaults(func=_cmd_synth)
+    p.set_defaults(func=_command("_cmd_synth"))
 
     p = sub.add_parser("train-emotions", help="train one model per emotion")
     _add_manifest(p)
@@ -390,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_shape(p)
     _add_training(p)
     _add_seed(p, required=True)
-    p.set_defaults(func=_cmd_train_emotions)
+    p.set_defaults(func=_command("_cmd_train_emotions"))
 
     p = sub.add_parser("train-speakers", help="enroll per-speaker models")
     _add_manifest(p)
@@ -401,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fused", action="store_true",
                    help="enroll two-stream models instead of acoustic-only")
     _add_seed(p, required=True)
-    p.set_defaults(func=_cmd_train_speakers)
+    p.set_defaults(func=_command("_cmd_train_speakers"))
 
     p = sub.add_parser("identify", help="classify test utterances by emotion")
     _add_manifest(p)
@@ -410,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_report_dir(p)
     p.add_argument("--mode", choices=("two_stage", "hmm_only"), default="two_stage",
                    help="two_stage scores fused streams, hmm_only acoustic only")
-    p.set_defaults(func=_cmd_identify)
+    p.set_defaults(func=_command("_cmd_identify"))
 
     p = sub.add_parser("trials", help="run verification trials with stored models")
     _add_manifest(p)
@@ -423,9 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="adapt the threshold to the mean of this many recent scores")
     _add_trial_plan(p)
     _add_seed(p, required=False)
-    p.set_defaults(func=_cmd_trials)
+    p.set_defaults(func=_command("_cmd_trials"))
 
-    for name, fn, with_mode in (("eval", _cmd_eval, True), ("sweep-alpha", _cmd_sweep_alpha, False)):
+    for name, fn, with_mode in (("eval", "_cmd_eval", True),
+                                ("sweep-alpha", "_cmd_sweep_alpha", False)):
         p = sub.add_parser(
             name,
             help="train and evaluate one experiment" if with_mode
@@ -443,20 +451,26 @@ def build_parser() -> argparse.ArgumentParser:
         _add_training(p)
         _add_trial_plan(p)
         _add_seed(p, required=True)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_command(fn))
 
     p = sub.add_parser("ttest", help="compare two files of one number per line")
     p.add_argument("first", help="first sample file")
     p.add_argument("second", help="second sample file")
-    p.set_defaults(func=_cmd_ttest)
+    p.set_defaults(func=_command("_cmd_ttest"))
 
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process: its 81 options take
+    milliseconds, as long as a small command's own work."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits itself on usage errors and --help
         return int(exc.code or 0)
     try:

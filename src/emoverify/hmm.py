@@ -14,9 +14,13 @@ Scoring and training share one stacked representation: models of one
 models, with one recursion per stack over every (utterance, model) pair,
 the utterances padded to the longest (Rabiner's multiple-sequence form,
 §V.B); ``HmmBank.log_forward`` is its one-utterance case and
-``log_forward`` its one-model case.  EM keeps one model's parameter
-arrays, stacked at K = 1 for each E-step, and builds its ``HmmModel``
-once, after the last iteration.
+``log_forward`` its one-model case.  EM trains a set of models in
+lockstep (``train_models``): each iteration stacks the models still
+training per shape, runs one E-step per stack over all of its (model,
+utterance) pairs on one padded utterance axis (``_e_step``, the same
+multiple-sequence form), and re-estimates the whole stack at once;
+``train_baum_welch`` is its one-model case.  A padded run, in scoring or
+training, holds at most ``PAIR_FRAMES`` pair-frames.
 
 Both per-frame recursions, the forward one and the E-step's backward one,
 reduce over the states that can reach (or be reached from) each state.  A
@@ -47,6 +51,14 @@ ROW_SUM_TOL = 1e-9
 VARIANCE_FLOOR = 1e-4
 WEIGHT_FLOOR = 1e-8
 KMEANS_ITERATIONS = 10
+# A padded recursion stops taking (utterance, model) pairs before their
+# count times its longest utterance's frames passes PAIR_FRAMES: a scoring
+# chunk (stage_b.score_trials) and a training run (train_models) alike
+# (pair_runs).  The padded forward arrays are then that many frames of N
+# float64s, 2 MB at N = 4 (64 utterances of 12 models over 80 frames, or 5
+# of 30 models over 430); _log_densities keeps each of its temporaries to
+# PAIR_FRAMES float64s.
+PAIR_FRAMES = 65536
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _LOG_2 = float(np.log(2.0))
 
@@ -306,22 +318,36 @@ def _stack(transitions, weights, means, variances) -> _Stack:
                   _running_sums(transitions), _banded(transitions))
 
 
-def _log_densities(stack: _Stack, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _log_densities(stack: _Stack, obs: np.ndarray,
+                   owner: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-model, per-frame component log-densities (K, T, N, M) and state
-    log-densities (K, T, N) of a stack over one (T, D) observation.
+    log-densities (K, T, N) of a stack over one (T, D) observation; or,
+    given owner (T,), each frame's under the stack's model owner[t] alone,
+    (T, N, M) and (T, N), so frames of many utterances share one call.
 
     The Mahalanobis term is summed from squared differences, never through
-    a matrix product, whose bits would depend on the stack's shape.
+    a matrix product, whose bits would depend on the stack's shape.  Frames
+    are taken in blocks whose (K, frames, M, D) or (frames, M, D)
+    temporaries hold at most PAIR_FRAMES float64s; a frame's densities
+    depend on no other frame, so the blocks move no bit.
     """
-    k, n, m, _ = stack.means.shape
-    maha = np.empty((k, len(obs), n, m))
-    for j in range(n):  # state by state, in place: one (K, T, M, D) temporary
-        diff = obs[None, :, None, :] - stack.means[:, None, j]
-        diff *= diff
-        diff /= stack.variances[:, None, j]
-        maha[:, :, j] = np.sum(diff, axis=-1)
-    comp = stack.log_wn[:, None] - 0.5 * maha
-    return comp, logsumexp(comp, axis=-1)
+    k, n, m, d = stack.means.shape
+    lead = (k,) if owner is None else ()
+    comp = np.empty(lead + (len(obs), n, m))
+    logb = np.empty(lead + (len(obs), n))
+    step = max(1, PAIR_FRAMES // ((k if owner is None else 1) * m * d))
+    for i in range(0, len(obs), step):
+        at = (slice(None), None) if owner is None else (owner[i:i + step],)
+        part = comp[..., i:i + step, :, :]
+        for j in range(n):  # state by state, in place
+            diff = obs[i:i + step, None, :] - stack.means[at + (j,)]
+            diff *= diff
+            diff /= stack.variances[at + (j,)]
+            part[..., j, :] = np.sum(diff, axis=-1)
+        part *= -0.5  # then log_wn - 0.5 * maha, bit for bit
+        part += stack.log_wn[at]
+        logb[..., i:i + step, :] = logsumexp(part, axis=-1)
+    return comp, logb
 
 
 def _forward(logb: np.ndarray, log_trans: np.ndarray, banded: bool) -> np.ndarray:
@@ -347,6 +373,33 @@ def _forward(logb: np.ndarray, log_trans: np.ndarray, banded: bool) -> np.ndarra
             _log_add(alpha[t - 1] + stay, moved, out=alpha[t])
             alpha[t] += logb[t]
     return alpha.transpose(1, 0, 2)
+
+
+def _backward(logb: np.ndarray, log_trans: np.ndarray, banded: bool,
+              ends: np.ndarray) -> np.ndarray:
+    """Log backward variables (P, T, N) of P models over logb (P, T, N), as
+    _forward takes them, row p ending at its own last frame ends[p], where
+    its variables are 0.  Frames past a row's end are computed and never
+    read; its variables before the end depend only on its own frames."""
+    logb = logb.transpose(1, 0, 2)
+    beta = np.zeros(logb.shape)
+    last: dict[int, list[int]] = {}  # frame -> rows whose last frame it is
+    for p, t in enumerate(ends.tolist()):
+        last.setdefault(t, []).append(p)
+    stay = np.diagonal(log_trans, axis1=1, axis2=2)
+    move = np.diagonal(log_trans, 1, axis1=1, axis2=2)
+    moved = np.full(beta.shape[1:], -np.inf)  # moved[:, i]: on to state i + 1, none from N
+    with np.errstate(invalid="ignore"):
+        for t in range(len(logb) - 2, -1, -1):
+            w = logb[t + 1] + beta[t + 1]
+            if banded:
+                np.add(move, w[:, 1:], out=moved[:, :-1])
+                _log_add(stay + w, moved, out=beta[t])
+            else:
+                beta[t] = logsumexp(log_trans + w[:, None, :], axis=2)
+            if t in last:
+                beta[t, last[t]] = 0.0
+    return beta.transpose(1, 0, 2)
 
 
 class HmmBank:
@@ -512,56 +565,139 @@ def _canonical_order(utterances: list[np.ndarray]) -> list[int]:
     return sorted(range(len(utterances)), key=lambda i: keys[i])
 
 
-def _accumulate_stats(stack: _Stack, obs: np.ndarray):
-    """One E-step of a one-model stack on one utterance: log-likelihood plus
-    sufficient statistics."""
-    t_len = obs.shape[0]
-    la = stack.log_trans[0]
-    n = la.shape[0]
+def _e_step(stack: _Stack, owner: np.ndarray, utterances: Sequence[np.ndarray]):
+    """One E-step over a run of P pairs, pair p being utterances[p] under the
+    stack's model owner[p]: each pair's log-likelihood (P,) and sufficient
+    statistics, transition counts (P, N, N), occupancies (P, N, M) and
+    first and second moments (P, N, M, D).
 
-    comp, logb = (x[0] for x in _log_densities(stack, obs))
-    beta = np.zeros((t_len, n))
-    trans = np.zeros((n, n))
+    Densities are taken frame by frame, each under its pair's model, and
+    each recursion runs once over all pairs, padded to the longest.  Every
+    statistic of a pair reads its own frames only: its backward pass and
+    its running sums start at its own last frame, its transition counts
+    stop there (a one-frame utterance counts none), and its occupancies and
+    moments are reduced over exactly its frames.
+    """
+    lengths = np.array([len(u) for u in utterances])
+    ends = lengths - 1
+    rows = np.arange(len(utterances))
+    comp, logb = _log_densities(stack, np.concatenate(utterances), np.repeat(owner, lengths))
+    n, d = logb.shape[1], utterances[0].shape[1]
+    frames = np.arange(lengths.max()) < lengths[:, None]  # (P, T): real, not padding
+    trans = np.zeros((len(rows), n, n))
     if stack.running_sums:
         # one state that never leaves: both recursions are running sums, the
         # same additions that a one-element logsumexp (which returns its
         # input) and a 0.0 log-transition leave the general loops doing.
         # _reestimate pins the one row, so no transition count is taken.
-        alpha = np.cumsum(logb, axis=0)
-        beta[:-1, 0] = np.cumsum(logb[:0:-1, 0])[::-1]
-        ll = float(alpha[-1, 0])
+        padded = np.zeros(frames.shape)
+        padded[frames] = logb[:, 0]
+        alpha = np.cumsum(padded, axis=1)
+        ll = alpha[rows, ends]
+        # backward sums run from the last frame down; -0.0 + x is x, so a
+        # pair's sum starts at its own last frame
+        padded[~frames] = -0.0
+        beta = np.zeros(frames.shape)
+        beta[:, :-1] = np.cumsum(padded[:, :0:-1], axis=1)[:, ::-1]
+        beta[np.arange(frames.shape[1]) >= ends[:, None]] = 0.0
+        alpha, beta = alpha[:, :, None], beta[:, :, None]
     else:
-        alpha = _forward(logb[None], stack.log_trans, stack.banded)[0]
-        ll = float(logsumexp(alpha[-1]))
-        if stack.banded:
-            stay, move = np.diagonal(la), np.diagonal(la, 1)
-            moved = np.full(n, -np.inf)  # moved[i]: on to state i + 1, none from N
-            with np.errstate(invalid="ignore"):
-                for t in range(t_len - 2, -1, -1):
-                    w = logb[t + 1] + beta[t + 1]
-                    np.add(move, w[1:], out=moved[:-1])
-                    _log_add(stay + w, moved, out=beta[t])
-        else:
-            for t in range(t_len - 2, -1, -1):
-                beta[t] = logsumexp(la + (logb[t + 1] + beta[t + 1])[None, :], axis=1)
-        if t_len > 1:  # a running sum adds frames in order; a pairwise reduce rounds otherwise
-            xi = np.exp(alpha[:-1, :, None] + la + (logb[1:] + beta[1:])[:, None, :] - ll)
-            trans = np.add.accumulate(xi)[-1]
+        padded = np.zeros(frames.shape + (n,))  # padding holds 0.0: finite, never read
+        padded[frames] = logb
+        la = stack.log_trans[owner]
+        alpha = _forward(padded, la, stack.banded)
+        ll = logsumexp(alpha[rows, ends], axis=1)
+        beta = _backward(padded, la, stack.banded, ends)
+        # transition counts: a running sum over the frames in frame order (a
+        # pairwise reduce rounds otherwise), read at each pair's own last
+        # transition; one (P, N, N) step at a time, so no (P, T, N, N) array
+        last: dict[int, list[int]] = {}
+        for p, t in enumerate(ends.tolist()):
+            last.setdefault(t - 1, []).append(p)
+        padded += beta  # now each frame's emission plus backward variables
+        ahead = padded.transpose(1, 0, 2)
+        total = np.zeros(trans.shape)
+        for t, a_t in enumerate(alpha.transpose(1, 0, 2)[:-1]):
+            xi = a_t[:, :, None] + la
+            xi += ahead[t + 1][:, None, :]
+            xi -= ll[:, None, None]
+            total += np.exp(xi, out=xi)
+            if t in last:
+                trans[last[t]] = total[last[t]]
 
-    log_gamma = alpha + beta - ll  # (T, N)
+    log_gamma = alpha[frames] + beta[frames] - np.repeat(ll, lengths)[:, None]  # (F, N)
     with np.errstate(invalid="ignore"):
-        log_resp = comp - logb[:, :, None]  # within-state mixture responsibility
-    log_resp[~np.isfinite(logb), :] = -np.inf
-    gamma_m = np.exp(log_gamma[:, :, None] + log_resp)  # (T, N, M)
+        comp -= logb[:, :, None]  # now within-state mixture responsibility
+    comp[~np.isfinite(logb), :] = -np.inf
+    comp += log_gamma[:, :, None]
+    gamma_m = np.exp(comp, out=comp)  # (F, N, M)
 
-    occ = gamma_m.sum(axis=0)  # (N, M)
-    first = np.einsum("tnm,td->nmd", gamma_m, obs)
-    second = np.einsum("tnm,td->nmd", gamma_m, obs * obs)
+    # per pair, over exactly its own frames: these reductions round by shape
+    occ = np.empty((len(rows),) + comp.shape[1:])
+    first = np.empty(occ.shape + (d,))
+    second = np.empty(first.shape)
+    start = 0
+    for p, u in enumerate(utterances):
+        g = gamma_m[start:start + len(u)]
+        start += len(u)
+        occ[p] = g.sum(axis=0)
+        first[p] = np.einsum("tnm,td->nmd", g, u)
+        second[p] = np.einsum("tnm,td->nmd", g, u * u)
     return ll, trans, occ, first, second
 
 
+def _accumulate_stats(stack: _Stack, obs: np.ndarray):
+    """_e_step's one-pair case: log-likelihood and sufficient statistics of a
+    one-model stack on one utterance."""
+    ll, *stats = _e_step(stack, np.zeros(1, dtype=np.intp), [obs])
+    return (float(ll[0]), *(s[0] for s in stats))
+
+
+def pair_runs(pairs: Sequence[int], frames: Sequence[int], size: int | None = None) -> list[slice]:
+    """Consecutive runs of items, item i holding pairs[i] (utterance, model)
+    pairs of frames[i] frames: at most size items a run, and at most
+    PAIR_FRAMES pairs times its longest item's frames; an item past that
+    alone is a run.  Scoring chunks and training runs are cut alike."""
+    starts, total, longest = [], 0, 0
+    for i, (n, t) in enumerate(zip(pairs, frames)):
+        total, longest = total + n, max(longest, t)
+        if not starts or i - starts[-1] == size or total * longest > PAIR_FRAMES:
+            starts.append(i)
+            total, longest = n, t
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(pairs)])]
+
+
+def _stack_statistics(stack: _Stack, sets: Sequence[Sequence[np.ndarray]]):
+    """Each stack model's per-utterance log-likelihoods (a list per model)
+    and its statistics summed over its utterances (sets[k], in canonical
+    order), (K, ...) arrays.  The (model, utterance) pairs lie on one axis,
+    cut into runs by PAIR_FRAMES, one _e_step each.  Each model's sums add
+    its pairs in order from 0.0, as Python's sum does, across runs too."""
+    owner = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+    utterances = [u for s in sets for u in s]
+    lls: list[list[float]] = [[] for _ in sets]
+    totals = None
+    for run in pair_runs([1] * len(utterances), [len(u) for u in utterances]):
+        own = owner[run]
+        ll, *stats = _e_step(stack, own, utterances[run])
+        for k, x in zip(own.tolist(), ll.tolist()):
+            lls[k].append(x)
+        if totals is None:
+            totals = [np.zeros((len(sets),) + s.shape[1:]) for s in stats]
+        # a model's pairs are consecutive: rank is each pair's place among them
+        rank = np.arange(len(own)) - np.searchsorted(own, own)
+        for total, part in zip(totals, stats):
+            # column 0 the model's sum so far, then its pairs, then 0.0s
+            grid = np.zeros((len(sets), rank.max() + 2) + part.shape[1:])
+            grid[:, 0] = total
+            grid[own, rank + 1] = part
+            total[...] = np.add.accumulate(grid, axis=1)[:, -1]
+    return lls, totals
+
+
 def _reestimate(params, trans, occ, first, second) -> tuple[np.ndarray, ...]:
-    """M-step on one model's arrays (transitions, weights, means, variances).
+    """M-step on the arrays (transitions, weights, means, variances) of one
+    model, or of a stack of them on leading axes, from their statistics.
 
     A transition row with no counts keeps its probabilities, a state never
     visited keeps its whole emission, and a starved component keeps its
@@ -569,61 +705,79 @@ def _reestimate(params, trans, occ, first, second) -> tuple[np.ndarray, ...]:
     """
     a, w, mu, var = params
     tiny = 1e-12
-    total = trans.sum(axis=1, keepdims=True)
-    state_occ = occ.sum(axis=1, keepdims=True)
+    total = trans.sum(axis=-1, keepdims=True)
+    state_occ = occ.sum(axis=-1, keepdims=True)
     # "not starved", so a NaN statistic surfaces as a non-finite parameter;
     # occupancies are nonnegative, so an unvisited state's components all starve
     visited = ~(state_occ <= tiny)
-    fed = ~(occ <= tiny)[:, :, None]
+    fed = ~(occ <= tiny)[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
         new_a = np.where(total > tiny, trans / total, a)
         new_w = np.maximum(occ / state_occ, WEIGHT_FLOOR)
-        new_w = np.where(visited, new_w / new_w.sum(axis=1, keepdims=True), w)
-        new_mu = first / occ[:, :, None]
-        new_var = np.maximum(second / occ[:, :, None] - new_mu * new_mu, VARIANCE_FLOOR)
+        new_w = np.where(visited, new_w / new_w.sum(axis=-1, keepdims=True), w)
+        new_mu = first / occ[..., None]
+        new_var = np.maximum(second / occ[..., None] - new_mu * new_mu, VARIANCE_FLOOR)
     # structural zeros can only shrink (xi is zero outside the Bakis band);
     # pin the final row and renormalize defensively
-    new_a[-1, :] = 0.0
-    new_a[-1, -1] = 1.0
-    new_a /= new_a.sum(axis=1, keepdims=True)
+    new_a[..., -1, :] = 0.0
+    new_a[..., -1, -1] = 1.0
+    new_a /= new_a.sum(axis=-1, keepdims=True)
     return new_a, new_w, np.where(fed, new_mu, mu), np.where(fed, new_var, var)
+
+
+def train_models(jobs: Sequence[tuple[HmmModel, Sequence[np.ndarray]]],
+                 cfg: TrainConfig | None = None) -> list[tuple[HmmModel, list[float]]]:
+    """EM training of a set of models in lockstep: one (trained model,
+    history) per (init, utterances) job, each train_baum_welch's result.
+
+    Each iteration stacks the models still training per (N, M, D) shape and
+    _running_sums and _banded flags, as HmmBank does, runs one E-step per
+    run of the stack's (model, utterance) pairs (_stack_statistics) and one
+    M-step over the whole stack.  Each model keeps its own history and
+    stops at its own iteration, by the convergence_delta test.
+    """
+    cfg = cfg or TrainConfig()
+    sets = []
+    for init, utterances in jobs:
+        if not utterances:
+            raise ValueError("training set is empty")
+        utterances = [_check_obs(u, init.dim) for u in utterances]
+        _check_valid(init)
+        sets.append([utterances[i] for i in _canonical_order(utterances)])
+    params = [tuple(x[0] for x in _model_arrays((init,))) for init, _ in jobs]
+    histories: list[list[float]] = [[] for _ in jobs]
+    training = list(range(len(jobs)))
+    for _ in range(cfg.max_iterations):
+        stacks: dict[tuple, list[int]] = {}
+        for k in training:
+            a, _, mu, _ = params[k]
+            stacks.setdefault((mu.shape, _running_sums(a), _banded(a)), []).append(k)
+        for ks in stacks.values():
+            arrays = tuple(np.stack(x) for x in zip(*(params[k] for k in ks)))
+            lls, totals = _stack_statistics(_stack(*arrays), [sets[k] for k in ks])
+            for k, ll, new in zip(ks, lls, zip(*_reestimate(arrays, *totals))):
+                histories[k].append(sum(ll))
+                params[k] = new
+        training = [k for k in training if not (
+            len(histories[k]) >= 2
+            and abs(histories[k][-1] - histories[k][-2]) < cfg.convergence_delta * len(sets[k]))]
+        if not training:
+            break
+    return [(HmmModel(a, tuple(map(GmmEmission, w, mu, var)), max_skip=init.max_skip), history)
+            for (init, _), (a, w, mu, var), history in zip(jobs, params, histories)]
 
 
 def train_baum_welch(
     init: HmmModel, utterances: list[np.ndarray], cfg: TrainConfig | None = None
 ) -> tuple[HmmModel, list[float]]:
-    """EM training over multiple utterances.
+    """EM training over multiple utterances: train_models' one-model case.
 
     Returns the trained model and the per-iteration total log-likelihood
     history (evaluated before each update).  Sufficient statistics are
     accumulated in a canonical utterance order, so the result does not
     depend on how the training list was ordered.
     """
-    cfg = cfg or TrainConfig()
-    if not utterances:
-        raise ValueError("training set is empty")
-    utterances = [_check_obs(u, init.dim) for u in utterances]
-    _check_valid(init)
-    order = _canonical_order(utterances)
-
-    params = tuple(x[0] for x in _model_arrays((init,)))
-    history: list[float] = []
-    for _ in range(cfg.max_iterations):
-        stack = _stack(*(x[None] for x in params))
-        per_utt = [_accumulate_stats(stack, utterances[i]) for i in order]
-        total_ll = sum(s[0] for s in per_utt)
-        trans = sum(s[1] for s in per_utt)
-        occ = sum(s[2] for s in per_utt)
-        first = sum(s[3] for s in per_utt)
-        second = sum(s[4] for s in per_utt)
-        history.append(total_ll)
-        params = _reestimate(params, trans, occ, first, second)
-        if len(history) >= 2 and abs(history[-1] - history[-2]) < cfg.convergence_delta * len(
-            utterances
-        ):
-            break
-    a, w, mu, var = params
-    return HmmModel(a, tuple(map(GmmEmission, w, mu, var)), max_skip=init.max_skip), history
+    return train_models([(init, utterances)], cfg)[0]
 
 
 def _kmeans(frames: np.ndarray, k: int, iterations: int, rng: np.random.Generator):

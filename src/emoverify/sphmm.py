@@ -14,6 +14,8 @@ A ModelBank stacks a set's two streams (hmm.HmmBank) for scoring, so one
 call scores a batch of utterances, each under any of its models.  Its
 stream_scores_batch is the one score formula; stream_scores is its
 one-utterance case, and score_acoustic, score_prosodic and score_fused its
+one-model case.  train_set is the one trainer: each stream of its models
+trains in lockstep through hmm.train_models, and train_sphmm is its
 one-model case.
 """
 
@@ -35,10 +37,11 @@ from .hmm import (
     TrainConfig,
     init_model,
     read_hmm,
-    train_baum_welch,
+    train_models,
     write_hmm,
 )
 from .hmm import avg_frame_ll  # noqa: F401  benchmark/tracing.py wraps this name
+from .hmm import train_baum_welch  # noqa: F401  benchmark/tracing.py wraps this name
 from .seeds import derive_seed
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -247,11 +250,39 @@ def score_fused(model: SphmmModel, obs: ObservationPair) -> float:
     return float(fuse_scores(model.alpha, *ModelBank((model,)).stream_scores(obs, (0,)))[0])
 
 
-def _train_stream(streams: list[np.ndarray], n_states: int, n_mixtures: int,
-                  cfg: TrainConfig) -> HmmModel:
-    """Flat-start init, then EM: one stream of one model."""
-    init = init_model(streams, n_states, n_mixtures, cfg)
-    return train_baum_welch(init, streams, cfg)[0]
+def _train_streams(samples: list[list[np.ndarray]], cfgs: list[TrainConfig], n_states: int,
+                   n_mixtures: int, cfg: TrainConfig) -> list[HmmModel]:
+    """One stream of a set's models: flat-start init per model from its own
+    config (seeded k-means), then EM over the whole set in lockstep."""
+    inits = [init_model(streams, n_states, n_mixtures, c) for streams, c in zip(samples, cfgs)]
+    return [model for model, _ in train_models(list(zip(inits, samples)), cfg)]
+
+
+def _train(samples: list[list[ObservationPair]], cfgs: list[TrainConfig], n_states: int,
+           n_mixtures: int, cfg: TrainConfig, alpha: float | None,
+           composite: bool) -> list[SphmmModel]:
+    """A fused model (alpha a weight) or a plain one (alpha None) per list of
+    utterances, each seeded from its config in cfgs; EM's stopping rule is cfg's."""
+    acoustic = _train_streams([[o.acoustic for o in obs] for obs in samples], cfgs,
+                              n_states, n_mixtures, cfg)
+    if alpha is None:
+        return [SphmmModel(model, None, alpha=0.0) for model in acoustic]
+    prosodics = [[o.prosodic for o in obs] for obs in samples]
+    pr_cfgs = [replace(c, seed=derive_seed(c.seed, "prosodic")) for c in cfgs]
+    prosodic = _train_streams(prosodics, pr_cfgs, math.ceil(n_states / 3),
+                              DEFAULT_PROSODIC_MIXTURES, cfg)
+    models = []
+    for ac_model, pr_model, streams in zip(acoustic, prosodic, prosodics):
+        comp = None
+        if composite:
+            means = np.stack([p.mean(axis=0) for p in streams])
+            comp = CompositeState(
+                means.mean(axis=0),
+                np.maximum(means.var(axis=0), VARIANCE_FLOOR),
+            )
+        supra = SuprasegmentalModel(pr_model, make_summary_map(n_states), comp)
+        models.append(SphmmModel(ac_model, supra, alpha=alpha))
+    return models
 
 
 def train_sphmm(utterances: list[ObservationPair], n_states: int, n_mixtures: int,
@@ -262,23 +293,10 @@ def train_sphmm(utterances: list[ObservationPair], n_states: int, n_mixtures: in
     The acoustic model gets n_states states; the prosodic model gets
     ceil(n_states / 3) states of DEFAULT_PROSODIC_MIXTURES components over
     block-rate vectors, plus (optionally) the composite Gaussian fit to
-    per-utterance prosodic means.
+    per-utterance prosodic means.  This is train_set's one-model case.
     """
     cfg = cfg or TrainConfig()
-    prosodics = [u.prosodic for u in utterances]
-    ac_model = _train_stream([u.acoustic for u in utterances], n_states, n_mixtures, cfg)
-    pr_cfg = replace(cfg, seed=derive_seed(cfg.seed, "prosodic"))
-    pr_model = _train_stream(prosodics, math.ceil(n_states / 3), DEFAULT_PROSODIC_MIXTURES, pr_cfg)
-
-    comp = None
-    if composite:
-        means = np.stack([p.mean(axis=0) for p in prosodics])
-        comp = CompositeState(
-            means.mean(axis=0),
-            np.maximum(means.var(axis=0), VARIANCE_FLOOR),
-        )
-    supra = SuprasegmentalModel(pr_model, make_summary_map(n_states), comp)
-    return SphmmModel(ac_model, supra, alpha=alpha)
+    return _train([utterances], [cfg], n_states, n_mixtures, cfg, alpha, composite)[0]
 
 
 def train_set(groups: dict, features, n_states: int, n_mixtures: int,
@@ -289,19 +307,14 @@ def train_set(groups: dict, features, n_states: int, n_mixtures: int,
 
     features maps utterance id to ObservationPair.  A plain model
     (fused=False ignores alpha and composite) is a fused one's acoustic
-    stream bit for bit.
+    stream bit for bit.  Each stream's models train in lockstep
+    (hmm.train_models), and each model is what training it alone gives.
     """
     cfg = cfg or TrainConfig()
-    models = {}
-    for key, (rows, labels) in groups.items():
-        key_cfg = replace(cfg, seed=derive_seed(cfg.seed, *labels))
-        obs = [features[u.id] for u in rows]
-        if fused:
-            models[key] = train_sphmm(obs, n_states, n_mixtures, alpha, key_cfg, composite)
-        else:
-            acoustic = _train_stream([o.acoustic for o in obs], n_states, n_mixtures, key_cfg)
-            models[key] = SphmmModel(acoustic, None, alpha=0.0)
-    return models
+    cfgs = [replace(cfg, seed=derive_seed(cfg.seed, *labels)) for _, labels in groups.values()]
+    samples = [[features[u.id] for u in rows] for rows, _ in groups.values()]
+    models = _train(samples, cfgs, n_states, n_mixtures, cfg, alpha if fused else None, composite)
+    return dict(zip(groups, models))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ Trials run in two passes.  score_trials scores one model set over a
 trial plan into a ScoreTable, one (P, K) array per stream with no fusion
 weight: the set's models are stacked once into a sphmm.ModelBank, and the
 plan's utterances are scored in chunks of at most SCORE_CHUNK utterances
-and SCORE_PAIR_FRAMES pair-frames, one bank call per chunk, each
+and hmm.PAIR_FRAMES pair-frames, one bank call per chunk, each
 utterance over the models its claims need.
 decide_trials fuses the tables at their weights and decides all rows at
 once: two_stage's e* is a row's argmax over the stage-a table, and
@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .binio import write_text
-from .hmm import TrainConfig
+from .hmm import TrainConfig, pair_runs
 from .hmm import avg_frame_ll  # noqa: F401  benchmark/tracing.py wraps this name
 from .hmm import init_model, train_baum_welch  # noqa: F401  benchmark/tracing.py wraps this name
 from .manifest import CorpusManifest, UtteranceRef
@@ -49,11 +49,9 @@ TRIAL_CSV_HEADER = "utterance,claimed,true,e_star,mode,lambda,theta,decision,tru
 
 # A bank call in score_trials takes at most SCORE_CHUNK utterances, and
 # stops taking them before its (utterance, model) pairs times its longest
-# utterance's frames pass SCORE_PAIR_FRAMES: each stack's padded forward
-# arrays are that many frames of N float64s, 2 MB at N = 4 (64 utterances
-# of 12 models over 80 frames, or 5 of 30 models over 430).
+# utterance's frames pass hmm.PAIR_FRAMES, the budget EM training's padded
+# runs keep too.
 SCORE_CHUNK = 64
-SCORE_PAIR_FRAMES = 65536
 
 
 @dataclass(frozen=True)
@@ -244,17 +242,10 @@ def _score_chunk(bank: ModelBank, tasks):
 
 def _chunks(tasks, size: int) -> list[list]:
     """The (observation, rows) tasks in order, cut into runs of at most size
-    whose rows times longest stream stay within SCORE_PAIR_FRAMES; a task
+    whose rows times longest stream stay within hmm.PAIR_FRAMES; a task
     past that alone is a run."""
-    chunks, pairs, longest = [], 0, 0
-    for obs, rows in tasks:
-        frames = max(len(obs.acoustic), len(obs.prosodic))
-        pairs, longest = pairs + len(rows), max(longest, frames)
-        if not chunks or len(chunks[-1]) == size or pairs * longest > SCORE_PAIR_FRAMES:
-            chunks.append([])
-            pairs, longest = len(rows), frames
-        chunks[-1].append((obs, rows))
-    return chunks
+    frames = [max(len(obs.acoustic), len(obs.prosodic)) for obs, _ in tasks]
+    return [tasks[run] for run in pair_runs([len(rows) for _, rows in tasks], frames, size)]
 
 
 def score_trials(
@@ -270,7 +261,7 @@ def score_trials(
     SpeakerEmotionModelSet, every model for a ModelSet (the pooled or the
     stage-a set), whose one score row fills each of the utterance's plan
     rows.  Utterances are scored in chunks of at most SCORE_CHUNK, and of at
-    most SCORE_PAIR_FRAMES (utterance, model) pair-frames, one bank call per
+    most hmm.PAIR_FRAMES (utterance, model) pair-frames, one bank call per
     chunk, in this process at workers 0 and over a process pool otherwise.
     Every stream is kept, so the table decides at any fusion weight.  A
     score depends only on its utterance and model, so neither the worker

@@ -636,6 +636,19 @@ class TestOptionSurface:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestParserBuiltOnce:
+    def test_patched_command_is_reached_by_a_later_call(self, monkeypatch, tmp_path, capsys):
+        # main builds its parser once per process; each subcommand looks its
+        # _cmd_* up when it runs, so a patch made after the first call counts
+        assert main(["ttest", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+        assert "error:" in capsys.readouterr().err
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_ttest", lambda args: seen.append(args.first) or 7)
+        assert main(["ttest", "x", "y"]) == 7
+        assert seen == ["x"]
+        assert cli._parser() is cli._parser()
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -455,16 +455,18 @@ def report_bytes(report, directory):
 
 
 def count_training(monkeypatch):
-    """Record each train_baum_welch call as its job: config and training arrays."""
+    """Record each init_model call as its job: config and training arrays.
+    Training inits every (group, stream) once, then trains a set's streams
+    together, so each init is one model trained."""
     jobs = []
     for module in (sphmm, stage_b):
-        real = module.train_baum_welch
+        real = module.init_model
 
-        def counted(init, utterances, cfg=None, real=real):
+        def counted(utterances, n_states, n_mixtures, cfg=None, real=real):
             jobs.append((cfg, tuple((u.shape, u.tobytes()) for u in utterances)))
-            return real(init, utterances, cfg)
+            return real(utterances, n_states, n_mixtures, cfg)
 
-        monkeypatch.setattr(module, "train_baum_welch", counted)
+        monkeypatch.setattr(module, "init_model", counted)
     return jobs
 
 

@@ -8,6 +8,7 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import norm
 
+from corpus_util import reference_train_baum_welch
 from emoverify import hmm
 from emoverify.errors import FormatError
 from emoverify.hmm import (
@@ -770,6 +771,101 @@ class TestTraining:
         utts = [np.random.default_rng(0).normal(size=(6, 2))]
         with pytest.raises(ValueError, match="^model sizes must be positive$"):
             init_model(utts, n_states, n_mixtures)
+
+
+class TestLockstepTraining:
+    """train_models gives each model of a set what the per-utterance EM
+    (corpus_util.reference_train_baum_welch) gives it alone, bit for bit."""
+
+    @staticmethod
+    def job(rng, kind, dim):
+        """(init, utterances) of one kind of model, over 1-12 utterances of
+        1-40 frames (more than 8 tell Python's sum from a pairwise one)."""
+        utts = [rng.normal(0.0, 2.0, size=(int(rng.integers(1, 41)), dim))
+                for _ in range(int(rng.integers(1, 13)))]
+        seed = TrainConfig(seed=int(rng.integers(1000)))
+        if kind == "lowered":  # too few frames per state for 6 components
+            utts = [u[:int(rng.integers(1, 4))] for u in utts[:2]]
+            init = init_model(utts, int(rng.integers(2, 4)), 6, seed)
+            assert init.n_mixtures < 6
+            return init, utts
+        n = {"running": 1, "inexact": 1, "band3": 3, "band4": 4, "skip2": 3}[kind]
+        init = init_model(utts, n, int(rng.integers(1, 4)), seed)
+        if kind == "inexact":  # an inexact self-loop takes the general path
+            init = HmmModel(np.array([[1.0 - 5e-10]]), init.emissions)
+        elif kind == "skip2":
+            init = HmmModel(random_model(rng, 3, 1, 1, max_skip=2).transitions,
+                            init.emissions, max_skip=2)
+            assert not hmm._banded(init.transitions)
+        return init, utts
+
+    KINDS = ("running", "inexact", "band3", "band4", "skip2", "lowered")
+
+    def random_set(self, rng, size):
+        dim = int(rng.integers(1, 4))
+        return [self.job(rng, self.KINDS[int(rng.integers(len(self.KINDS)))], dim)
+                for _ in range(size)]
+
+    @staticmethod
+    def assert_as_alone(jobs, cfg):
+        got = hmm.train_models(jobs, cfg)
+        assert len(got) == len(jobs)
+        for (init, utts), (model, history) in zip(jobs, got):
+            want_model, want_history = reference_train_baum_welch(init, utts, cfg)
+            assert model_bytes(model) == model_bytes(want_model)
+            assert model.max_skip == init.max_skip
+            assert [repr(h) for h in history] == [repr(h) for h in want_history]
+        return [len(history) for _, history in got]
+
+    def test_sets_train_as_each_model_alone(self):
+        rng = np.random.default_rng(101)
+        lengths = set()
+        for trial in range(16):
+            jobs = self.random_set(rng, int(rng.integers(2, 12)))
+            if trial % 4 == 0:  # every kind in one set
+                jobs += [self.job(rng, kind, jobs[0][0].dim) for kind in self.KINDS]
+            cfg = TrainConfig(max_iterations=int(rng.integers(1, 12)),
+                              convergence_delta=float(rng.choice([1e-4, 1e-2, 0.5])))
+            iterations = self.assert_as_alone(jobs, cfg)
+            lengths.add(len(set(iterations)) > 1)
+        assert lengths == {True, False}  # some sets stop their models at different iterations
+
+    @pytest.mark.parametrize("budget", [1, 40, 200])
+    def test_pair_frame_budget_moves_no_bit(self, monkeypatch, budget):
+        # at 1 every pair is a run of its own; at 40 and 200 runs cut a
+        # model's pairs apart, so its sums carry from run to run
+        rng = np.random.default_rng(103 + budget)
+        monkeypatch.setattr(hmm, "PAIR_FRAMES", budget)
+        for trial in range(4):
+            jobs = [self.job(rng, kind, 2) for kind in self.KINDS for _ in range(2)]
+            self.assert_as_alone(jobs, TrainConfig(max_iterations=6, convergence_delta=1e-2))
+
+    def test_one_e_step_per_stack_and_iteration(self, monkeypatch):
+        rng = np.random.default_rng(107)
+        jobs = []
+        for n in (3, 3, 3, 1, 1):  # two stacks: banded 3-state and running sums
+            utts = [rng.normal(size=(int(rng.integers(10, 41)), 2)) for _ in range(3)]
+            jobs.append((init_model(utts, n, 2, TrainConfig(seed=n)), utts))
+        calls = []
+        real = hmm._e_step
+        monkeypatch.setattr(hmm, "_e_step", lambda *a: calls.append(len(a[1])) or real(*a))
+        hmm.train_models(jobs, TrainConfig(max_iterations=3, convergence_delta=1e-12))
+        assert calls == [9, 6] * 3
+
+    def test_train_baum_welch_is_the_one_model_case(self):
+        rng = np.random.default_rng(109)
+        for kind in self.KINDS:
+            init, utts = self.job(rng, kind, 3)
+            cfg = TrainConfig(max_iterations=5)
+            model, history = train_baum_welch(init, utts, cfg)
+            want_model, want_history = reference_train_baum_welch(init, utts, cfg)
+            assert model_bytes(model) == model_bytes(want_model) and history == want_history
+
+    def test_empty_training_set_rejected(self):
+        rng = np.random.default_rng(113)
+        init, utts = self.job(rng, "band3", 2)
+        with pytest.raises(ValueError, match="empty"):
+            hmm.train_models([(init, utts), (init, [])])
 
 
 class TestDegenerateInputs:

@@ -722,7 +722,7 @@ class TestChunkedScoring:
 
     def test_pair_frame_budget_cuts_chunks(self, corpus, three_state, monkeypatch):
         # A chunk closes before its (utterance, model) pairs times its
-        # longest stream would pass SCORE_PAIR_FRAMES, and a lone utterance
+        # longest stream would pass hmm.PAIR_FRAMES, and a lone utterance
         # past it is a chunk of its own; no budget moves a bit.
         manifest, features = corpus
         cfg = TrialConfig(seed=3)
@@ -739,7 +739,7 @@ class TestChunkedScoring:
         assert len(calls) == 1
         sizes = []
         for budget in (1, 300, 1000, 4000):
-            monkeypatch.setattr(stage_b, "SCORE_PAIR_FRAMES", budget)
+            monkeypatch.setattr(hmm, "PAIR_FRAMES", budget)
             calls.clear()
             table = score_trials(plan, three_state, features, cfg)
             for chunk, after in zip(calls, calls[1:] + [None]):
