@@ -5,6 +5,13 @@ paths); internally arrays are 0-based.  The initial distribution is fixed:
 state 1 with probability 1.  Transitions are restricted to self-loops and
 forward jumps of at most ``max_skip`` states (default 1).
 
+A model (``HmmModel``) is four float64 arrays: transitions (N, N), mixture
+weights (N, M), means (N, M, D) and diagonal variances (N, M, D).  It is
+loaded (``read_hmm``, through ``HmmModel.from_arrays``), stored
+(``write_hmm``), trained and scored as those arrays; one ``GmmEmission``
+per state is only a way to build a model and a view of one
+(``HmmModel.emissions``).
+
 Scoring and training share one stacked representation: models of one
 (N, M) shape are stacked along a leading model axis K (``_stack``), and
 ``_forward`` is the one forward recursion, run for many models at once
@@ -106,39 +113,78 @@ class GmmEmission:
         return self.means.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HmmModel:
-    """Bakis HMM: (N, N) transition matrix plus one GmmEmission per state."""
+    """Bakis HMM as four float64, C-contiguous arrays: transitions (N, N),
+    mixture weights (N, M), means (N, M, D) and diagonal variances
+    (N, M, D), plus max_skip.
+
+    HmmModel(transitions, emissions, max_skip=...) builds one from one
+    GmmEmission per state, refusing states of different component counts or
+    dims; from_arrays holds the arrays as given, with no per-state object.
+    ``emissions`` is a per-state view of the arrays, built on first access.
+    """
 
     transitions: np.ndarray
-    emissions: tuple[GmmEmission, ...]
+    weights: np.ndarray
+    means: np.ndarray
+    variances: np.ndarray
     max_skip: int = 1
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "transitions", _as_float_array(self.transitions, "transitions")
-        )
-        object.__setattr__(self, "emissions", tuple(self.emissions))
-        n = len(self.emissions)
-        if self.transitions.shape != (n, n):
-            raise ValueError(
-                f"transition matrix shape {self.transitions.shape} does not match "
-                f"{n} emission states"
-            )
-        if self.max_skip < 1:
+    def __init__(self, transitions, emissions, max_skip: int = 1):
+        transitions = _as_float_array(transitions, "transitions")
+        emissions = tuple(emissions)
+        n = len(emissions)
+        if transitions.shape != (n, n):
+            raise ValueError(f"transition matrix shape {transitions.shape} does not match "
+                             f"{n} emission states")
+        if max_skip < 1:
             raise ValueError("max_skip must be >= 1")
+        if not emissions:
+            raise ValueError("a model needs at least one state")
+        m, d = emissions[0].n_components, emissions[0].dim
+        for i, em in enumerate(emissions):
+            if em.n_components != m:
+                raise ValueError(f"state {i + 1} has {em.n_components} components, expected {m}")
+            if em.dim != d:
+                raise ValueError(f"state {i + 1} has dim {em.dim}, expected {d}")
+        self._hold(np.ascontiguousarray(transitions),
+                   *(np.array([getattr(em, f) for em in emissions])
+                     for f in ("weights", "means", "variances")), max_skip)
+
+    @classmethod
+    def from_arrays(cls, transitions, weights, means, variances, max_skip: int = 1) -> HmmModel:
+        """The model of four such arrays, neither copied nor checked: the
+        caller checks what it has not already."""
+        model = object.__new__(cls)
+        model._hold(transitions, weights, means, variances, max_skip)
+        return model
+
+    def _hold(self, *values) -> None:
+        for field, value in zip(("transitions", "weights", "means", "variances", "max_skip"),
+                                values):
+            object.__setattr__(self, field, value)
+
+    @functools.cached_property
+    def emissions(self) -> tuple[GmmEmission, ...]:
+        return tuple(map(GmmEmission, self.weights, self.means, self.variances))
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(transitions, weights, means, variances)."""
+        return self.transitions, self.weights, self.means, self.variances
 
     @property
     def n_states(self) -> int:
-        return len(self.emissions)
+        return self.transitions.shape[0]
 
     @property
     def n_mixtures(self) -> int:
-        return self.emissions[0].n_components
+        return self.weights.shape[1]
 
     @property
     def dim(self) -> int:
-        return self.emissions[0].dim
+        return self.means.shape[2]
 
 
 @dataclass(frozen=True)
@@ -161,29 +207,24 @@ class TrainConfig:
 def validate(model: HmmModel, variance_floor: float = VARIANCE_FLOOR) -> list[str]:
     """Check every model invariant; return the list of violations (empty = ok)."""
     errors = []
-    n = model.n_states
     a = model.transitions
-    if np.any(a < 0):
+    if (a < 0).any():
         errors.append("negative transition probability")
     row_sums = a.sum(axis=1)
-    for i in range(n):
-        if abs(row_sums[i] - 1.0) > ROW_SUM_TOL:
-            errors.append(f"transition row {i + 1} sums to {row_sums[i]:.10g}")
-    for i, j in zip(*np.nonzero(_off_band(a, model.max_skip))):  # row-major order
+    for i in np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
+        errors.append(f"transition row {i + 1} sums to {row_sums[i]:.10g}")
+    for i, j in zip(*_off_band(a, model.max_skip).nonzero()):  # row-major order
         errors.append(f"non-Bakis transition ({i + 1}→{j + 1})")
-    m = model.n_mixtures
-    d = model.dim
-    for i, em in enumerate(model.emissions):
-        if em.n_components != m:
-            errors.append(f"state {i + 1} has {em.n_components} components, expected {m}")
-        if em.dim != d:
-            errors.append(f"state {i + 1} has dim {em.dim}, expected {d}")
-        if np.any(em.weights < 0):
+    negative = (model.weights < 0).any(axis=1)
+    wsums = model.weights.sum(axis=1)
+    off_one = np.abs(wsums - 1.0) > ROW_SUM_TOL
+    floored = (model.variances < variance_floor * (1 - 1e-12)).any(axis=(1, 2))
+    for i in np.flatnonzero(negative | off_one | floored):
+        if negative[i]:
             errors.append(f"state {i + 1} has a negative mixture weight")
-        wsum = em.weights.sum()
-        if abs(wsum - 1.0) > ROW_SUM_TOL:
-            errors.append(f"state {i + 1} weights sum {wsum:.10g}")
-        if np.any(em.variances < variance_floor * (1 - 1e-12)):
+        if off_one[i]:
+            errors.append(f"state {i + 1} weights sum {wsums[i]:.10g}")
+        if floored[i]:
             errors.append(f"state {i + 1} has a variance below the floor {variance_floor:g}")
     return errors
 
@@ -301,11 +342,7 @@ def _running_sums(transitions: np.ndarray) -> bool:
 def _model_arrays(models: Sequence[HmmModel]) -> tuple[np.ndarray, ...]:
     """Transitions (K, N, N), weights (K, N, M), means and variances
     (K, N, M, D) of models of one (N, M) shape and feature dim."""
-    states = [m.emissions for m in models]
-    return (np.array([m.transitions for m in models]),
-            np.array([[em.weights for em in ems] for ems in states]),
-            np.array([[em.means for em in ems] for ems in states]),
-            np.array([[em.variances for em in ems] for ems in states]))
+    return tuple(map(np.stack, zip(*(m.arrays for m in models))))
 
 
 def _stack(transitions, weights, means, variances) -> _Stack:
@@ -547,11 +584,10 @@ def sample_sequence(model: HmmModel, t_len: int, seed: int) -> np.ndarray:
         states[t] = min(int(np.searchsorted(row, rng.random(), side="right")), n - 1)
 
     out = np.empty((t_len, model.dim))
-    for t in range(t_len):
-        em = model.emissions[states[t]]
-        m = min(int(np.searchsorted(np.cumsum(em.weights), rng.random(), side="right")),
-                em.n_components - 1)
-        out[t] = em.means[m] + rng.standard_normal(model.dim) * np.sqrt(em.variances[m])
+    for t, s in enumerate(states):
+        m = min(int(np.searchsorted(np.cumsum(model.weights[s]), rng.random(), side="right")),
+                model.n_mixtures - 1)
+        out[t] = model.means[s, m] + rng.standard_normal(model.dim) * np.sqrt(model.variances[s, m])
     return out
 
 
@@ -646,13 +682,6 @@ def _e_step(stack: _Stack, owner: np.ndarray, utterances: Sequence[np.ndarray]):
     return ll, trans, occ, first, second
 
 
-def _accumulate_stats(stack: _Stack, obs: np.ndarray):
-    """_e_step's one-pair case: log-likelihood and sufficient statistics of a
-    one-model stack on one utterance."""
-    ll, *stats = _e_step(stack, np.zeros(1, dtype=np.intp), [obs])
-    return (float(ll[0]), *(s[0] for s in stats))
-
-
 def pair_runs(pairs: Sequence[int], frames: Sequence[int], size: int | None = None) -> list[slice]:
     """Consecutive runs of items, item i holding pairs[i] (utterance, model)
     pairs of frames[i] frames: at most size items a run, and at most
@@ -744,7 +773,7 @@ def train_models(jobs: Sequence[tuple[HmmModel, Sequence[np.ndarray]]],
         utterances = [_check_obs(u, init.dim) for u in utterances]
         _check_valid(init)
         sets.append([utterances[i] for i in _canonical_order(utterances)])
-    params = [tuple(x[0] for x in _model_arrays((init,))) for init, _ in jobs]
+    params = [init.arrays for init, _ in jobs]
     histories: list[list[float]] = [[] for _ in jobs]
     training = list(range(len(jobs)))
     for _ in range(cfg.max_iterations):
@@ -763,8 +792,8 @@ def train_models(jobs: Sequence[tuple[HmmModel, Sequence[np.ndarray]]],
             and abs(histories[k][-1] - histories[k][-2]) < cfg.convergence_delta * len(sets[k]))]
         if not training:
             break
-    return [(HmmModel(a, tuple(map(GmmEmission, w, mu, var)), max_skip=init.max_skip), history)
-            for (init, _), (a, w, mu, var), history in zip(jobs, params, histories)]
+    return [(HmmModel.from_arrays(*arrays, max_skip=init.max_skip), history)
+            for (init, _), arrays, history in zip(jobs, params, histories)]
 
 
 def train_baum_welch(
@@ -840,24 +869,24 @@ def init_model(
         log.warning("mixture count lowered from %d to %d (short segments)", n_mixtures, m_eff)
 
     rng = np.random.default_rng(cfg.seed)
-    emissions = []
+    states = []
     for seg in segments:
         centers, labels = _kmeans(seg, m_eff, KMEANS_ITERATIONS, rng)
-        weights = np.array([(labels == c).sum() for c in range(m_eff)], dtype=np.float64)
+        weights = np.bincount(labels, minlength=m_eff).astype(np.float64)
         weights = np.maximum(weights / weights.sum(), WEIGHT_FLOOR)
-        weights = weights / weights.sum()
         variances = np.empty((m_eff, dim))
         for c in range(m_eff):
             mask = labels == c
             variances[c] = seg[mask].var(axis=0) if mask.any() else 0.0
-        variances = np.maximum(variances, VARIANCE_FLOOR)
-        emissions.append(GmmEmission(weights, centers, variances))
+        # no frame was checked, so a non-finite one is refused here
+        states.append((weights / weights.sum(), _as_float_array(centers, "means"),
+                       _as_float_array(np.maximum(variances, VARIANCE_FLOOR), "variances")))
 
     a = np.zeros((n_states, n_states))
     for i in range(n_states - 1):
         a[i, i] = a[i, i + 1] = 0.5
     a[-1, -1] = 1.0
-    return HmmModel(a, tuple(emissions))
+    return HmmModel.from_arrays(a, *map(np.array, zip(*states)))
 
 
 # ---------------------------------------------------------------------------
@@ -868,7 +897,7 @@ def write_hmm(fp, model: HmmModel) -> None:
     """Write one model block: magic, version, N, M, D, then transitions,
     weights, means, variances as little-endian float64."""
     write_frame(fp, _MODEL_MAGIC, _MODEL_VERSION, (model.n_states, model.n_mixtures, model.dim))
-    for x in _model_arrays((model,)):
+    for x in model.arrays:
         fp.write(x.astype("<f8").tobytes())
 
 
@@ -882,14 +911,13 @@ def read_hmm(fp) -> HmmModel:
     weights = read_array(fp, (n, m), "model")
     means = read_array(fp, (n, m, d), "model")
     variances = read_array(fp, (n, m, d), "model")
-    if not all(np.all(np.isfinite(x)) for x in (a, weights, means, variances)):
+    if not all(np.isfinite(x).all() for x in (a, weights, means, variances)):
         raise FormatError("model file holds non-finite values")
-    if np.any(variances <= 0):
+    if (variances <= 0).any():
         raise FormatError("model file holds non-positive variances")
-    nz = np.nonzero(a)
-    skip = max(1, int(max((j - i for i, j in zip(*nz)), default=1)))
-    emissions = tuple(GmmEmission(weights[j], means[j], variances[j]) for j in range(n))
-    model = HmmModel(a, emissions, max_skip=skip)
+    rows, cols = a.nonzero()
+    skip = int((cols - rows).max(initial=1))
+    model = HmmModel.from_arrays(a, weights, means, variances, max_skip=skip)
     problems = validate(model, variance_floor=0.0)
     if problems:
         raise FormatError("invalid model file: " + "; ".join(problems))

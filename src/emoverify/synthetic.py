@@ -17,7 +17,7 @@ import numpy as np
 
 from .featureio import features_path, save_features
 from .frontend import D_PROSODIC, ObservationPair
-from .hmm import GmmEmission, HmmModel, sample_sequence, validate
+from .hmm import HmmModel, sample_sequence, validate
 from .manifest import DEFAULT_EMOTIONS, CorpusManifest, UtteranceRef, grid_manifest
 from .seeds import derive_seed
 
@@ -110,18 +110,18 @@ def _stream_model(spec: SyntheticSpec, stream: str, n_states: int, dim: int,
     sig = _offsets(spec, stream, "speaker", speaker, shape=(n_states, dim))
     centers = base + spec.separability * (emotion_scale * eps + speaker_scale * sig)
     comp = _offsets(spec, stream, "components", shape=(spec.n_mixtures, dim))
-    core_weight = (1.0 - spec.floor_weight) / spec.n_mixtures
-    emissions = []
-    for i in range(n_states):
-        weights = np.full(spec.n_mixtures, core_weight)
-        means = centers[i][None, :] + comp
-        variances = np.ones((spec.n_mixtures, dim))
-        if spec.floor_weight > 0.0:
-            weights = np.append(weights, spec.floor_weight)
-            means = np.vstack([means, base[i][None, :]])
-            variances = np.vstack([variances, np.full((1, dim), spec.floor_scale**2)])
-        emissions.append(GmmEmission(weights, means, variances))
-    return HmmModel(_bakis(n_states), tuple(emissions))
+    weights = np.full(spec.n_mixtures, (1.0 - spec.floor_weight) / spec.n_mixtures)
+    means = centers[:, None, :] + comp
+    variances = np.ones(means.shape)
+    if spec.floor_weight > 0.0:
+        weights = np.append(weights, spec.floor_weight)
+        means = np.concatenate([means, base[:, None, :]], axis=1)
+        floor = np.full((n_states, 1, dim), spec.floor_scale**2)
+        variances = np.concatenate([variances, floor], axis=1)
+    for name, x in (("means", means), ("variances", variances)):
+        if not np.all(np.isfinite(x)):  # the spec bounds its scales below only
+            raise ValueError(f"{name} contains non-finite values")
+    return HmmModel.from_arrays(_bakis(n_states), np.tile(weights, (n_states, 1)), means, variances)
 
 
 def generator_models(spec: SyntheticSpec) -> dict[tuple[str, str], tuple[HmmModel, HmmModel]]:

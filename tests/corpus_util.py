@@ -1,10 +1,12 @@
 """Shared helpers: small in-memory synthetic corpora for pipeline tests, the
-per-model score chain that the model bank's scores are held to, and the
-per-utterance EM that lockstep training is held to."""
+per-model score chain that the model bank's scores are held to, the
+per-utterance EM that lockstep training is held to, and the per-state model
+checks and sampler that the arrays-first model is held to."""
 
 import numpy as np
 
 from emoverify.hmm import (
+    ROW_SUM_TOL,
     GmmEmission,
     HmmModel,
     TrainConfig,
@@ -12,6 +14,7 @@ from emoverify.hmm import (
     _check_obs,
     _check_valid,
     _forward,
+    _off_band,
     _log_add,
     _log_densities,
     _model_arrays,
@@ -124,3 +127,52 @@ def reference_train_baum_welch(init, utterances, cfg=None):
             break
     a, w, mu, var = params
     return HmmModel(a, tuple(map(GmmEmission, w, mu, var)), max_skip=init.max_skip), history
+
+
+def reference_validate(model, variance_floor):
+    """hmm.validate as a loop over states, reading the per-state view: the
+    checks that whole-array validation replaced, kept verbatim but for the
+    component-count and dim checks, which HmmModel's constructor now makes."""
+    errors = []
+    a = model.transitions
+    if np.any(a < 0):
+        errors.append("negative transition probability")
+    row_sums = a.sum(axis=1)
+    for i in range(model.n_states):
+        if abs(row_sums[i] - 1.0) > ROW_SUM_TOL:
+            errors.append(f"transition row {i + 1} sums to {row_sums[i]:.10g}")
+    for i, j in zip(*np.nonzero(_off_band(a, model.max_skip))):  # row-major order
+        errors.append(f"non-Bakis transition ({i + 1}→{j + 1})")
+    for i, em in enumerate(model.emissions):
+        if np.any(em.weights < 0):
+            errors.append(f"state {i + 1} has a negative mixture weight")
+        wsum = em.weights.sum()
+        if abs(wsum - 1.0) > ROW_SUM_TOL:
+            errors.append(f"state {i + 1} weights sum {wsum:.10g}")
+        if np.any(em.variances < variance_floor * (1 - 1e-12)):
+            errors.append(f"state {i + 1} has a variance below the floor {variance_floor:g}")
+    return errors
+
+
+def reference_sample_sequence(model, t_len, seed):
+    """hmm.sample_sequence with a per-state object read in its frame loop:
+    the sampler that reads the arrays replaced, kept verbatim."""
+    if t_len < 1:
+        raise ValueError("t_len must be >= 1")
+    _check_valid(model)
+    rng = np.random.default_rng(seed)
+    n = model.n_states
+
+    states = np.empty(t_len, dtype=np.int64)
+    states[0] = 0
+    for t in range(1, t_len):
+        row = np.cumsum(model.transitions[states[t - 1]])
+        states[t] = min(int(np.searchsorted(row, rng.random(), side="right")), n - 1)
+
+    out = np.empty((t_len, model.dim))
+    for t in range(t_len):
+        em = model.emissions[states[t]]
+        m = min(int(np.searchsorted(np.cumsum(em.weights), rng.random(), side="right")),
+                em.n_components - 1)
+        out[t] = em.means[m] + rng.standard_normal(model.dim) * np.sqrt(em.variances[m])
+    return out

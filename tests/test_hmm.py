@@ -150,8 +150,15 @@ def one_stack(model):
     return hmm._stack(*hmm._model_arrays([model]))
 
 
+def one_pair_e_step(stack, obs):
+    """_e_step's one-pair form: the log-likelihood, as a float, and the
+    statistics of a one-model stack on one utterance."""
+    ll, *stats = hmm._e_step(stack, np.zeros(1, np.intp), [obs])
+    return (float(ll[0]), *(s[0] for s in stats))
+
+
 def general_stats(model, obs):
-    """_accumulate_stats by the general recursion: explicit forward and
+    """one_pair_e_step by the general recursion: explicit forward and
     backward loops, each taking SciPy's logsumexp over all N candidates,
     SciPy's logsumexp for the total, and transition counts added one frame
     at a time."""
@@ -207,7 +214,7 @@ class TestOneStateEStep:
             obs = rng.normal(0.0, 3.0, size=(int(rng.integers(1, 40)), model.dim))
             stack = one_stack(model)
             assert stack.log_trans[0, 0, 0] == 0.0
-            got, want = hmm._accumulate_stats(stack, obs), general_stats(model, obs)
+            got, want = one_pair_e_step(stack, obs), general_stats(model, obs)
             # ll, occupancies and moments bit for bit; the transition count is
             # not taken, since _reestimate pins a one-state model's only row,
             # so both statistics re-estimate the same parameters byte for byte
@@ -225,10 +232,10 @@ class TestOneStateEStep:
         stack = one_stack(model)
         assert stack.log_trans[0, 0, 0] != 0.0
         obs = rng.normal(size=(12, 2))
-        got = hmm._accumulate_stats(stack, obs)
+        got = one_pair_e_step(stack, obs)
         assert np.isfinite(got[0])
         assert_same_stats(got, general_stats(model, obs))
-        assert got[0] != hmm._accumulate_stats(one_stack(base), obs)[0]
+        assert got[0] != one_pair_e_step(one_stack(base), obs)[0]
 
 
 class TestGeneralEStep:
@@ -246,7 +253,7 @@ class TestGeneralEStep:
                         model = HmmModel(np.array([[1.0 - 5e-10]]), model.emissions)
                     t_len = 1 + (trial * 13 + n) % 40 if trial else 1
                     obs = rng.normal(0.0, 2.0, size=(t_len, model.dim))
-                    got = hmm._accumulate_stats(one_stack(model), obs)
+                    got = one_pair_e_step(one_stack(model), obs)
                     assert_same_stats(got, general_stats(model, obs))
                     if t_len == 1:  # no transition, so nothing counted
                         assert not got[1].any()
@@ -486,7 +493,7 @@ class TestHmmBank:
         exact, inexact = self.one_state(1.0), self.one_state(1.0 - 5e-10)
         obs = np.random.default_rng(1).normal(size=(50, 1))
         got = log_forward(inexact, obs)
-        assert got == hmm._accumulate_stats(one_stack(inexact), obs)[0]
+        assert got == one_pair_e_step(one_stack(inexact), obs)[0]
         assert got != log_forward(exact, obs)
         assert abs(got - log_forward(exact, obs) - 49 * np.log(1.0 - 5e-10)) < 1e-12
 
@@ -706,10 +713,12 @@ class TestValidate:
         a = np.array([[0.5, 0.4], [0.0, 1.0]])
         em_bad = GmmEmission([0.6, 0.6], [[0.0], [1.0]], [[1.0], [1.0]])
         em_ok = GmmEmission([1.0], [[0.0]], [[1.0]])
-        msgs = validate(HmmModel(a, (em_bad, em_ok)))
+        # a ragged model cannot be held as (N, M, D) arrays: refused at construction
+        with pytest.raises(ValueError, match="state 2 has 1 components, expected 2"):
+            HmmModel(a, (em_bad, em_ok))
+        msgs = validate(HmmModel(a, (em_bad, em_bad)))
         assert any("row 1 sums" in m for m in msgs)
         assert any("weights sum" in m for m in msgs)
-        assert any("components" in m for m in msgs)
 
     def test_reports_floored_variance(self):
         a = np.array([[1.0]])
