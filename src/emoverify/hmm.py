@@ -7,10 +7,10 @@ forward jumps of at most ``max_skip`` states (default 1).
 
 A model (``HmmModel``) is four float64 arrays: transitions (N, N), mixture
 weights (N, M), means (N, M, D) and diagonal variances (N, M, D).  It is
-loaded (``read_hmm``, through ``HmmModel.from_arrays``), stored
-(``write_hmm``), trained and scored as those arrays; one ``GmmEmission``
-per state is only a way to build a model and a view of one
-(``HmmModel.emissions``).
+loaded (``read_hmm``), stored (``write_hmm``), built
+(``HmmModel.from_arrays``, which refuses non-finite values), trained and
+scored as those arrays; one ``GmmEmission`` per state is only a way to
+build a model and a view of one (``HmmModel.emissions``).
 
 Scoring and training share one stacked representation: models of one
 (N, M) shape are stacked along a leading model axis K (``_stack``), and
@@ -122,6 +122,7 @@ class HmmModel:
     HmmModel(transitions, emissions, max_skip=...) builds one from one
     GmmEmission per state, refusing states of different component counts or
     dims; from_arrays holds the arrays as given, with no per-state object.
+    Both refuse a non-finite value with the same ValueError.
     ``emissions`` is a per-state view of the arrays, built on first access.
     """
 
@@ -154,10 +155,22 @@ class HmmModel:
 
     @classmethod
     def from_arrays(cls, transitions, weights, means, variances, max_skip: int = 1) -> HmmModel:
-        """The model of four such arrays, neither copied nor checked: the
-        caller checks what it has not already."""
+        """The model of four such arrays, not copied.  A non-finite value is
+        refused as the per-state constructor refuses it: state by state the
+        weights, means and variances, then the transitions.  Shapes and
+        probabilities are the caller's to check (validate)."""
+        if not all(np.isfinite(x).all() for x in (weights, means, variances)):
+            for state in zip(weights, means, variances):
+                for name, x in zip(("weights", "means", "variances"), state):
+                    _as_float_array(x, name)
+        _as_float_array(transitions, "transitions")
+        return cls._of_finite(transitions, weights, means, variances, max_skip)
+
+    @classmethod
+    def _of_finite(cls, *values) -> HmmModel:
+        """from_arrays for arrays already known to be finite (read_hmm)."""
         model = object.__new__(cls)
-        model._hold(transitions, weights, means, variances, max_skip)
+        model._hold(*values)
         return model
 
     def _hold(self, *values) -> None:
@@ -878,14 +891,13 @@ def init_model(
         for c in range(m_eff):
             mask = labels == c
             variances[c] = seg[mask].var(axis=0) if mask.any() else 0.0
-        # no frame was checked, so a non-finite one is refused here
-        states.append((weights / weights.sum(), _as_float_array(centers, "means"),
-                       _as_float_array(np.maximum(variances, VARIANCE_FLOOR), "variances")))
+        states.append((weights / weights.sum(), centers, np.maximum(variances, VARIANCE_FLOOR)))
 
     a = np.zeros((n_states, n_states))
     for i in range(n_states - 1):
         a[i, i] = a[i, i + 1] = 0.5
     a[-1, -1] = 1.0
+    # no frame was checked, so from_arrays refuses a non-finite one here
     return HmmModel.from_arrays(a, *map(np.array, zip(*states)))
 
 
@@ -917,7 +929,7 @@ def read_hmm(fp) -> HmmModel:
         raise FormatError("model file holds non-positive variances")
     rows, cols = a.nonzero()
     skip = int((cols - rows).max(initial=1))
-    model = HmmModel.from_arrays(a, weights, means, variances, max_skip=skip)
+    model = HmmModel._of_finite(a, weights, means, variances, skip)
     problems = validate(model, variance_floor=0.0)
     if problems:
         raise FormatError("invalid model file: " + "; ".join(problems))

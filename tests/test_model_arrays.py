@@ -1,13 +1,14 @@
 """Arrays-first models match the per-state objects they replaced.
 
-A model loaded by read_hmm (HmmModel.from_arrays) and the same model built
-from one GmmEmission per state hold the same four arrays, bit for bit, with
-the dtype and C-contiguity that the stacking of per-state objects gave; they
-score, store and sample alike, and validate reports what the per-state
-loop reported, in its order.
+A model built from its arrays (read_hmm, HmmModel.from_arrays) and the same
+model built from one GmmEmission per state hold the same four arrays, bit
+for bit, with the dtype and C-contiguity that the stacking of per-state
+objects gave; they score, store and sample alike, and validate reports
+what the per-state loop reported, in its order.
 """
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,38 @@ def test_validate_reports_what_the_per_state_loop_reported():
         broken = HmmModel.from_arrays(a, w, mu, var, max_skip=model.max_skip)
         for floor in (hmm.VARIANCE_FLOOR, 0.0):
             assert validate(broken, floor) == reference_validate(broken, floor)
+
+
+def test_from_arrays_refuses_what_the_per_state_constructor_refused():
+    rng = np.random.default_rng(11)
+    for model in models(11, count=80):
+        arrays = [x.copy() for x in model.arrays]
+        for _ in range(int(rng.integers(1, 4))):
+            x = arrays[int(rng.integers(4))]
+            x[tuple(int(rng.integers(k)) for k in x.shape)] = rng.choice([np.nan, np.inf, -np.inf])
+        a, w, mu, var = arrays
+        with pytest.raises(ValueError) as want:
+            HmmModel(a, tuple(map(GmmEmission, w, mu, var)), max_skip=model.max_skip)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            HmmModel.from_arrays(a, w, mu, var, max_skip=model.max_skip)
+
+
+@pytest.mark.parametrize("train", [
+    lambda init, utts: hmm.train_baum_welch(init, utts),
+    lambda init, utts: hmm.train_models([(init, utts), (init, utts[:2])]),
+])
+def test_training_that_overflows_returns_no_model(train):
+    # a dim constant at 1e155 passes the frame checks and, its k-means
+    # variance floored, init_model; its second-moment statistic overflows,
+    # and the per-state constructor refused the weights that followed
+    rng = np.random.default_rng(3)
+    utterances = [rng.normal(size=(t_len, 3)) for t_len in (9, 12, 7)]
+    for u in utterances:
+        u[:, 1] = 1e155
+    init = hmm.init_model(utterances, 3, 2)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="^weights contains non-finite values$"):
+        train(init, utterances)
 
 
 def emvh(a, w, mu, var) -> bytes:

@@ -143,6 +143,15 @@ class TestSeparability:
         with pytest.raises(ValueError, match="separability"):
             dataclasses.replace(SMALL, separability=-1.0)
 
+    def test_overflowing_separability_rejected(self):
+        # the spec bounds its scales below only; the generators refuse the
+        # non-finite means that a huge separability gives
+        import dataclasses
+
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="^means contains non-finite values$"):
+            generator_models(dataclasses.replace(SMALL, separability=1e308))
+
     def test_bad_length_range_rejected(self):
         import dataclasses
 
