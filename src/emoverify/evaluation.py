@@ -24,7 +24,7 @@ from .manifest import CorpusManifest
 from .sphmm import DEFAULT_PROSODIC_MIXTURES
 from .stage_a import ConfusionMatrix, tally, train_emotion_models
 from .stage_b import (
-    TrialConfig, TrialRecord, decide_trials, enroll, enroll_pooled, score_trials, trial_plan)
+    TrialConfig, TrialRecord, enroll, enroll_pooled, score_trials, trial_plan, trial_ratios)
 from .stage_b import run_trials  # noqa: F401  benchmark/tracing.py wraps this name
 
 # One-sided 5% critical value for the equal-n pooled-SD t-test.
@@ -205,6 +205,37 @@ class EvalReport:
             raise ValueError("average EER must equal the mean of the per-emotion EERs")
 
 
+def far_frr_arrays(target: Sequence[float], nontarget: Sequence[float],
+                   label: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thresholds, FAR and FRR as float64 arrays, far_frr_curve's columns,
+    from the finite target and nontarget scores of the set named label.
+
+    The thresholds are the sorted distinct scores between -inf and +inf,
+    so they strictly increase.
+    """
+    if not len(target) or not len(nontarget):
+        raise ValueError(f"score set {label!r} has an empty class")
+    target = np.sort(target)
+    nontarget = np.sort(nontarget)
+    thresholds = np.unique(np.concatenate([target, nontarget]))
+    thresholds = np.concatenate(([-np.inf], thresholds, [np.inf]))
+    far = (nontarget.size - np.searchsorted(nontarget, thresholds, side="left")) / nontarget.size
+    frr = np.searchsorted(target, thresholds, side="left") / target.size
+    return thresholds, far, frr
+
+
+def _eer_point(thresholds: np.ndarray, far: np.ndarray, frr: np.ndarray) -> tuple[float, float]:
+    """(EER%, threshold) of far_frr_arrays' columns: the first inner row of
+    least |FAR - FRR|, which is the smallest such threshold."""
+    i = 1 + int(np.argmin(np.abs(far[1:-1] - frr[1:-1])))
+    return float(50.0 * (far[i] + frr[i])), float(thresholds[i])
+
+
+def _curve_rows(curve) -> list[tuple[float, float, float]]:
+    """far_frr_arrays' columns as (threshold, FAR, FRR) rows of Python floats."""
+    return list(zip(*(column.tolist() for column in curve)))
+
+
 def far_frr_curve(scores: ScoreSet) -> list[tuple[float, float, float]]:
     """(threshold, FAR, FRR) rows over sorted distinct scores plus +-inf.
 
@@ -213,15 +244,7 @@ def far_frr_curve(scores: ScoreSet) -> list[tuple[float, float, float]]:
     boundary rule, so FAR never increases and FRR never decreases along
     the emitted sequence.
     """
-    if not scores.target or not scores.nontarget:
-        raise ValueError(f"score set {scores.label!r} has an empty class")
-    target = np.sort(np.asarray(scores.target))
-    nontarget = np.sort(np.asarray(scores.nontarget))
-    thresholds = np.unique(np.concatenate([target, nontarget]))
-    thresholds = np.concatenate(([-np.inf], thresholds, [np.inf]))
-    far = (nontarget.size - np.searchsorted(nontarget, thresholds, side="left")) / nontarget.size
-    frr = np.searchsorted(target, thresholds, side="left") / target.size
-    return [(float(t), float(fa), float(fr)) for t, fa, fr in zip(thresholds, far, frr)]
+    return _curve_rows(far_frr_arrays(scores.target, scores.nontarget, scores.label))
 
 
 def eer(scores: ScoreSet) -> tuple[float, float]:
@@ -231,13 +254,7 @@ def eer(scores: ScoreSet) -> tuple[float, float]:
     |FAR - FRR|-minimizing threshold (ties go to the smaller one) the
     rate is (FAR + FRR)/2 in percent.
     """
-    return _curve_eer(far_frr_curve(scores))
-
-
-def _curve_eer(curve: Sequence[tuple[float, float, float]]) -> tuple[float, float]:
-    """(EER%, threshold) of a far_frr_curve, chosen as eer chooses them."""
-    theta, fa, fr = min(curve[1:-1], key=lambda row: (abs(row[1] - row[2]), row[0]))
-    return 50.0 * (fa + fr), theta
+    return _eer_point(*far_frr_arrays(scores.target, scores.nontarget, scores.label))
 
 
 def stat_summary(values: Sequence[float]) -> StatSummary:
@@ -295,11 +312,12 @@ def scores_by_emotion(
     return {e: ScoreSet(e, tuple(target[e]), tuple(nontarget[e])) for e in emotions}
 
 
-def _tables(records, emotions):
-    """Per-emotion EER values and DET curves from one trial run, one curve each."""
-    sets = scores_by_emotion(records, emotions)
-    det = {e: tuple(far_frr_curve(sets[e])) for e in emotions}
-    return {e: _curve_eer(det[e])[0] for e in emotions}, det
+def _emotion_rows(plan, emotions: Sequence[str]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Per emotion, the plan rows of its target and of its nontarget trials."""
+    emotion = np.array([emotions.index(utt.emotion) for utt, _ in plan], dtype=np.intp)
+    target = np.array([claimed == utt.speaker_id for utt, claimed in plan], dtype=bool)
+    return {e: (np.flatnonzero((emotion == i) & target), np.flatnonzero((emotion == i) & ~target))
+            for i, e in enumerate(emotions)}
 
 
 def _average(table: Mapping[str, float], emotions: Sequence[str]) -> float:
@@ -353,7 +371,9 @@ def run_experiment(kind: str, manifest: CorpusManifest, features, cfg: Experimen
     manifest's claimants.  Each model set is scored into its own table as
     soon as it is trained, every stream of every model, with no fusion
     weight, and only the table is kept; every table, comparison and sweep
-    row applies its weights when it decides over those tables.  Kinds run
+    row applies its weights when it decides over those tables, as arrays
+    with no trial record (stage_b.trial_ratios), and takes each emotion's
+    EER from one FAR/FRR curve over that emotion's plan rows.  Kinds run
     one after another on the same features mapping with an equal config
     share those tables, so a paper table trains and scores each set once;
     a new mapping, an edited stream or another config starts fresh.
@@ -384,27 +404,35 @@ def run_experiment(kind: str, manifest: CorpusManifest, features, cfg: Experimen
     if "one_stage" in modes:
         pooled_table = table(("pooled", fused), enroll_pooled, fused=fused)
 
-    def decide(mode, a_alpha=cfg.alpha, b_alpha=speaker_alpha):
+    def ratios(mode, a_alpha=cfg.alpha, b_alpha=speaker_alpha):
         if mode == "one_stage":
-            return decide_trials(pooled_table, mode, trial_cfg, speaker_alpha)
-        return decide_trials(speaker_table, mode, trial_cfg, b_alpha, stage_a, a_alpha)
+            return trial_ratios(pooled_table, mode, trial_cfg, speaker_alpha)
+        return trial_ratios(speaker_table, mode, trial_cfg, b_alpha, stage_a, a_alpha)
 
-    records = decide(mode, stage_a_alpha)
-    eer_table, det = _tables(records, emotions)
-    identified = {r.utterance.id: (r.e_star, r.utterance.emotion) for r in records}
-    comparisons = {other: _tables(decide(other), emotions)[0] for other in compared}
+    rows = _emotion_rows(plan, emotions)
+
+    def curves(llr):
+        return {e: far_frr_arrays(llr[t], llr[n], e) for e, (t, n) in rows.items()}
+
+    def eers(curve_table):
+        return {e: _eer_point(*curve)[0] for e, curve in curve_table.items()}
+
+    e_stars, llr = ratios(mode, stage_a_alpha)
+    main = curves(llr)
+    eer_table = eers(main)
+    identified = {utt.id: (e_star, utt.emotion) for (utt, _), e_star in zip(plan, e_stars)}
+    comparisons = {other: eers(curves(ratios(other)[1])) for other in compared}
     return EvalReport(
         kind=kind,
         emotions=emotions,
         eer_by_emotion=eer_table,
         average_eer=_average(eer_table, emotions),
-        det_by_emotion=det,
+        det_by_emotion={e: tuple(_curve_rows(curve)) for e, curve in main.items()},
         confusion=tally(emotions, identified.values()) if mode == "two_stage" else None,
         comparisons=comparisons,
         ttests={other: _vector_ttest(eer_table, t, emotions) for other, t in comparisons.items()},
         alpha_rows=tuple(
-            (a, _average(_tables(decide(mode, a, a), emotions)[0], emotions)) for a in grid
-        ),
+            (a, _average(eers(curves(ratios(mode, a, a)[1])), emotions)) for a in grid),
         config=cfg.echo(kind),
     )
 

@@ -40,6 +40,7 @@ every other stack the general ``logsumexp`` over all N candidates.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import logging
@@ -63,8 +64,9 @@ KMEANS_ITERATIONS = 10
 # chunk (stage_b.score_trials) and a training run (train_models) alike
 # (pair_runs).  The padded forward arrays are then that many frames of N
 # float64s, 2 MB at N = 4 (64 utterances of 12 models over 80 frames, or 5
-# of 30 models over 430); _log_densities keeps each of its temporaries to
-# PAIR_FRAMES float64s.
+# of 30 models over 430).  _log_densities takes PAIR_FRAMES // (K*N*M*D)
+# frames a block, so its (K, frames, N, M, D) difference array holds at
+# most PAIR_FRAMES float64s too.
 PAIR_FRAMES = 65536
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _LOG_2 = float(np.log(2.0))
@@ -375,28 +377,38 @@ def _log_densities(stack: _Stack, obs: np.ndarray,
     given owner (T,), each frame's under the stack's model owner[t] alone,
     (T, N, M) and (T, N), so frames of many utterances share one call.
 
-    The Mahalanobis term is summed from squared differences, never through
-    a matrix product, whose bits would depend on the stack's shape.  Frames
-    are taken in blocks whose (K, frames, M, D) or (frames, M, D)
+    The Mahalanobis term is summed from squared differences of every state
+    at once, along the contiguous last axis, never through a matrix
+    product, whose bits would depend on the stack's shape.  Frames are
+    taken in blocks whose (K, frames, N, M, D) or (frames, N, M, D)
     temporaries hold at most PAIR_FRAMES float64s; a frame's densities
-    depend on no other frame, so the blocks move no bit.
+    depend on no other frame, so the blocks move no bit.  The mixture
+    reduction gives logsumexp's bits: with one component it is the
+    component plus 0.0 (a one-element logsumexp turns -0.0 into +0.0),
+    with two _log_add, and with more logsumexp itself.
     """
     k, n, m, d = stack.means.shape
     lead = (k,) if owner is None else ()
     comp = np.empty(lead + (len(obs), n, m))
     logb = np.empty(lead + (len(obs), n))
-    step = max(1, PAIR_FRAMES // ((k if owner is None else 1) * m * d))
+    step = max(1, PAIR_FRAMES // ((k if owner is None else 1) * n * m * d))
     for i in range(0, len(obs), step):
         at = (slice(None), None) if owner is None else (owner[i:i + step],)
         part = comp[..., i:i + step, :, :]
-        for j in range(n):  # state by state, in place
-            diff = obs[i:i + step, None, :] - stack.means[at + (j,)]
-            diff *= diff
-            diff /= stack.variances[at + (j,)]
-            part[..., j, :] = np.sum(diff, axis=-1)
+        diff = obs[i:i + step, None, None, :] - stack.means[at]
+        diff *= diff
+        diff /= stack.variances[at]
+        np.sum(diff, axis=-1, out=part)
         part *= -0.5  # then log_wn - 0.5 * maha, bit for bit
         part += stack.log_wn[at]
-        logb[..., i:i + step, :] = logsumexp(part, axis=-1)
+        block = logb[..., i:i + step, :]
+        if m == 1:
+            np.add(part[..., 0], 0.0, out=block)
+        elif m == 2:
+            with np.errstate(invalid="ignore"):
+                _log_add(part[..., 0], part[..., 1], out=block)
+        else:
+            block[...] = logsumexp(part, axis=-1)
     return comp, logb
 
 
@@ -582,25 +594,27 @@ def sample_sequence(model: HmmModel, t_len: int, seed: int) -> np.ndarray:
     """Draw a (t_len, D) observation matrix from the model, deterministically.
 
     Consumes the RNG in a fixed order: the full state path first, then one
-    mixture draw plus D normal draws per frame.
+    mixture draw plus D normal draws per frame.  Each draw picks the first
+    index whose cumulative probability (np.cumsum's) exceeds it, the last
+    when rounding leaves none.
     """
     if t_len < 1:
         raise ValueError("t_len must be >= 1")
     _check_valid(model)
     rng = np.random.default_rng(seed)
-    n = model.n_states
+    n, m = model.n_states, model.n_mixtures
+    transitions = np.cumsum(model.transitions, axis=-1).tolist()
+    weights = np.cumsum(model.weights, axis=-1).tolist()
+    scales = np.sqrt(model.variances)
 
-    states = np.empty(t_len, dtype=np.int64)
-    states[0] = 0
-    for t in range(1, t_len):
-        row = np.cumsum(model.transitions[states[t - 1]])
-        states[t] = min(int(np.searchsorted(row, rng.random(), side="right")), n - 1)
+    states = [0]
+    for u in rng.random(t_len - 1).tolist():
+        states.append(min(bisect.bisect_right(transitions[states[-1]], u), n - 1))
 
     out = np.empty((t_len, model.dim))
     for t, s in enumerate(states):
-        m = min(int(np.searchsorted(np.cumsum(model.weights[s]), rng.random(), side="right")),
-                model.n_mixtures - 1)
-        out[t] = model.means[s, m] + rng.standard_normal(model.dim) * np.sqrt(model.variances[s, m])
+        k = min(bisect.bisect_right(weights[s], rng.random()), m - 1)
+        out[t] = model.means[s, k] + rng.standard_normal(model.dim) * scales[s, k]
     return out
 
 

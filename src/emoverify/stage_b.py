@@ -17,10 +17,12 @@ weight: the set's models are stacked once into a sphmm.ModelBank, and the
 plan's utterances are scored in chunks of at most SCORE_CHUNK utterances
 and hmm.PAIR_FRAMES pair-frames, one bank call per chunk, each
 utterance over the models its claims need.
-decide_trials fuses the tables at their weights and decides all rows at
+trial_ratios fuses the tables at their weights and takes all rows at
 once: two_stage's e* is a row's argmax over the stage-a table, and
-every ratio is the keyed column minus the mean of the row's others.  So
-every mode and weight is decided from one scoring pass per model set.
+every ratio is the keyed column minus the mean of the row's others, one
+float64 array.  So every mode and weight is decided from one scoring pass
+per model set.  decide_trials adds the threshold decisions and a
+TrialRecord per row, which only run_trials needs.
 """
 
 from __future__ import annotations
@@ -308,22 +310,23 @@ def best_labels(table: ScoreTable, alpha: float) -> list:
     return [table.labels[k] for k in np.argmax(fused, axis=1)]
 
 
-def decide_trials(
+def trial_ratios(
     table: ScoreTable,
     mode: str,
     cfg: TrialConfig,
     alpha: float,
     stage_a: ScoreTable | None = None,
     emotion_alpha: float | None = None,
-) -> list[TrialRecord]:
-    """Decision pass: one mode's trial records from a scored stage-b table.
+) -> tuple[list[str], np.ndarray]:
+    """Columnar decision pass: each plan row's e* and its ratio, a float64
+    array, from a scored stage-b table, with no per-trial record.
 
     alpha fuses the stage-b streams; two_stage identifies e* from the
     stage-a table over the same plan fused at emotion_alpha and is
     undecidable without both.  The tables hold every stream, so any weight
-    decides; a plain set decides only at weight 0.  A non-finite score or
-    threshold stops the run with an error naming the trial, since dropping
-    the trial would move the error rates unseen.
+    decides; a plain set decides only at weight 0.  A non-finite ratio
+    stops the run with an error naming the first such trial, since
+    dropping the trial would move the error rates unseen.
     """
     plan, labels = table.plan, table.labels
     if mode == "one_stage":
@@ -343,10 +346,33 @@ def decide_trials(
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite ratio is refused below
         fused = fuse_scores(alpha, table.acoustic, table.prosodic)
         background = fused[~keyed].reshape(len(plan), len(labels) - 1).mean(axis=1)
-        llrs = (fused[keyed] - background).tolist()
+        llr = fused[keyed] - background
+    bad = np.flatnonzero(~np.isfinite(llr))
+    if bad.size:
+        utt, claimed = plan[bad[0]]
+        raise ValueError(f"utterance {utt.id} claimed as {claimed}: "
+                         "score and threshold must both be finite")
+    return e_stars, llr
+
+
+def decide_trials(
+    table: ScoreTable,
+    mode: str,
+    cfg: TrialConfig,
+    alpha: float,
+    stage_a: ScoreTable | None = None,
+    emotion_alpha: float | None = None,
+) -> list[TrialRecord]:
+    """Decision pass: one mode's trial records from a scored stage-b table.
+
+    trial_ratios' e* and ratios, each decided against cfg's threshold (the
+    running mean of the last adapt_window ratios, when set) in plan order.
+    A non-finite threshold stops the run with an error naming the trial.
+    """
+    e_stars, llrs = trial_ratios(table, mode, cfg, alpha, stage_a, emotion_alpha)
     records: list[TrialRecord] = []
     history: list[float] = []
-    for (utt, claimed), e_star, lam in zip(plan, e_stars, llrs):
+    for (utt, claimed), e_star, lam in zip(table.plan, e_stars, llrs.tolist()):
         theta = cfg.theta
         if cfg.adapt_window is not None:
             theta = adapt_threshold(cfg.theta, history, cfg.adapt_window)

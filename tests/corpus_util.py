@@ -1,10 +1,13 @@
 """Shared helpers: small in-memory synthetic corpora for pipeline tests, the
 per-model score chain that the model bank's scores are held to, the
-per-utterance EM that lockstep training is held to, and the per-state model
-checks and sampler that the arrays-first model is held to."""
+per-state density loop that the all-state kernel is held to, the
+per-utterance EM that lockstep training is held to, the per-state model
+checks and sampler that the arrays-first model and the hoisted sampler are
+held to, and the curve-row EER rule that the array EER is held to."""
 
 import numpy as np
 
+from emoverify import hmm
 from emoverify.hmm import (
     ROW_SUM_TOL,
     GmmEmission,
@@ -48,6 +51,30 @@ def reference_stream_scores(model, obs):
     if model.prosodic.composite is not None:
         prosodic += model.prosodic.composite.log_density(obs.prosodic.mean(axis=0)) / tp_len
     return acoustic, prosodic + model.log_priors[1] / tp_len
+
+
+def reference_log_densities(stack, obs, owner=None):
+    """hmm._log_densities state by state, each block's mixtures reduced by
+    the general logsumexp: the kernel that the all-state pass with exact
+    M <= 2 reductions replaced, kept verbatim but for reading PAIR_FRAMES
+    at call time."""
+    k, n, m, d = stack.means.shape
+    lead = (k,) if owner is None else ()
+    comp = np.empty(lead + (len(obs), n, m))
+    logb = np.empty(lead + (len(obs), n))
+    step = max(1, hmm.PAIR_FRAMES // ((k if owner is None else 1) * m * d))
+    for i in range(0, len(obs), step):
+        at = (slice(None), None) if owner is None else (owner[i:i + step],)
+        part = comp[..., i:i + step, :, :]
+        for j in range(n):  # state by state, in place
+            diff = obs[i:i + step, None, :] - stack.means[at + (j,)]
+            diff *= diff
+            diff /= stack.variances[at + (j,)]
+            part[..., j, :] = np.sum(diff, axis=-1)
+        part *= -0.5  # then log_wn - 0.5 * maha, bit for bit
+        part += stack.log_wn[at]
+        logb[..., i:i + step, :] = logsumexp(part, axis=-1)
+    return comp, logb
 
 
 def reference_accumulate_stats(stack, obs):
@@ -155,8 +182,10 @@ def reference_validate(model, variance_floor):
 
 
 def reference_sample_sequence(model, t_len, seed):
-    """hmm.sample_sequence with a per-state object read in its frame loop:
-    the sampler that reads the arrays replaced, kept verbatim."""
+    """hmm.sample_sequence with a per-state object read in its frame loop,
+    and each draw's cumulative row summed and searched inside the loop: the
+    sampler that reads the arrays, and then the one that hoists that set-up
+    out of the loop, replaced, kept verbatim."""
     if t_len < 1:
         raise ValueError("t_len must be >= 1")
     _check_valid(model)
@@ -176,3 +205,26 @@ def reference_sample_sequence(model, t_len, seed):
                 em.n_components - 1)
         out[t] = em.means[m] + rng.standard_normal(model.dim) * np.sqrt(em.variances[m])
     return out
+
+
+def reference_far_frr_curve(scores):
+    """evaluation.far_frr_curve as a list built row by row from its arrays:
+    the curve that the array curve function replaced, kept verbatim."""
+    if not scores.target or not scores.nontarget:
+        raise ValueError(f"score set {scores.label!r} has an empty class")
+    target = np.sort(np.asarray(scores.target))
+    nontarget = np.sort(np.asarray(scores.nontarget))
+    thresholds = np.unique(np.concatenate([target, nontarget]))
+    thresholds = np.concatenate(([-np.inf], thresholds, [np.inf]))
+    far = (nontarget.size - np.searchsorted(nontarget, thresholds, side="left")) / nontarget.size
+    frr = np.searchsorted(target, thresholds, side="left") / target.size
+    return [(float(t), float(fa), float(fr)) for t, fa, fr in zip(thresholds, far, frr)]
+
+
+def reference_eer(scores):
+    """(EER%, threshold) by the lexicographic rule over the curve's inner
+    rows, least |FAR - FRR| and then least threshold: the choice that the
+    array EER's first argmin replaced, kept verbatim."""
+    curve = reference_far_frr_curve(scores)
+    theta, fa, fr = min(curve[1:-1], key=lambda row: (abs(row[1] - row[2]), row[0]))
+    return 50.0 * (fa + fr), theta

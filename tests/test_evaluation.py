@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from corpus_util import make_corpus
+from corpus_util import make_corpus, reference_eer, reference_far_frr_curve
 from emoverify.evaluation import (
     ALPHA_GRID,
     CRITICAL_T,
@@ -28,9 +28,9 @@ from emoverify.evaluation import (
 from emoverify.frontend import ObservationPair
 from emoverify.hmm import TrainConfig
 from emoverify.manifest import CorpusManifest, UtteranceRef
-from emoverify.stage_a import ConfusionMatrix
+from emoverify.stage_a import ConfusionMatrix, train_emotion_models
 from emoverify import evaluation, hmm, sphmm, stage_b
-from emoverify.stage_b import TrialConfig, TrialRecord, trial_plan
+from emoverify.stage_b import TrialConfig, TrialRecord, enroll, run_trials, trial_plan
 from emoverify.synthetic import SyntheticSpec
 
 # Six-emotion EER vectors with hand-checked population statistics.
@@ -199,6 +199,38 @@ class TestEer:
         for _ in range(60):
             s = random_scoreset(rng)
             assert eer(s) == brute_force_eer(s)
+
+
+class TestOneCurveRule:
+    """far_frr_curve, eer and run_experiment's EERs all read one array curve
+    (far_frr_arrays); its first argmin is the row-list curve's lexicographic
+    (|FAR - FRR|, threshold) choice, kept in corpus_util."""
+
+    @staticmethod
+    def score_sets(rng, count):
+        """Random sets: one-score classes, heavy ties and repeats across
+        classes, signed zeros, and plain normal draws."""
+        for trial in range(count):
+            sizes = rng.integers(1, (2, 6, 40)[trial % 3], size=2)
+            t, n = rng.normal(0.0, 1.0, sizes[0]), rng.normal(-0.3, 1.2, sizes[1])
+            if trial % 2:  # few distinct values: ties within and across classes
+                t, n = np.round(t * 2) / 2, np.round(n * 2) / 2
+            if trial % 4 == 1:  # zeros of both signs
+                t[rng.random(t.size) < 0.4] = -0.0
+                n[rng.random(n.size) < 0.4] = 0.0
+            yield ScoreSet("x", tuple(t.tolist()), tuple(n.tolist()))
+
+    def test_array_eer_is_the_lexicographic_choice(self):
+        zeros = 0
+        for s in self.score_sets(np.random.default_rng(43), 600):
+            want = reference_eer(s)
+            arrays = evaluation.far_frr_arrays(np.asarray(s.target), np.asarray(s.nontarget), "x")
+            for got in (eer(s), evaluation._eer_point(*arrays)):
+                assert all(type(x) is float for x in got)
+                assert repr(got) == repr(want), (s, got, want)
+            assert repr(far_frr_curve(s)) == repr(reference_far_frr_curve(s))
+            zeros += want[1] == 0.0
+        assert zeros  # some sets meet at a signed-zero threshold
 
 
 class TestStatSummary:
@@ -448,6 +480,55 @@ class TestRunExperiment:
                 det_by_emotion={"a": (), "b": ()}, confusion=None,
                 comparisons={}, ttests={}, alpha_rows=(), config={},
             )
+
+
+class TestDecisionPath:
+    """run_experiment decides as arrays; trial records are only run_trials'."""
+
+    @pytest.fixture(scope="class")
+    def plain_sets(self, corpus):
+        manifest, features = corpus
+        shape = dict(n_states=1, n_mixtures=1, cfg=TrainConfig(max_iterations=2))
+        return enroll(manifest, features, **shape), train_emotion_models(manifest, features, **shape)
+
+    @staticmethod
+    def count_records(monkeypatch):
+        built = []
+        real = TrialRecord.__post_init__
+        monkeypatch.setattr(TrialRecord, "__post_init__", lambda r: built.append(r) or real(r))
+        return built
+
+    def test_no_kind_builds_a_trial_record(self, corpus, plain_sets, monkeypatch):
+        manifest, features = corpus
+        built = self.count_records(monkeypatch)
+        for kind in KINDS:
+            run_experiment(kind, manifest, dict(features), CFG)
+        assert built == []
+        records = run_trials(*plain_sets, manifest, features, "two_stage")
+        assert built == records and records  # the counter sees every record built
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_both_paths_name_the_same_trial(self, corpus, plain_sets, monkeypatch, bad):
+        # one claim's stage-b score is poisoned wherever a claimant table is scored
+        manifest, features = corpus
+        plan = trial_plan(manifest, manifest.claimants, CFG.trial_config)
+        assert plan == trial_plan(manifest, plain_sets[0].speakers, TrialConfig(seed=CFG.seed))
+        utt, claimed = plan[len(plan) // 2]
+        real = stage_b.score_trials
+
+        def poisoned(plan, models, features, cfg):
+            table = real(plan, models, features, cfg)
+            if isinstance(models, stage_b.SpeakerEmotionModelSet):
+                table.acoustic[plan.index((utt, claimed)), 0] = bad
+            return table
+
+        monkeypatch.setattr(stage_b, "score_trials", poisoned)
+        monkeypatch.setattr(evaluation, "score_trials", poisoned)
+        message = f"^utterance {utt.id} claimed as {claimed}: score and threshold must both be finite$"
+        with pytest.raises(ValueError, match=message):
+            run_experiment("two_stage", manifest, dict(features), CFG)
+        with pytest.raises(ValueError, match=message):
+            run_trials(*plain_sets, manifest, features, "two_stage", TrialConfig(seed=CFG.seed))
 
 
 def report_bytes(report, directory):

@@ -2,13 +2,14 @@
 
 import dataclasses
 import io
+import itertools
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 from scipy.stats import norm
 
-from corpus_util import reference_train_baum_welch
+from corpus_util import reference_log_densities, reference_train_baum_welch
 from emoverify import hmm
 from emoverify.errors import FormatError
 from emoverify.hmm import (
@@ -333,6 +334,59 @@ class TestBandKernel:
             assert not one_stack(init).banded
             model, history = train_baum_welch(init, utts, cfg)
             assert model_bytes(model) == want_bytes and history == want_history
+
+
+class TestDensityKernel:
+    """The all-state density pass, with its M <= 2 mixture reductions, gives
+    the per-state loop's and logsumexp's bits (reference_log_densities)."""
+
+    @staticmethod
+    def random_stack(rng, k, n, m, d):
+        weights = rng.uniform(0.2, 1.0, (k, n, m))
+        weights /= weights.sum(axis=-1, keepdims=True)
+        weights[rng.random(weights.shape) < 0.1] = 0.0  # -inf components
+        return hmm._stack(np.broadcast_to(np.eye(n), (k, n, n)), weights,
+                          rng.normal(0.0, 2.0, (k, n, m, d)), rng.uniform(0.3, 1.5, (k, n, m, d)))
+
+    @staticmethod
+    def assert_as_reference(stack, obs, owner=None):
+        got = hmm._log_densities(stack, obs, owner)
+        want = reference_log_densities(stack, obs, owner)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("budget", [1, 23, 700, hmm.PAIR_FRAMES])
+    def test_random_shapes_stacked_and_owned(self, monkeypatch, budget):
+        # D >= 8 takes numpy's unrolled pairwise sum; small budgets cut
+        # each call into many blocks, down to one frame a block
+        rng = np.random.default_rng(89 + budget)
+        monkeypatch.setattr(hmm, "PAIR_FRAMES", budget)
+        for _ in range(60):
+            k, n, m, d = (int(rng.integers(1, hi)) for hi in (7, 6, 5, 13))
+            stack = self.random_stack(rng, k, n, m, d)
+            t_len = int(rng.integers(1, 50))
+            obs = rng.normal(0.0, 2.0, (t_len, d))
+            self.assert_as_reference(stack, obs)
+            self.assert_as_reference(stack, obs, rng.integers(0, k, t_len))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_edge_components(self, m):
+        # every frame sits on every mean, so each component is exactly its
+        # log_wn: each state holds one combination of -inf, NaN, -0.0, +0.0,
+        # +inf and finite values, ties included
+        values = (-np.inf, np.nan, -0.0, 0.0, -1.5, 2.0, np.inf)
+        log_wn = np.array(list(itertools.product(values, repeat=m)))[None]  # (1, N, M)
+        n, d = log_wn.shape[1], 3
+        v = np.random.default_rng(101).normal(size=d)
+        stack = hmm._Stack(np.broadcast_to(v, (1, n, m, d)), np.ones((1, n, m, d)), log_wn,
+                           np.zeros((1, n, n)), False, False)
+        obs = np.broadcast_to(v, (5, d)).copy()
+        self.assert_as_reference(stack, obs)
+        self.assert_as_reference(stack, obs, np.zeros(5, np.intp))
+        if m == 1:  # a -0.0 component is reachable and its state density is +0.0
+            comp, logb = hmm._log_densities(stack, obs)
+            zero = values.index(-0.0)
+            assert np.signbit(comp[..., zero, 0]).all() and not np.signbit(logb[..., zero]).any()
 
 
 def reference_reestimate(

@@ -131,15 +131,33 @@ def test_both_forms_score_alike():
             assert model_bytes(form) == model_bytes(model)
 
 
+def with_zeros(model, rng):
+    """The model with one in-band transition of each row that has two and
+    one mixture weight of each state set to 0.0, rows renormalized: its
+    cumulative rows hold plateaus, which a draw's search must step over."""
+    a, w, mu, var = (x.copy() for x in model.arrays)
+    for i, row in enumerate(a):
+        if np.count_nonzero(row) > 1:
+            row[rng.choice(np.flatnonzero(row))] = 0.0
+            row /= row.sum()
+    if w.shape[1] > 1:
+        w[np.arange(len(w)), rng.integers(w.shape[1], size=len(w))] = 0.0
+        w /= w.sum(axis=1, keepdims=True)
+    return HmmModel.from_arrays(a, w, mu, var, max_skip=model.max_skip)
+
+
 def test_sample_sequence_matches_the_per_state_loop():
+    # the reference sums and searches each draw's cumulative row inside its
+    # frame loop; the sampler takes them, and the path's draws, up front
     rng = np.random.default_rng(6)
     for model in models(6, count=40):
-        loaded = read_hmm(io.BytesIO(model_bytes(model)))
-        for t_len in (1, int(rng.integers(2, 60))):
-            seed = int(rng.integers(1 << 30))
-            want = reference_sample_sequence(model, t_len, seed)
-            for form in (model, loaded):
-                assert sample_sequence(form, t_len, seed).tobytes() == want.tobytes()
+        for target in (model, with_zeros(model, rng)):
+            loaded = read_hmm(io.BytesIO(model_bytes(target)))
+            for t_len in (1, int(rng.integers(2, 60)), 300):
+                seed = int(rng.integers(1 << 30))
+                want = reference_sample_sequence(target, t_len, seed)
+                for form in (target, loaded):
+                    assert sample_sequence(form, t_len, seed).tobytes() == want.tobytes()
 
 
 def test_validate_reports_what_the_per_state_loop_reported():

@@ -31,6 +31,7 @@ from emoverify.stage_b import (
     run_trials,
     score_trials,
     trial_plan,
+    trial_ratios,
     write_trials,
 )
 from emoverify.synthetic import SyntheticSpec
@@ -822,19 +823,26 @@ class TestArrayPassMatchesScalarReference:
                 for table in tables.values():
                     stream = (table.acoustic, table.prosodic)[int(rng.integers(2))]
                     stream[int(rng.integers(p)), int(rng.integers(k))] = (-np.inf, np.nan)[case % 2]
-            cfg = TrialConfig(seed=case)
+            cfg = TrialConfig(seed=case, adapt_window=(None, 1, 4)[case % 3])
             for mode in MODES:
                 table = tables["speaker" if mode == "one_stage" else "emotion"]
                 for alpha, a_alpha in zip(ALPHA_GRID, ALPHA_GRID[::-1]):
                     want = scalar_decide(table, mode, cfg, alpha, stage_a, a_alpha)
                     if isinstance(want, str):
                         covered["non_finite"] += 1
-                        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
-                            decide_trials(table, mode, cfg, alpha, stage_a, a_alpha)
+                        for path in (decide_trials, trial_ratios):
+                            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                                path(table, mode, cfg, alpha, stage_a, a_alpha)
                         continue
                     got = decide_trials(table, mode, cfg, alpha, stage_a, a_alpha)
                     assert all(type(r.llr) is float for r in got)
                     assert [(r.e_star, repr(r.llr)) for r in got] == want, (case, mode, alpha)
+                    # the records are the columnar pass's rows, decided in plan order
+                    e_stars, llr = trial_ratios(table, mode, cfg, alpha, stage_a, a_alpha)
+                    assert llr.dtype == np.float64 and llr.shape == (p,)
+                    assert [(r.e_star, r.llr) for r in got] == list(zip(e_stars, llr.tolist()))
+                    assert [(r.utterance, r.claimed_speaker) for r in got] == list(plan)
+                    assert all(r.mode == mode for r in got)
             fused_a = stage_a.acoustic + stage_a.prosodic
             at_top = fused_a == fused_a.max(axis=1, keepdims=True)
             covered["tie"] += int(np.sum(at_top.sum(axis=1) > 1))
